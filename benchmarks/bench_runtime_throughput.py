@@ -106,7 +106,7 @@ def _build(executor: str, cost_spec: tuple, shards: int,
     return InferenceRuntime(
         lambda index: SyntheticWorker(cost=cost),
         pattern_fn=message_pattern, shards=shards, max_batch=MAX_BATCH,
-        max_latency=0.05, threaded=True, queue_capacity=50_000,
+        max_latency=0.05, executor="thread", queue_capacity=50_000,
         registry=registry,
     )
 

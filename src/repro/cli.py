@@ -48,26 +48,19 @@ def _observability(args: argparse.Namespace):
 
 
 def _resolve_llm(args: argparse.Namespace, seed: int):
-    """Resolve the shared ``--llm`` spec / deprecated ``--llm-cache`` flags.
+    """Resolve the shared ``--llm`` spec flag into a provider.
 
-    Returns ``(provider, cache)``; ``provider`` is ``None`` when neither
-    flag was given (call sites fall back to their historical default)
-    and ``cache`` is the :class:`~repro.llm.cache.CachedLLM` to
-    context-manage, when one was created.
+    Returns ``None`` when the flag was not given (call sites fall back to
+    their historical default).
     """
     spec = getattr(args, "llm", None)
-    cache_path = getattr(args, "llm_cache", None)
-    if cache_path:
-        print("note: --llm-cache is deprecated; use --llm cached:path=... "
-              "(kept working for now)", file=sys.stderr)
-    if not spec and not cache_path:
-        return None, None
+    if not spec:
+        return None
     from .llm.factory import resolve_provider
 
-    middleware = bool(spec) and not getattr(args, "no_llm_stack", False)
+    middleware = not getattr(args, "no_llm_stack", False)
     try:
-        return resolve_provider(spec, seed=seed, middleware=middleware,
-                                cache_path=cache_path)
+        return resolve_provider(spec, seed=seed, middleware=middleware)
     except ValueError as exc:
         raise SystemExit(f"--llm: {exc}")
 
@@ -167,20 +160,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
     split = continuous_target_split(target_sequences, args.n_target)
     print(f"target {target_system}: {len(split.train)} training sequences")
 
-    with _observability(args), contextlib.ExitStack() as stack:
+    with _observability(args):
         # Inside the observability scope: the checkpoint store's
         # counters bind at construction and must reach --metrics-out.
         controller, store, resume = _training_controls(args)
-        llm, cache = _resolve_llm(args, config.seed)
-        if cache is not None:
-            stack.enter_context(cache)
-        model = LogSynergy(config, llm=llm)
+        model = LogSynergy(config, llm=_resolve_llm(args, config.seed))
         model.fit(sources, target_system, split.train, verbose=not args.quiet,
                   controller=controller, store=store, resume=resume)
         model.save_pipeline(args.model_dir)
-        if cache is not None:
-            print(f"LLM cache: {cache.hits} hits, {cache.misses} misses "
-                  f"-> {args.llm_cache}")
     print(f"pipeline saved to {args.model_dir}")
     return 0
 
@@ -352,7 +339,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_runtime(args: argparse.Namespace, *, threaded: bool, **extra):
+def _build_runtime(args: argparse.Namespace, **extra):
     """Shared runtime construction for ``serve`` / ``replay``.
 
     With ``--model-dir`` the runtime scores through a saved LogSynergy
@@ -370,19 +357,15 @@ def _build_runtime(args: argparse.Namespace, *, threaded: bool, **extra):
     """
     from .runtime import InferenceRuntime, SyntheticWorker, message_pattern
 
-    process = getattr(args, "executor", None) == "process"
+    process = args.executor == "process"
     common = dict(shards=args.shards, window=args.window, step=args.step,
-                  max_batch=args.max_batch, **extra)
-    if process:
-        common["executor"] = "process"
-    else:
-        common["threaded"] = threaded
+                  max_batch=args.max_batch, executor=args.executor, **extra)
     model = None
     if args.model_dir:
         from .core import LogSynergy
 
-        llm, _ = _resolve_llm(args, args.seed)
-        model = LogSynergy.load_pipeline(args.model_dir, llm=llm)
+        model = LogSynergy.load_pipeline(args.model_dir,
+                                         llm=_resolve_llm(args, args.seed))
     if getattr(args, "detectors", None):
         from .detectors import ensemble_from_spec
 
@@ -445,7 +428,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         # trigger — output is byte-identical for any --shards value.
         # --executor process keeps the same contract (seq-numbered
         # journals + window-id dedup), just with worker processes.
-        runtime = _build_runtime(args, threaded=False, max_latency=None,
+        runtime = _build_runtime(args, max_latency=None,
                                  backpressure="block")
         for record in records:
             runtime.submit(record)
@@ -478,7 +461,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                              "--backpressure block (the journal-refeed "
                              "recovery path must never shed records)")
         runtime = _build_runtime(
-            args, threaded=True, max_latency=args.max_latency,
+            args, max_latency=args.max_latency,
             backpressure=args.backpressure, queue_capacity=args.queue_capacity,
         )
         clock = runtime.registry.clock
@@ -660,9 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--n-target", type=int, default=100)
     train.add_argument("--model-dir", required=True)
     train.add_argument("--quiet", action="store_true")
-    train.add_argument("--llm-cache", default=None, metavar="PATH",
-                       help="deprecated: persist LLM interpretations to this "
-                            "JSON cache file (use --llm cached:path=...)")
     _add_llm_flags(train)
     _add_model_flags(train)
     _add_window_flags(train)

@@ -16,7 +16,6 @@ when an observability registry is installed.
 
 from __future__ import annotations
 
-import warnings
 from datetime import datetime
 from typing import Sequence
 
@@ -36,8 +35,6 @@ from .trainer import LogSynergyTrainer, TrainingBatch, TrainingHistory
 
 __all__ = ["LogSynergy"]
 
-_DEPRECATED_SWITCHES = ("use_lei", "use_sufe", "use_da")
-
 
 class LogSynergy:
     """The paper's full method behind a scikit-learn-ish interface.
@@ -54,31 +51,12 @@ class LogSynergy:
     encoder:
         Sentence encoder; defaults to the cached pre-trained domain encoder
         with ``config.embedding_dim`` dimensions.
-    use_lei / use_sufe / use_da:
-        Deprecated constructor aliases for the config fields; they warn
-        and forward into ``config``.
     """
 
     def __init__(self, config: LogSynergyConfig | None = None,
                  llm: LLMProvider | None = None,
-                 encoder: SentenceEncoder | None = None,
-                 use_lei: bool | None = None, use_sufe: bool | None = None,
-                 use_da: bool | None = None):
-        config = config or LogSynergyConfig()
-        overrides = {
-            name: value
-            for name, value in zip(_DEPRECATED_SWITCHES, (use_lei, use_sufe, use_da))
-            if value is not None
-        }
-        if overrides:
-            warnings.warn(
-                "LogSynergy(use_lei=..., use_sufe=..., use_da=...) is deprecated; "
-                "set the flags on LogSynergyConfig (e.g. "
-                "config.with_overrides(use_lei=False)) instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            config = config.with_overrides(**overrides)
-        self.config = config
+                 encoder: SentenceEncoder | None = None):
+        self.config = config or LogSynergyConfig()
         self.encoder = encoder or load_pretrained_encoder(self.config.embedding_dim)
         if self.encoder.dim != self.config.embedding_dim:
             raise ValueError(
@@ -312,7 +290,7 @@ class LogSynergy:
         manifest = json.loads((root / "pipeline.json").read_text(encoding="utf-8"))
         config = LogSynergyConfig(**manifest["config"])
         # Manifests written before the switches moved into the config carry
-        # them only at the top level; fold those in without the shim warning.
+        # them only at the top level; fold those in.
         config = config.with_overrides(
             use_lei=manifest.get("use_lei", config.use_lei),
             use_sufe=manifest.get("use_sufe", config.use_sufe),

@@ -1,26 +1,22 @@
 """Production deployment simulation (§VI).
 
-Wires the collection -> buffering -> formatting -> pattern-gated detection
--> alerting workflow around a fitted LogSynergy model, plus the
-deployment-efficiency comparison against rule-based methods.
+The online service fronts the ``repro.runtime`` engine, which owns the
+collection -> buffering -> formatting -> pattern-gated detection stages;
+this package adds the pattern library, alert routing, the annotation
+workflow and the deployment-efficiency comparison against rule-based
+methods.
 """
 
-from .buffer import BoundedBuffer
-from .collector import CollectorStats, LogCollector
-from .formatter import LogFormatter, UnifiedLog
 from .pattern_library import PatternLibrary, PatternStats
 from .alerting import AlertRouter, AlertSink, EmailSink, RecordingSink, SmsSink
-from .online import OnlineService, ServiceStats
+from .online import OnlineService
 from .labeling import Annotator, LabelingOutcome, dual_annotation
 from .efficiency import LogSynergyTimeline, RuleBasedTimeline, deployment_speedup
 
 __all__ = [
-    "BoundedBuffer",
-    "LogCollector", "CollectorStats",
-    "LogFormatter", "UnifiedLog",
     "PatternLibrary", "PatternStats",
     "AlertRouter", "AlertSink", "SmsSink", "EmailSink", "RecordingSink",
-    "OnlineService", "ServiceStats",
+    "OnlineService",
     "RuleBasedTimeline", "LogSynergyTimeline", "deployment_speedup",
     "Annotator", "LabelingOutcome", "dual_annotation",
 ]

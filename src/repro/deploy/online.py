@@ -1,19 +1,21 @@
-"""Online detection service: the full §VI-A workflow wired together.
+"""Online detection service: the front door of the §VI-A workflow.
 
 collection (Filebeat) -> buffering (Kafka) -> formatting (LogStash)
 -> pattern-library gate -> LogSynergy model -> alert routing.
 
-``OnlineService.process`` pushes a batch of raw records through every
-stage and returns the anomaly reports raised.  Detection runs on the
-``repro.runtime`` sharded inference engine in synchronous mode
-(deterministic, shard-count invariant): windowing, the pattern-library
-gate, micro-batched ``detect_stream_batch`` scoring and graceful
-degradation all live there; this class keeps the ingestion stages and
-the stable public surface (``stats``, ``collector``, ``buffer``,
-``library``, alert routing).  Per-stage statistics live in a
-``repro.obs`` metrics registry — the service joins the globally
-installed registry when observability is enabled and otherwise keeps a
-private one, so :class:`ServiceStats` always reads live numbers.
+``OnlineService`` is a thin facade over the ``repro.runtime`` sharded
+inference engine in synchronous mode (deterministic, shard-count
+invariant), which owns every stage up to the detector: ``process``
+submits records straight into the runtime, whose bounded shard queue is
+the transport buffer (``reject`` policy at ``buffer_capacity``; shed
+records count on ``service.records_rejected``), and whose shards
+normalize and window the stream, gate windows through per-system pattern
+libraries and score the rest in micro-batched ``detect_stream_batch``
+calls.  The service adds alert routing and the stable public surface
+(``stats``, ``library``).  Statistics live in a ``repro.obs`` registry:
+the runtime joins the globally installed registry when observability is
+enabled and otherwise keeps a private one, so ``stats`` always reads live
+numbers.
 """
 
 from __future__ import annotations
@@ -21,54 +23,11 @@ from __future__ import annotations
 from ..core.pipeline import LogSynergy
 from ..core.report import AnomalyReport
 from ..logs.generator import LogRecord
-from ..obs import LATENCY_BUCKETS, MetricsRegistry, get_registry
+from ..obs import MetricsRegistry
+from ..runtime import InferenceRuntime
 from .alerting import AlertRouter
-from .buffer import BoundedBuffer
-from .collector import LogCollector
 
-__all__ = ["ServiceStats", "OnlineService"]
-
-
-class ServiceStats:
-    """End-to-end counters for one service lifetime.
-
-    A read-view over registry counters; the attribute API of the old
-    dataclass (``windows_seen`` / ``model_invocations`` /
-    ``anomalies_raised`` / ``model_skip_rate``) is unchanged.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry or MetricsRegistry()
-        self._windows = self.registry.counter("service.windows_seen")
-        self._invocations = self.registry.counter("service.model_invocations")
-        self._library_hits = self.registry.counter("service.library_hits")
-        self._anomalies = self.registry.counter("service.anomalies_raised")
-
-    @property
-    def windows_seen(self) -> int:
-        return int(self._windows.value)
-
-    @property
-    def model_invocations(self) -> int:
-        return int(self._invocations.value)
-
-    @property
-    def anomalies_raised(self) -> int:
-        return int(self._anomalies.value)
-
-    @property
-    def model_skip_rate(self) -> float:
-        """Fraction of windows answered by the pattern library."""
-        if self.windows_seen == 0:
-            return 0.0
-        return 1.0 - self.model_invocations / self.windows_seen
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ServiceStats(windows_seen={self.windows_seen}, "
-            f"model_invocations={self.model_invocations}, "
-            f"anomalies_raised={self.anomalies_raised})"
-        )
+__all__ = ["OnlineService"]
 
 
 class _LibraryView:
@@ -102,67 +61,32 @@ class OnlineService:
     """
 
     def __init__(self, model: LogSynergy | None, router: AlertRouter | None = None,
-                 buffer_capacity: int = 50_000, window: int = 10, step: int = 5,
-                 max_patterns: int = 100_000,
+                 buffer_capacity: int = 50_000,
                  registry: MetricsRegistry | None = None,
-                 shards: int = 1, max_batch: int = 16,
                  ensemble=None):
         if ensemble is None and (model is None or model.model is None):
             raise ValueError("OnlineService requires a fitted LogSynergy model "
                              "(or an ensemble)")
-        # Import here, not at module level: repro.runtime is a downstream
-        # consumer of this package's submodules (formatter, pattern
-        # library), so the package imports must stay one-directional.
-        from ..runtime import InferenceRuntime
-
         self.model = model
         self.ensemble = ensemble
         self.router = router or AlertRouter()
-        if registry is None:
-            active = get_registry()
-            # ServiceStats must stay live even with observability off, so
-            # fall back to a private registry rather than the no-op one.
-            registry = active if active.enabled else MetricsRegistry()
-        self.registry = registry
-        self.buffer: BoundedBuffer[LogRecord] = BoundedBuffer(
-            buffer_capacity, registry=registry
-        )
-        self.collector = LogCollector(self.buffer)
-        self.stats = ServiceStats(registry)
-        self.window = window
-        self.step = step
-        self._latency = registry.histogram(
-            "service.window_seconds", boundaries=LATENCY_BUCKETS
-        )
-        runtime_options = dict(
-            shards=shards, window=window, step=step,
-            max_batch=max_batch, max_latency=None,
-            queue_capacity=buffer_capacity, backpressure="block",
-            max_patterns=max_patterns, registry=registry, prefix="service",
-        )
+        options = dict(queue_capacity=buffer_capacity, backpressure="reject",
+                       registry=registry, prefix="service")
         if ensemble is not None:
-            self.runtime = InferenceRuntime.from_ensemble(
-                ensemble, **runtime_options)
+            self.runtime = InferenceRuntime.from_ensemble(ensemble, **options)
         else:
-            self.runtime = InferenceRuntime.from_model(model, **runtime_options)
-        self._library_view = _LibraryView(self.runtime)
+            self.runtime = InferenceRuntime.from_model(model, **options)
+        self.registry = self.runtime.registry
+        self.stats = self.runtime.stats
+        self.library = _LibraryView(self.runtime)
 
-    @property
-    def library(self) -> _LibraryView:
-        """Aggregate view of the remembered patterns across all systems."""
-        return self._library_view
-
-    # ------------------------------------------------------------------
     def process(self, records: list[LogRecord]) -> list[AnomalyReport]:
         """Run a batch of raw records through the full pipeline.
 
-        Collection and buffering feed the inference runtime, which gates
-        windows through per-system pattern libraries and scores the rest
-        in micro-batched ``detect_stream_batch`` calls.  Anomalous
-        reports are routed and returned in emission order.
+        Records beyond the buffer's free capacity are shed and counted.
+        Anomalous reports are routed and returned in emission order.
         """
-        self.collector.ship(records)
-        for record in self.buffer.drain():
+        for record in records:
             self.runtime.submit(record)
         reports = [report for report in self.runtime.drain()
                    if report.is_anomalous]

@@ -9,7 +9,7 @@ the learned model share one interface:
 * ``score_window(system, window)`` — window entries only need
   ``.message`` and ``.timestamp`` attributes, which both
   :class:`~repro.logs.generator.LogRecord` and the runtime's normalized
-  :class:`~repro.deploy.formatter.UnifiedLog` satisfy.  Detectors keep
+  :class:`~repro.runtime.UnifiedLog` satisfy.  Detectors keep
   any rolling state **per system**: a system's windows always arrive in
   per-system stream order (the runtime guarantees this for every shard
   count), and cross-system interleaving must not affect verdicts — that

@@ -115,7 +115,12 @@ class CrossSystemExperiment:
     # ------------------------------------------------------------------
     def run_logsynergy(self, config: LogSynergyConfig | None = None,
                        method_name: str = "LogSynergy", **kwargs) -> MethodResult:
-        """Train and evaluate LogSynergy (or an ablated variant via kwargs)."""
+        """Train and evaluate LogSynergy.
+
+        Ablated variants pass a config with its switches off (e.g.
+        ``config.with_overrides(use_lei=False)``); ``kwargs`` go to the
+        :class:`LogSynergy` constructor (``llm=`` / ``encoder=``).
+        """
         self.prepare()
         config = config or LogSynergyConfig(seed=self.seed)
         model = LogSynergy(config, **kwargs)

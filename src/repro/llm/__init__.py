@@ -7,12 +7,7 @@ the production provider stack: every LLM the pipeline talks to is an
 traffic-control middleware — memory cache, request coalescing, circuit
 breaker, hedged retries, rate limiting (:mod:`repro.llm.middleware`) —
 and selected by one CLI-wide spec grammar (:mod:`repro.llm.factory`).
-
-``LLMClient`` remains importable as a deprecated alias of
-:class:`LLMProvider`.
 """
-
-import warnings
 
 from .prompts import SYSTEM_DESCRIPTIONS, build_interpretation_prompt, extract_log_from_prompt
 from .providers import FlakyLLM, LLMProvider, ProviderError, garble
@@ -39,7 +34,7 @@ from .factory import (
 )
 
 __all__ = [
-    "LLMProvider", "ProviderError", "FlakyLLM", "garble", "LLMClient",
+    "LLMProvider", "ProviderError", "FlakyLLM", "garble",
     "CachedLLM",
     "build_interpretation_prompt", "extract_log_from_prompt", "SYSTEM_DESCRIPTIONS",
     "SimulatedLLM", "normalize_tokens", "fallback_rewrite",
@@ -50,15 +45,3 @@ __all__ = [
     "DEFAULT_SPEC", "parse_provider_spec", "provider_from_spec",
     "default_provider", "resolve_provider",
 ]
-
-
-def __getattr__(name: str):
-    if name == "LLMClient":
-        warnings.warn(
-            "repro.llm.LLMClient is deprecated; use repro.llm.LLMProvider "
-            "(same structural contract, plus complete_batch).",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return LLMProvider
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,9 +12,8 @@ different provider is one flag everywhere::
 Grammar: ``name[:key=value[,key=value...]]``.  Values coerce to bool
 (``true``/``false``), int, float, then fall back to string, in that
 order.  :func:`provider_from_spec` builds the bare provider;
-:func:`resolve_provider` adds the CLI conveniences — the middleware
-stack (see :func:`repro.llm.middleware.build_provider_stack`) and the
-deprecated ``--llm-cache`` wrapping.
+:func:`resolve_provider` adds the CLI convenience — the middleware
+stack (see :func:`repro.llm.middleware.build_provider_stack`).
 """
 
 from __future__ import annotations
@@ -116,22 +115,14 @@ def default_provider(seed: int = 0) -> LLMProvider:
 
 def resolve_provider(spec: str | None, *, seed: int = 0,
                      middleware: bool = True,
-                     cache_path: str | None = None,
                      sleep: Callable[[float], None] | None = None,
-                     ) -> tuple[LLMProvider, CachedLLM | None]:
+                     ) -> LLMProvider:
     """Resolve CLI flags into a ready-to-use provider.
 
-    Returns ``(provider, cache)`` where ``cache`` is the
-    :class:`CachedLLM` created for the deprecated ``--llm-cache`` path
-    (``None`` otherwise) so the caller can context-manage its save.
     ``middleware=False`` skips the traffic-control stack (the spec'd
     provider is used bare).
     """
     provider = provider_from_spec(spec or DEFAULT_SPEC, seed=seed)
-    cache: CachedLLM | None = None
-    if cache_path is not None:
-        cache = CachedLLM(provider, cache_path, autosave=False)
-        provider = cache
     if middleware:
         provider = build_provider_stack(provider, seed=seed, sleep=sleep)
-    return provider, cache
+    return provider

@@ -11,9 +11,8 @@ contract is two methods:
   clients inherit a correct batch path for free, while real endpoints
   (or the middleware stack) override it with something smarter.
 
-``isinstance(x, LLMProvider)`` stays structural (anything with a
-callable ``complete`` qualifies), so duck-typed clients written against
-the old ``LLMClient`` Protocol keep working unchanged.
+``isinstance(x, LLMProvider)`` stays structural: anything with a
+callable ``complete`` qualifies, so duck-typed clients keep working.
 
 :class:`FlakyLLM` simulates the remote-endpoint failure modes a
 millions-of-users deployment must absorb — seeded latency/jitter,
@@ -45,9 +44,7 @@ class ProviderError(RuntimeError):
 class LLMProvider(abc.ABC):
     """The provider contract every LLM call site goes through.
 
-    Replaces the one-method ``LLMClient`` Protocol as ``repro.llm``'s
-    exported contract (``LLMClient`` remains importable as a deprecated
-    alias).  Subclasses implement :meth:`complete`; :meth:`complete_batch`
+    Subclasses implement :meth:`complete`; :meth:`complete_batch`
     has a loop fallback so single-prompt providers are batch-correct by
     construction.
     """

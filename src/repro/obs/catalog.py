@@ -29,14 +29,6 @@ METRIC_NAMES = frozenset({
     "analysis.audit.models",
     "analysis.lint.files",
     "analysis.lint.violations",
-    # repro.deploy — online service and replay buffer
-    "deploy.buffer_dropped",
-    "deploy.buffer_rejected",
-    "service.anomalies_raised",
-    "service.library_hits",
-    "service.model_invocations",
-    "service.window_seconds",
-    "service.windows_seen",
     # repro.detectors — ensemble combiner roll-ups
     "detectors.ensemble.anomalous",
     "detectors.ensemble.member_errors",

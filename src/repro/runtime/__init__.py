@@ -1,17 +1,19 @@
 """``repro.runtime`` — sharded micro-batching inference runtime.
 
 The paper deploys LogSynergy as an online service over ISP log streams
-(collector -> buffer -> detector -> alerting, §VI-A); this package is the
-layer that lets that service approach production volume.  It sits between
-``repro.deploy`` ingestion and the model's batch-first
-``predict_proba``/``detect_stream_batch`` path:
+(collection -> buffering -> formatting -> pattern gate -> detector ->
+alerting, §VI-A); this package implements every stage between the
+``repro.deploy`` front door (:class:`~repro.deploy.OnlineService`) and
+the model's batch-first ``predict_proba``/``detect_stream_batch`` path:
 
 * :class:`ShardRouter` — stable system-id hashing over N shards; a
   system's records always land on the same shard, so each shard owns its
   windowing state and results are independent of the shard count.
-* :class:`ShardQueue` — bounded ingress queue per shard with explicit
-  backpressure policies (``block`` / ``reject`` / ``drop-oldest``) and
-  load-shedding counters.
+* :class:`ShardQueue` — the buffering stage: a bounded ingress queue per
+  shard with explicit backpressure policies (``block`` / ``reject`` /
+  ``drop-oldest``) and load-shedding counters.
+* :func:`normalize_record` / :class:`UnifiedLog` — the formatting stage:
+  the one record normal form every shard window is built from.
 * :class:`MicroBatchScheduler` — accumulates windows per system lane and
   flushes them under a max-batch-size / max-latency budget (injectable
   clock).  Lanes are chunked at exactly ``max_batch`` so batch
@@ -61,6 +63,7 @@ from .queues import (
 from .replay import render_reports, replay_records, report_sort_key
 from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingWindow
+from .shard import UnifiedLog, normalize_record
 from .supervisor import RespawnPolicy, WorkerSupervisor
 from .worker import (
     EnsembleWorker,
@@ -77,7 +80,7 @@ __all__ = [
     "InferenceRuntime", "RuntimeStats",
     "ShardRouter",
     "ShardQueue", "OFFER_OK", "OFFER_REJECTED", "OFFER_DROPPED", "OFFER_FULL",
-    "RecordEnvelope",
+    "RecordEnvelope", "UnifiedLog", "normalize_record",
     "MicroBatchScheduler", "PendingWindow",
     "WorkerSupervisor", "RespawnPolicy", "WorkerError",
     "ModelWorker", "SyntheticWorker", "EnsembleWorker", "FlakyWorker", "message_pattern",

@@ -12,7 +12,7 @@ pure function of the input stream: ``repro replay --shards N`` is
 byte-identical for every N.  This mode backs
 :class:`~repro.deploy.online.OnlineService` and ``repro replay``.
 
-**Threaded** (``threaded=True`` / ``executor="thread"``) — ``start`` /
+**Threaded** (``executor="thread"``) — ``start`` /
 ``stop``; one worker thread per shard consumes its own queue, so
 simulated/remote inference latency overlaps across shards
 (``repro serve``).  Determinism is traded for throughput: global
@@ -136,28 +136,22 @@ class InferenceRuntime:
     def __init__(self,
                  worker_factory: Callable[[int], InferenceWorker] | None, *,
                  pattern_fn: Callable[[list], tuple[int, ...]],
-                 normalize: Callable | None = None,
                  shards: int = 1, window: int = 10, step: int = 5,
                  max_batch: int = 16, max_latency: float | None = None,
                  queue_capacity: int = 10_000, backpressure: str = "block",
-                 threaded: bool = False, poll_interval: float = 0.05,
-                 executor: str | None = None, process_spec=None,
+                 poll_interval: float = 0.05,
+                 executor: str = "sync", process_spec=None,
                  respawn_policy=None,
                  supervisor_options: dict | None = None,
                  fallback_threshold: float = 0.5,
                  max_patterns: int = 100_000,
                  registry: MetricsRegistry | None = None,
-                 prefix: str = "runtime", spans: bool | None = None,
+                 prefix: str = "runtime",
                  on_report: Callable[[AnomalyReport], None] | None = None,
                  gate: bool = True):
-        if executor is None:
-            executor = "thread" if threaded else "sync"
         if executor not in ("sync", "thread", "process"):
             raise ValueError(f"unknown executor {executor!r}; "
                              "expected sync|thread|process")
-        if threaded and executor != "thread":
-            raise ValueError(
-                f"threaded=True conflicts with executor={executor!r}")
         threaded = executor == "thread"
         if executor == "process":
             if process_spec is None:
@@ -168,10 +162,6 @@ class InferenceRuntime:
                 raise ValueError(
                     "the process executor supports only the 'block' "
                     f"backpressure policy, got {backpressure!r}")
-            if normalize is not None:
-                raise ValueError(
-                    "the process executor requires the default normalize "
-                    "(worker processes rebuild it from LogFormatter)")
         elif worker_factory is None:
             raise ValueError(f"executor={executor!r} requires worker_factory")
         if registry is None:
@@ -179,11 +169,6 @@ class InferenceRuntime:
             # Stats must stay readable with observability off, so fall
             # back to a private registry rather than the no-op one.
             registry = active if active.enabled else MetricsRegistry()
-        if normalize is None:
-            # Submodule import keeps this cycle-safe: repro.deploy's
-            # package __init__ builds on this engine.
-            from ..deploy.formatter import LogFormatter
-            normalize = LogFormatter._normalize
         self.router = ShardRouter(shards)
         self.threaded = threaded
         self.executor = executor
@@ -204,9 +189,6 @@ class InferenceRuntime:
         # through the executor's re-broadcast instead).
         self._serving: tuple | None = None
         self.shard_errors: list[BaseException] = []
-        # Tracer spans are stack-based and not thread-safe; default them
-        # on only for synchronous engines.
-        spans = (not threaded) if spans is None else spans
         options = dict(supervisor_options or {})
         options.setdefault("clock", registry.clock)
         self.queues: list[ShardQueue] = []
@@ -220,8 +202,7 @@ class InferenceRuntime:
 
             self._process = ProcessShardExecutor(
                 process_spec, shards=shards,
-                pattern_fn=pattern_fn, normalize=normalize,
-                emit=self._emit,
+                pattern_fn=pattern_fn, emit=self._emit,
                 window=window, step=step, max_batch=max_batch,
                 max_latency=max_latency,
                 supervisor_options=supervisor_options,
@@ -243,13 +224,15 @@ class InferenceRuntime:
             self.queues.append(ShardQueue(queue_capacity, policy=backpressure))
             self.shards.append(ShardState(
                 index, supervisor,
-                pattern_fn=pattern_fn, emit=self._emit, normalize=normalize,
+                pattern_fn=pattern_fn, emit=self._emit,
                 registry=registry, clock=registry.clock,
                 window=window, step=step,
                 max_batch=max_batch, max_latency=max_latency,
                 fallback_threshold=fallback_threshold,
                 max_patterns=max_patterns,
-                prefix=prefix, scope=scope, spans=spans, gate=gate,
+                # Tracer spans are stack-based and not thread-safe: on
+                # only for the synchronous engine.
+                prefix=prefix, scope=scope, spans=not threaded, gate=gate,
             ))
             self._depth_gauges.append(
                 registry.gauge(f"{prefix}.queue_depth.shard{index}")
@@ -287,7 +270,7 @@ class InferenceRuntime:
             kwargs.setdefault("process_spec", ProcessWorkerSpec.for_pipeline(
                 model, llm_spec=kwargs.pop("llm_spec", None)))
             return cls(None, pattern_fn=raw_pattern, **kwargs)
-        if kwargs.get("threaded"):
+        if kwargs.get("executor") == "thread":
             lock = threading.Lock()
 
             def pattern_fn(window: list) -> tuple[int, ...]:
@@ -324,7 +307,7 @@ class InferenceRuntime:
                 "detectors_spec, ...) so each worker process rebuilds its "
                 "own ensemble")
         kwargs["gate"] = False
-        lock = threading.Lock() if kwargs.get("threaded") else None
+        lock = threading.Lock() if kwargs.get("executor") == "thread" else None
         return cls(lambda index: EnsembleWorker(ensemble, lock=lock),
                    pattern_fn=message_pattern, **kwargs)
 
@@ -374,6 +357,10 @@ class InferenceRuntime:
         return [len(queue) for queue in self.queues]
 
     def pending_windows(self) -> int:
+        """Windows awaiting a batch flush, summed over the shards."""
+        if self._process is not None:
+            raise RuntimeError("pending_windows() cannot see into worker "
+                               "processes; drain() flushes them instead")
         return sum(shard.pending_windows() for shard in self.shards)
 
     # -- synchronous mode ----------------------------------------------
@@ -471,7 +458,8 @@ class InferenceRuntime:
             self._started = True
             return
         if not self.threaded:
-            raise RuntimeError("start() requires threaded=True")
+            raise RuntimeError("start() requires executor='thread' "
+                               "or 'process'")
         if self._started:
             raise RuntimeError("runtime already started")
         self._started = True

@@ -156,7 +156,7 @@ class ProcessShardExecutor:
     :class:`~repro.runtime.engine.InferenceRuntime`."""
 
     def __init__(self, spec: ProcessWorkerSpec, *, shards: int,
-                 pattern_fn, normalize, emit,
+                 pattern_fn, emit,
                  window: int = 10, step: int = 5, max_batch: int = 16,
                  max_latency: float | None = None,
                  supervisor_options: dict | None = None,
@@ -173,7 +173,6 @@ class ProcessShardExecutor:
         # For the parent-side degraded fallback only — worker processes
         # derive their own pattern function from the spec.
         self._pattern_fn = pattern_fn
-        self._normalize = normalize
         self._registry = registry
         self._clock = registry.clock
         self._prefix = prefix
@@ -307,7 +306,6 @@ class ProcessShardExecutor:
             slot.index, supervisor,
             pattern_fn=self._pattern_fn,
             emit=lambda report, _slot=slot: self._accept(_slot, report),
-            normalize=self._normalize,
             registry=self._registry, clock=self._registry.clock,
             window=params["window"], step=params["step"],
             max_batch=params["max_batch"], max_latency=params["max_latency"],
@@ -632,8 +630,6 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
     deduplicates reports, so this function never needs to know whether
     it is a first launch or a post-crash respawn over a refed journal.
     """
-    from ..deploy.formatter import LogFormatter
-
     try:
         registry = MetricsRegistry()
         with use_registry(registry):
@@ -648,7 +644,6 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
             shard = ShardState(
                 index, supervisor,
                 pattern_fn=pattern_fn, emit=reports.append,
-                normalize=LogFormatter._normalize,
                 registry=registry, clock=registry.clock,
                 window=cfg["window"], step=cfg["step"],
                 max_batch=cfg["max_batch"], max_latency=cfg["max_latency"],

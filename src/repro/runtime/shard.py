@@ -2,7 +2,8 @@
 
 A shard owns every stage of its systems' traffic after routing:
 
-1. **Windowing** — records are normalized and assembled into the
+1. **Windowing** — records are normalized (:func:`normalize_record`,
+   the one owner of the record normal form) and assembled into the
    production sliding window per system (a system never spans shards, so
    per-system windows are independent of the shard count).
 2. **Pattern gate** — each window's event-id pattern is looked up in the
@@ -26,6 +27,8 @@ replay`` produce identical reports at any shard count.
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import dataclass
+from datetime import datetime
 from typing import Callable
 
 from ..core.report import AnomalyReport
@@ -34,10 +37,31 @@ from .fallback import PatternFallback
 from .scheduler import MicroBatchScheduler, PendingWindow
 from .supervisor import WorkerSupervisor
 
-__all__ = ["ShardState", "BATCH_SIZE_BUCKETS"]
+__all__ = ["ShardState", "BATCH_SIZE_BUCKETS", "UnifiedLog", "normalize_record"]
 
 # Micro-batch sizes are small integers; buckets at the powers of two.
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+
+
+@dataclass(frozen=True)
+class UnifiedLog:
+    """The unified record structure every window is built from (§VI-A's
+    LogStash formatting stage)."""
+
+    timestamp: datetime
+    system: str
+    host: str
+    message: str
+
+
+def normalize_record(record) -> UnifiedLog:
+    """Bring one raw record into the unified structure."""
+    return UnifiedLog(
+        timestamp=record.timestamp,
+        system=record.system,
+        host=record.host,
+        message=record.message.strip(),
+    )
 
 
 class ShardState:
@@ -48,7 +72,6 @@ class ShardState:
     def __init__(self, index: int, supervisor: WorkerSupervisor, *,
                  pattern_fn: Callable[[list], tuple[int, ...]],
                  emit: Callable[[AnomalyReport], None],
-                 normalize: Callable,
                  registry, clock: Callable[[], float],
                  window: int = 10, step: int = 5,
                  max_batch: int = 16, max_latency: float | None = None,
@@ -57,7 +80,7 @@ class ShardState:
                  prefix: str = "runtime", scope: str = "",
                  spans: bool = False, gate: bool = True):
         # Local import: repro.deploy's package __init__ pulls in the online
-        # service, which builds on this engine (it imports us lazily).
+        # service, which imports this package at module level.
         from ..deploy.pattern_library import PatternLibrary
 
         if window <= 0 or step <= 0:
@@ -74,7 +97,6 @@ class ShardState:
         self.step = step
         self._pattern_fn = pattern_fn
         self._emit = emit
-        self._normalize = normalize
         self._clock = clock
         self._spans = spans
         self._prefix = prefix
@@ -116,7 +138,7 @@ class ShardState:
 
     def ingest(self, record) -> None:
         """Window one record; gate any windows it completes."""
-        entry = self._normalize(record)
+        entry = normalize_record(record)
         lane = self._assembly.setdefault(record.system, [])
         lane.append(entry)
         while len(lane) >= self.window:

@@ -100,7 +100,7 @@ def register_fault_point(name: str, module_fragment: str) -> None:
     """Register an additional fault point (extension path for tests).
 
     ``module_fragment`` is the posix-style path fragment of the hosting
-    module (e.g. ``"repro/deploy/collector.py"``); the lint allowlist
+    module (e.g. ``"repro/deploy/online.py"``); the lint allowlist
     picks it up immediately.
     """
     if not name or not module_fragment:

@@ -136,12 +136,6 @@ class TestAblationSwitchConfig:
         assert (model.use_lei, model.use_sufe, model.use_da) == (False, False, False)
         assert model.llm is None
 
-    def test_constructor_kwargs_warn_and_fold_into_config(self):
-        with pytest.warns(DeprecationWarning, match="use_lei"):
-            model = LogSynergy(LogSynergyConfig(), use_lei=False)
-        assert model.config.use_lei is False
-        assert model.llm is None
-
     def test_no_warning_without_kwargs(self, recwarn):
         LogSynergy(LogSynergyConfig())
         assert not [w for w in recwarn.list if w.category is DeprecationWarning]

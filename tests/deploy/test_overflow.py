@@ -3,10 +3,18 @@
 import pytest
 
 from repro.deploy import OnlineService
-from repro.deploy.buffer import OVERFLOW_POLICIES, BoundedBuffer
-from repro.deploy.online import ServiceStats
 from repro.logs.generator import LogGenerator
 from repro.obs import MetricsRegistry
+from repro.runtime import (
+    OFFER_DROPPED, InferenceRuntime, RuntimeStats, SyntheticWorker,
+    message_pattern,
+)
+from repro.runtime.queues import BACKPRESSURE_POLICIES
+
+
+def _runtime(**kwargs) -> InferenceRuntime:
+    return InferenceRuntime(lambda index: SyntheticWorker(),
+                            pattern_fn=message_pattern, **kwargs)
 
 
 class TestOverflow:
@@ -14,8 +22,7 @@ class TestOverflow:
         service = OnlineService(fitted_logsynergy, buffer_capacity=50)
         stream = LogGenerator("thunderbird", seed=31).generate(500)
         service.process(stream)
-        assert service.collector.stats.dropped > 0
-        assert service.collector.stats.shipped <= 500
+        assert service.runtime.stats.records_rejected == 450
         # Whatever got through still forms windows and is judged.
         assert service.stats.windows_seen >= 1
 
@@ -27,42 +34,45 @@ class TestOverflow:
 
 class TestOverflowPolicies:
     def test_policy_registry_is_complete(self):
-        assert OVERFLOW_POLICIES == ("reject", "drop-oldest")
+        assert BACKPRESSURE_POLICIES == ("block", "reject", "drop-oldest")
 
-    def test_reject_counts_through_the_registry(self):
+    def test_reject_counts_through_the_registry(self, fitted_logsynergy):
         registry = MetricsRegistry()
-        buffer = BoundedBuffer(capacity=2, registry=registry)
-        assert buffer.offer("a") and buffer.offer("b")
-        assert not buffer.offer("c")
-        assert buffer.total_rejected == 1
-        assert registry.counter("deploy.buffer_rejected").value == 1
-        assert buffer.drain() == ["a", "b"]
+        service = OnlineService(fitted_logsynergy, buffer_capacity=2,
+                                registry=registry)
+        service.process(LogGenerator("thunderbird", seed=31).generate(3))
+        assert registry.counter("service.records_rejected").value == 1
+        assert len(service.runtime.queues[0]) == 0  # the two admitted drained
 
     def test_drop_oldest_evicts_the_head_and_counts(self):
         registry = MetricsRegistry()
-        buffer = BoundedBuffer(capacity=2, policy="drop-oldest",
-                               registry=registry)
-        assert buffer.offer("a") and buffer.offer("b")
-        assert buffer.offer("c")  # admitted: the cost falls on "a"
-        assert buffer.total_dropped == 1
-        assert buffer.total_rejected == 0
-        assert registry.counter("deploy.buffer_dropped").value == 1
-        assert buffer.drain() == ["b", "c"]
+        runtime = _runtime(queue_capacity=2, backpressure="drop-oldest",
+                           registry=registry)
+        records = LogGenerator("thunderbird", seed=31).generate(3)
+        runtime.submit(records[0])
+        runtime.submit(records[1])
+        # Admitted: the cost falls on the oldest record.
+        assert runtime.submit(records[2]) == OFFER_DROPPED
+        assert runtime.stats.records_dropped == 1
+        assert runtime.stats.records_rejected == 0
+        assert registry.counter("runtime.records_dropped").value == 1
+        queued = [record for _seq, record in runtime.queues[0].poll(10)]
+        assert queued == records[1:]
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown overflow policy"):
-            BoundedBuffer(capacity=2, policy="spill")
+        with pytest.raises(ValueError, match="unknown backpressure policy"):
+            _runtime(backpressure="spill")
 
 
 class TestServiceStats:
     def test_skip_rate_is_zero_before_any_window(self):
-        stats = ServiceStats(MetricsRegistry())
+        stats = RuntimeStats(MetricsRegistry(), "service")
         assert stats.windows_seen == 0
         assert stats.model_skip_rate == 0.0  # no ZeroDivisionError
 
     def test_skip_rate_reflects_library_absorption(self):
         registry = MetricsRegistry()
-        stats = ServiceStats(registry)
+        stats = RuntimeStats(registry, "service")
         registry.counter("service.windows_seen").inc(10)
         registry.counter("service.model_invocations").inc(4)
         assert stats.model_skip_rate == pytest.approx(0.6)

@@ -2,38 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.deploy import BoundedBuffer, PatternLibrary
-
-
-class TestBufferProperties:
-    @given(st.lists(st.integers(), max_size=200), st.integers(1, 50))
-    @settings(max_examples=60, deadline=None)
-    def test_fifo_order_preserved(self, items, capacity):
-        buffer = BoundedBuffer(capacity=capacity)
-        accepted = [item for item in items if buffer.offer(item)]
-        drained = buffer.drain()
-        assert drained == accepted[: capacity]
-
-    @given(st.lists(st.integers(), max_size=100), st.integers(1, 20),
-           st.integers(1, 10))
-    @settings(max_examples=60, deadline=None)
-    def test_poll_conserves_items(self, items, capacity, poll_size):
-        buffer = BoundedBuffer(capacity=capacity)
-        accepted = sum(1 for item in items if buffer.offer(item))
-        polled = []
-        while len(buffer):
-            polled.extend(buffer.poll(poll_size))
-        assert len(polled) == accepted
-        assert buffer.total_offered == len(items)
-        assert buffer.total_rejected == len(items) - accepted
-
-    @given(st.integers(1, 30))
-    @settings(max_examples=30, deadline=None)
-    def test_never_exceeds_capacity(self, capacity):
-        buffer = BoundedBuffer(capacity=capacity)
-        for item in range(capacity * 3):
-            buffer.offer(item)
-            assert len(buffer) <= capacity
+from repro.deploy import PatternLibrary
 
 
 class TestPatternLibraryProperties:

@@ -1,97 +1,119 @@
-"""Deployment stage tests: buffer, collector, formatter, pattern library, alerts."""
+"""Deployment stage tests: the §VI-A collection, buffering and
+formatting stages as the online service runs them on the inference
+runtime, plus the pattern library and alerts."""
+
+import dataclasses
 
 import pytest
 
 from repro.core.report import build_report
-from repro.deploy import (
-    AlertRouter, BoundedBuffer, EmailSink, LogCollector, LogFormatter,
-    PatternLibrary, SmsSink,
-)
+from repro.deploy import AlertRouter, EmailSink, OnlineService, PatternLibrary, SmsSink
+from repro.detectors import ensemble_from_spec
 from repro.logs import generate_logs
+from repro.obs import MetricsRegistry
+from repro.runtime import (
+    InferenceRuntime, SyntheticWorker, message_pattern, normalize_record,
+)
+
+
+def _service(capacity: int) -> OnlineService:
+    """A day-0 service (no trained model): cheap, and ungated, so every
+    admitted window counts."""
+    registry = MetricsRegistry()
+    return OnlineService(
+        None, buffer_capacity=capacity, registry=registry,
+        ensemble=ensemble_from_spec("rules:max", registry=registry))
+
+
+def _runtime(**kwargs) -> InferenceRuntime:
+    return InferenceRuntime(lambda index: SyntheticWorker(),
+                            pattern_fn=message_pattern,
+                            registry=MetricsRegistry(), **kwargs)
 
 
 class TestBoundedBuffer:
+    """Buffering: the runtime's bounded shard queue under ``reject``."""
+
     def test_fifo(self):
-        buffer = BoundedBuffer(capacity=10)
-        for i in range(5):
-            assert buffer.offer(i)
-        assert buffer.poll(3) == [0, 1, 2]
-        assert buffer.poll(10) == [3, 4]
+        service = _service(10)
+        records = generate_logs("bgl", 5, seed=0)
+        for record in records:
+            service.runtime.submit(record)
+        buffer = service.runtime.queues[0]
+        assert [record for _seq, record in buffer.poll(3)] == records[:3]
+        assert [record for _seq, record in buffer.poll(10)] == records[3:]
 
     def test_rejects_when_full(self):
-        buffer = BoundedBuffer(capacity=2)
-        assert buffer.offer(1) and buffer.offer(2)
-        assert not buffer.offer(3)
-        assert buffer.total_rejected == 1
-        assert len(buffer) == 2
+        service = _service(2)
+        service.process(generate_logs("bgl", 3, seed=0))
+        assert service.stats.records_rejected == 1
+        assert service.runtime.queues[0].total_offered == 3
 
     def test_drain(self):
-        buffer = BoundedBuffer(capacity=5)
-        for i in range(3):
-            buffer.offer(i)
-        assert buffer.drain() == [0, 1, 2]
-        assert len(buffer) == 0
+        service = _service(5)
+        service.process(generate_logs("bgl", 3, seed=0))
+        assert len(service.runtime.queues[0]) == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            BoundedBuffer(capacity=0)
+            _service(0)
 
     def test_invalid_poll(self):
         with pytest.raises(ValueError):
-            BoundedBuffer().poll(0)
+            _service(5).runtime.queues[0].poll(0)
 
 
 class TestCollector:
+    """Collection: ``process`` ships every record into the buffer."""
+
     def test_ships_and_counts(self):
-        buffer = BoundedBuffer(capacity=100)
-        collector = LogCollector(buffer)
-        records = generate_logs("bgl", 30, seed=0)
-        stats = collector.ship(records)
-        assert stats.shipped == 30
-        assert stats.dropped == 0
-        assert len(buffer) == 30
+        service = _service(100)
+        service.process(generate_logs("bgl", 30, seed=0))
+        assert service.stats.records_rejected == 0
+        assert service.stats.windows_seen == 5  # offsets 0, 5, ..., 20
 
     def test_drops_on_backpressure(self):
-        buffer = BoundedBuffer(capacity=10)
-        collector = LogCollector(buffer)
-        stats = collector.ship(generate_logs("bgl", 30, seed=0))
-        assert stats.shipped == 10
-        assert stats.dropped == 20
-        assert stats.total == 30
+        service = _service(10)
+        service.process(generate_logs("bgl", 30, seed=0))
+        assert service.stats.records_rejected == 20
+        assert service.stats.windows_seen == 1  # the 10 admitted records
 
 
 class TestFormatter:
+    """Formatting: records are normalized and windowed per shard."""
+
     def test_windows_emitted(self):
-        buffer = BoundedBuffer(capacity=1000)
-        LogCollector(buffer).ship(generate_logs("bgl", 25, seed=0))
-        formatter = LogFormatter(buffer, window=10, step=5)
-        windows = formatter.pump(max_items=100)
-        # 25 records -> windows at offsets 0,5,10 (15 needs records 15..24 ok) => 4? depends:
-        # offsets 0,5,10,15 all complete with 25 records.
-        assert len(windows) == 4
-        assert all(len(w) == 10 for w in windows)
+        runtime = _runtime(window=10, step=5)
+        for record in generate_logs("bgl", 25, seed=0):
+            runtime.submit(record)
+        runtime.drain()
+        # Offsets 0, 5, 10 and 15 all complete with 25 records.
+        assert runtime.stats.windows_seen == 4
 
     def test_incremental_pumping(self):
-        buffer = BoundedBuffer(capacity=1000)
-        formatter = LogFormatter(buffer, window=10, step=5)
+        runtime = _runtime(window=10, step=5)
         records = generate_logs("bgl", 40, seed=0)
-        LogCollector(buffer).ship(records[:8])
-        assert formatter.pump() == []  # not enough yet
-        LogCollector(buffer).ship(records[8:])
-        windows = formatter.pump()
-        assert len(windows) == 7
+        for record in records[:8]:
+            runtime.submit(record)
+        runtime.pump()
+        assert runtime.stats.windows_seen == 0  # not enough yet
+        for record in records[8:]:
+            runtime.submit(record)
+        runtime.pump()
+        assert runtime.stats.windows_seen == 7
 
     def test_normalization(self):
-        buffer = BoundedBuffer(capacity=100)
-        LogCollector(buffer).ship(generate_logs("spirit", 10, seed=0))
-        formatter = LogFormatter(buffer, window=10, step=5)
-        window = formatter.pump()[0]
-        assert window[0].system == "spirit"
-        assert window[0].message == window[0].message.strip()
+        record = generate_logs("spirit", 1, seed=0)[0]
+        padded = dataclasses.replace(record, message=f"  {record.message}\n")
+        entry = normalize_record(padded)
+        assert entry.system == "spirit"
+        assert entry.host == record.host
+        assert entry.timestamp == record.timestamp
+        assert entry.message == record.message.strip()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            LogFormatter(BoundedBuffer(), window=0)
+            _runtime(window=0)
 
 
 class TestPatternLibrary:

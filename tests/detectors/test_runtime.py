@@ -68,7 +68,7 @@ class TestFromEnsemble:
         ensemble = ensemble_from_spec("ewma,rules:max", registry=registry)
         runtime = InferenceRuntime.from_ensemble(
             ensemble, shards=2, window=10, step=5, max_batch=8,
-            threaded=True, registry=registry,
+            executor="thread", registry=registry,
         )
         runtime.start()
         for record in stream.records:

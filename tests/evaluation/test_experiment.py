@@ -49,8 +49,8 @@ class TestRuns:
         assert result.train_seconds > 0
 
     def test_run_ablated_variant_named(self, experiment):
-        result = experiment.run_logsynergy(_FAST, method_name="LogSynergy w/o LEI",
-                                           use_lei=False)
+        result = experiment.run_logsynergy(_FAST.with_overrides(use_lei=False),
+                                           method_name="LogSynergy w/o LEI")
         assert result.method == "LogSynergy w/o LEI"
 
     def test_run_baseline_by_name(self, experiment):

@@ -38,11 +38,11 @@ class TestLEIBenefit:
         test = tiny_experiment_data["target_test"]
         labels = [s.label for s in test]
 
-        with_lei = LogSynergy(config, use_lei=True)
+        with_lei = LogSynergy(config.with_overrides(use_lei=True))
         with_lei.fit(**kwargs)
         f1_with = binary_metrics(labels, with_lei.predict(test)).f1
 
-        without_lei = LogSynergy(config, use_lei=False)
+        without_lei = LogSynergy(config.with_overrides(use_lei=False))
         without_lei.fit(**kwargs)
         f1_without = binary_metrics(labels, without_lei.predict(test)).f1
 

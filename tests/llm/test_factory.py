@@ -78,34 +78,23 @@ class TestProviderFromSpec:
 
 class TestResolveProvider:
     def test_default_spec_is_simulated_behind_the_stack(self):
-        provider, cache = resolve_provider(None, seed=5)
-        assert cache is None
+        provider = resolve_provider(None, seed=5)
         assert isinstance(provider, MemoryCacheMiddleware)
         assert DEFAULT_SPEC == "simulated"
         assert provider.complete("x") == default_provider(seed=5).complete("x")
 
     def test_middleware_can_be_disabled(self):
-        provider, _ = resolve_provider("simulated", middleware=False)
+        provider = resolve_provider("simulated", middleware=False)
         assert isinstance(provider, SimulatedLLM)
 
-    def test_legacy_cache_path_wraps_the_spec_provider(self, tmp_path):
-        path = tmp_path / "cache.json"
-        provider, cache = resolve_provider("simulated", cache_path=str(path),
-                                           middleware=False)
-        assert provider is cache
-        assert isinstance(cache, CachedLLM)
-        assert not cache.autosave  # caller context-manages the save
-        provider.complete("p")
-        assert not path.exists()
-        cache.save()
-        assert path.exists()
-
     def test_cache_sits_under_the_middleware_stack(self, tmp_path):
-        provider, cache = resolve_provider(
-            "simulated", cache_path=str(tmp_path / "cache.json"))
+        path = tmp_path / "cache.json"
+        provider = resolve_provider(f"cached:path={path}")
         assert isinstance(provider, MemoryCacheMiddleware)
-        assert cache is not None
         layer = provider
         while not isinstance(layer, CachedLLM):
             layer = layer.inner
-        assert layer is cache
+        assert layer.path == path
+        assert layer.autosave
+        provider.complete("p")
+        assert path.exists()

@@ -1,4 +1,4 @@
-"""LLMProvider contract, the deprecated LLMClient alias, and FlakyLLM."""
+"""LLMProvider contract, package attribute lookup, and FlakyLLM."""
 
 import pytest
 
@@ -41,15 +41,7 @@ class TestProviderContract:
 
 
 class TestDeprecatedAlias:
-    def test_llmclient_warns_and_aliases_the_abc(self):
-        import repro.llm.interface as interface
-
-        with pytest.warns(DeprecationWarning, match="LLMClient is deprecated"):
-            assert interface.LLMClient is LLMProvider
-        with pytest.warns(DeprecationWarning):
-            import repro.llm
-
-            assert repro.llm.LLMClient is LLMProvider
+    """The package has no module ``__getattr__``: unknown names raise."""
 
     def test_unknown_attribute_still_raises(self):
         import repro.llm

@@ -69,7 +69,7 @@ class TestBackpressure:
             1, worker_factory=lambda i: SyntheticWorker(
                 cost=lambda n: time.sleep(0.01)),
             max_batch=4, queue_capacity=8, backpressure=policy,
-            threaded=True, poll_interval=0.005,
+            executor="thread", poll_interval=0.005,
         )
         runtime.start()
         for index, record in enumerate(records):
@@ -170,7 +170,7 @@ class TestThreadedMode:
         expected = render_reports(
             run_sync(sync_runtime(4, max_batch=4), records))
 
-        runtime = sync_runtime(4, max_batch=4, threaded=True,
+        runtime = sync_runtime(4, max_batch=4, executor="thread",
                                max_latency=0.01, poll_interval=0.005)
         runtime.start()
         for record in records:
@@ -184,7 +184,7 @@ class TestThreadedMode:
         runtime = sync_runtime(1)
         with pytest.raises(RuntimeError):
             runtime.start()
-        threaded = sync_runtime(1, threaded=True)
+        threaded = sync_runtime(1, executor="thread")
         with pytest.raises(RuntimeError):
             threaded.pump()
 

@@ -158,20 +158,6 @@ class TestValidationAndCleanup:
                 process_spec=ProcessWorkerSpec.synthetic(),
                 backpressure="reject")
 
-    def test_process_rejects_custom_normalize(self):
-        with pytest.raises(ValueError, match="normalize"):
-            InferenceRuntime(
-                None, pattern_fn=message_pattern, executor="process",
-                process_spec=ProcessWorkerSpec.synthetic(),
-                normalize=lambda record: record)
-
-    def test_threaded_flag_conflicts_with_process(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            InferenceRuntime(
-                None, pattern_fn=message_pattern, threaded=True,
-                executor="process",
-                process_spec=ProcessWorkerSpec.synthetic())
-
     def test_from_ensemble_refuses_process_executor(self):
         from repro.detectors import ensemble_from_spec
 
@@ -195,6 +181,21 @@ class TestValidationAndCleanup:
         with pytest.raises(RuntimeError, match="pump"):
             runtime.pump()
         runtime.stop()
+
+    def test_pending_windows_raises_in_process_mode(self):
+        # The windows pending in worker processes are invisible to the
+        # parent: the count must refuse rather than report 0.
+        runtime = InferenceRuntime(
+            None, pattern_fn=message_pattern, executor="process",
+            process_spec=ProcessWorkerSpec.synthetic(), max_batch=64,
+            registry=MetricsRegistry())
+        try:
+            for record in multi_system_stream(systems=2, lines=40):
+                runtime.submit(record)
+            with pytest.raises(RuntimeError, match="pending_windows"):
+                runtime.pending_windows()
+        finally:
+            runtime.stop()
 
     def test_stop_leaves_no_shm_segments(self):
         before = set(glob.glob("/dev/shm/repro-bcast-*"))

@@ -3,6 +3,7 @@
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime import (
     OFFER_DROPPED, OFFER_FULL, OFFER_OK, OFFER_REJECTED, ShardQueue,
@@ -100,3 +101,42 @@ class TestValidation:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown backpressure policy"):
             ShardQueue(4, policy="spill")
+
+
+class TestProperties:
+    @given(st.lists(st.integers(), max_size=200), st.integers(1, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_reject_keeps_admitted_items_in_fifo_order(self, items, capacity):
+        queue = ShardQueue(capacity, policy="reject")
+        admitted = [item for item in items if queue.try_offer(item) == OFFER_OK]
+        assert queue.poll(len(items) + 1) == admitted == items[:capacity]
+
+    @given(st.lists(st.integers(), max_size=100), st.integers(1, 20),
+           st.integers(1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_offered_is_admitted_plus_rejected(self, items, capacity, poll_size):
+        queue = ShardQueue(capacity, policy="reject")
+        admitted = sum(1 for item in items if queue.try_offer(item) == OFFER_OK)
+        polled = []
+        while len(queue):
+            polled.extend(queue.poll(poll_size))
+        assert len(polled) == admitted
+        assert queue.total_offered == len(items)
+        assert queue.total_offered == admitted + queue.total_rejected
+
+    @given(st.integers(1, 30), st.sampled_from(["reject", "drop-oldest"]))
+    @settings(max_examples=30, deadline=None)
+    def test_depth_never_exceeds_capacity(self, capacity, policy):
+        queue = ShardQueue(capacity, policy=policy)
+        for item in range(capacity * 3):
+            queue.try_offer(item)
+            assert len(queue) <= capacity
+
+    @given(st.lists(st.integers(), max_size=200), st.integers(1, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_drop_oldest_keeps_the_newest_items(self, items, capacity):
+        queue = ShardQueue(capacity, policy="drop-oldest")
+        for item in items:
+            queue.try_offer(item)
+        assert queue.poll(len(items) + 1) == items[-capacity:]
+        assert queue.total_dropped == max(0, len(items) - capacity)

@@ -69,14 +69,12 @@ class TestTrainDetect:
             "--epochs", "2", "--num-layers", "1",
             "--model-dir", model_dir, "--quiet",
             "--metrics-out", str(metrics_path),
-            "--llm-cache", str(cache_path),
+            "--llm", f"cached:path={cache_path}",
         ])
         assert code == 0
         captured = capsys.readouterr()
         assert "pipeline saved" in captured.out
-        # The legacy flag keeps working but points at the successor.
-        assert "--llm-cache is deprecated" in captured.err
-        assert "--llm cached:path=" in captured.err
+        # The cached provider autosaves every new interpretation.
         assert cache_path.exists()
 
         # The exported JSONL carries the acceptance metrics: trainer epoch
