@@ -33,7 +33,7 @@ import sys
 from repro.logs import LogGenerator
 from repro.obs import MetricsRegistry
 from repro.runtime import (InferenceRuntime, ProcessWorkerSpec,
-                           SyntheticWorker, message_pattern, resolve_cost)
+                           SyntheticWorker, message_event, resolve_cost)
 
 from common import emit, emit_json
 
@@ -96,7 +96,7 @@ def _build(executor: str, cost_spec: tuple, shards: int,
            registry: MetricsRegistry) -> InferenceRuntime:
     if executor == "process":
         return InferenceRuntime(
-            None, pattern_fn=message_pattern,
+            None, event_fn=message_event,
             executor="process",
             process_spec=ProcessWorkerSpec.synthetic(cost=cost_spec),
             shards=shards, max_batch=MAX_BATCH, max_latency=0.05,
@@ -105,7 +105,7 @@ def _build(executor: str, cost_spec: tuple, shards: int,
     cost = resolve_cost(cost_spec)
     return InferenceRuntime(
         lambda index: SyntheticWorker(cost=cost),
-        pattern_fn=message_pattern, shards=shards, max_batch=MAX_BATCH,
+        event_fn=message_event, shards=shards, max_batch=MAX_BATCH,
         max_latency=0.05, executor="thread", queue_capacity=50_000,
         registry=registry,
     )

@@ -355,7 +355,7 @@ def _build_runtime(args: argparse.Namespace, **extra):
     :class:`~repro.runtime.ProcessWorkerSpec` — weight broadcast for a
     model, spec string for an ensemble — instead of a worker factory.
     """
-    from .runtime import InferenceRuntime, SyntheticWorker, message_pattern
+    from .runtime import InferenceRuntime, SyntheticWorker, message_event
 
     process = args.executor == "process"
     common = dict(shards=args.shards, window=args.window, step=args.step,
@@ -382,7 +382,7 @@ def _build_runtime(args: argparse.Namespace, **extra):
             spec = ProcessWorkerSpec.ensemble(
                 args.detectors, seed=args.seed, pipeline=model,
                 llm_spec=getattr(args, "llm", None))
-            return InferenceRuntime(None, pattern_fn=message_pattern,
+            return InferenceRuntime(None, event_fn=message_event,
                                     process_spec=spec, **common)
         return InferenceRuntime.from_ensemble(ensemble, **common)
     if model is not None:
@@ -394,13 +394,13 @@ def _build_runtime(args: argparse.Namespace, **extra):
         from .runtime import ProcessWorkerSpec
 
         return InferenceRuntime(
-            None, pattern_fn=message_pattern,
+            None, event_fn=message_event,
             process_spec=ProcessWorkerSpec.synthetic(threshold=args.threshold),
             **common,
         )
     return InferenceRuntime(
         lambda index: SyntheticWorker(threshold=args.threshold),
-        pattern_fn=message_pattern, **common,
+        event_fn=message_event, **common,
     )
 
 

@@ -7,7 +7,11 @@ and produces a detector for the target system.  ``predict`` /
 ``predict_proba`` are batch-first: they accept a single
 :class:`~repro.logs.sequences.LogSequence` or a list of them.
 ``detect_stream`` / ``detect_stream_batch`` run the §III-E online path
-over raw message windows and emit :class:`~repro.core.report.AnomalyReport`s.
+over raw target-system message windows and emit
+:class:`~repro.core.report.AnomalyReport`s; the serving runtime instead
+parses each record once at admission (:meth:`LogSynergy.event_id_of`, in
+the record's own system featurizer) and scores the carried event ids
+with :meth:`LogSynergy.score_event_windows`.
 
 The offline pipeline reports one span per stage (``fit.parse``,
 ``fit.interpret``, ``fit.embed``, ``fit.train``) through ``repro.obs``
@@ -327,13 +331,37 @@ class LogSynergy:
         self, windows: list[list[str]],
         timestamps: list[list[datetime] | None] | None = None,
     ) -> list[AnomalyReport]:
-        """Batch variant of :meth:`detect_stream`: one model call per
-        window-length group instead of one per window.
+        """Batch variant of :meth:`detect_stream` over target-system
+        windows: parse each message once, then :meth:`score_event_windows`.
 
         ``timestamps``, when given, must be parallel to ``windows``.
         Returns one report per window, in input order.
         """
+        self._require_fitted()
+        featurizer = self._featurizer(self.target_system)
+        grid = [[featurizer.event_id_of(m) for m in messages] for messages in windows]
+        return self.score_event_windows(self.target_system, grid, windows, timestamps)
+
+    def event_id_of(self, system: str, message: str) -> int:
+        """Parse one message in ``system``'s own featurizer (§III-B: one
+        Drain parser per system); the serving runtime's admission hook."""
+        return self._featurizer(system).event_id_of(message)
+
+    def score_event_windows(
+        self, system: str, grid: list[list[int]], windows: list[list[str]],
+        timestamps: list[list[datetime] | None] | None = None,
+    ) -> list[AnomalyReport]:
+        """Score windows already parsed by ``system``'s featurizer.
+
+        ``grid`` holds each window's event ids (from :meth:`event_id_of`),
+        parallel to its raw ``windows``; nothing is parsed again.  One
+        model call per window-length group.  Returns one report per
+        window, in input order, labelled with ``system``.
+        """
         model = self._require_fitted()
+        if len(grid) != len(windows):
+            raise ValueError(
+                f"event-id grid has {len(grid)} rows for {len(windows)} windows")
         if timestamps is not None and len(timestamps) != len(windows):
             raise ValueError(
                 f"timestamps batch has {len(timestamps)} entries for "
@@ -341,32 +369,27 @@ class LogSynergy:
             )
         if not windows:
             return []
-        featurizer = self._featurizer(self.target_system)
+        featurizer = self._featurizer(system)
         with trace("detect.batch", windows=len(windows)):
-            embedded = [featurizer.embed_messages(w) for w in windows]
-            scores = np.zeros(len(windows), dtype=np.float64)
+            scores = np.zeros(len(grid), dtype=np.float64)
             by_length: dict[int, list[int]] = {}
-            for index, window in enumerate(embedded):
-                by_length.setdefault(window.shape[0], []).append(index)
+            for index, ids in enumerate(grid):
+                by_length.setdefault(len(ids), []).append(index)
             for indices in by_length.values():
-                batch = np.stack([embedded[i] for i in indices])
-                probabilities = model.predict_proba(batch)
+                probabilities = model.predict_proba(
+                    featurizer.gather([grid[i] for i in indices]))
                 for i, probability in zip(indices, probabilities):
                     scores[i] = float(probability)
 
             reports: list[AnomalyReport] = []
             for index, messages in enumerate(windows):
-                interpretations = [
-                    featurizer.interpretation_of(featurizer.event_id_of(m))
-                    if self.use_lei else featurizer.store.ingest(m).template_text
-                    for m in messages
-                ]
                 reports.append(build_report(
-                    system=self.target_system,
+                    system=system,
                     score=float(scores[index]),
                     threshold=self.config.threshold,
                     messages=messages,
-                    interpretations=interpretations,
+                    interpretations=[featurizer.interpretation_of(event_id)
+                                     for event_id in grid[index]],
                     timestamps=timestamps[index] if timestamps is not None else None,
                 ))
         return reports

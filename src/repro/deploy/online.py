@@ -9,9 +9,9 @@ invariant), which owns every stage up to the detector: ``process``
 submits records straight into the runtime, whose bounded shard queue is
 the transport buffer (``reject`` policy at ``buffer_capacity``; shed
 records count on ``service.records_rejected``), and whose shards
-normalize and window the stream, gate windows through per-system pattern
-libraries and score the rest in micro-batched ``detect_stream_batch``
-calls.  The service adds alert routing and the stable public surface
+normalize and parse each record once (in its own system's featurizer),
+window the stream, gate windows through per-system pattern libraries and
+score the rest in micro-batched ``score_event_windows`` calls.  The service adds alert routing and the stable public surface
 (``stats``, ``library``).  Statistics live in a ``repro.obs`` registry:
 the runtime joins the globally installed registry when observability is
 enabled and otherwise keeps a private one, so ``stats`` always reads live

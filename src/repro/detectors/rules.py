@@ -4,7 +4,7 @@ The cheapest member of the portfolio and the strongest one on a day-0
 system: a fixed vocabulary of operational failure tokens (the language
 ops teams grep for — ``failed``, ``panic``, ``exceeded``, ...) scored
 per line and memoized through the existing
-:class:`~repro.deploy.pattern_library.PatternLibrary`.  Each distinct
+:class:`~repro.runtime.PatternLibrary`.  Each distinct
 normalized line is evaluated once per system; repeats are served from
 the library (its hit/miss stats make the memoization observable), which
 is the same escalation-avoidance trick the runtime gate plays for the
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import zlib
 
-from repro.deploy.pattern_library import PatternLibrary
+from repro.runtime.pattern_library import PatternLibrary
 
 from .base import Detector
 

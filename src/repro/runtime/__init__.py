@@ -4,7 +4,7 @@ The paper deploys LogSynergy as an online service over ISP log streams
 (collection -> buffering -> formatting -> pattern gate -> detector ->
 alerting, §VI-A); this package implements every stage between the
 ``repro.deploy`` front door (:class:`~repro.deploy.OnlineService`) and
-the model's batch-first ``predict_proba``/``detect_stream_batch`` path:
+the model's batch-first ``score_event_windows``/``predict_proba`` path:
 
 * :class:`ShardRouter` — stable system-id hashing over N shards; a
   system's records always land on the same shard, so each shard owns its
@@ -13,7 +13,13 @@ the model's batch-first ``predict_proba``/``detect_stream_batch`` path:
   shard with explicit backpressure policies (``block`` / ``reject`` /
   ``drop-oldest``) and load-shedding counters.
 * :func:`normalize_record` / :class:`UnifiedLog` — the formatting stage:
-  the one record normal form every shard window is built from.
+  the one record normal form every shard window is built from.  Each
+  record is parsed once here, by the per-record ``event_fn(system,
+  message)`` hook — for the learned model, the record's own system
+  featurizer — and its event id rides the window to the gate (pattern
+  = sorted id set) and the batched forward; nothing parses it again.
+* :class:`PatternLibrary` — the §VI-A pattern gate's per-system
+  verdict cache, keyed by window event-id patterns.
 * :class:`MicroBatchScheduler` — accumulates windows per system lane and
   flushes them under a max-batch-size / max-latency budget (injectable
   clock).  Lanes are chunked at exactly ``max_batch`` so batch
@@ -51,6 +57,7 @@ from .broadcast import (
 )
 from .engine import InferenceRuntime, RuntimeStats
 from .fallback import PatternFallback
+from .pattern_library import PatternLibrary, PatternStats
 from .procexec import ProcessShardExecutor, ProcessWorkerSpec
 from .queues import (
     OFFER_DROPPED,
@@ -72,7 +79,7 @@ from .worker import (
     SyntheticWorker,
     WorkerError,
     build_worker_from_spec,
-    message_pattern,
+    message_event,
     resolve_cost,
 )
 
@@ -83,11 +90,11 @@ __all__ = [
     "RecordEnvelope", "UnifiedLog", "normalize_record",
     "MicroBatchScheduler", "PendingWindow",
     "WorkerSupervisor", "RespawnPolicy", "WorkerError",
-    "ModelWorker", "SyntheticWorker", "EnsembleWorker", "FlakyWorker", "message_pattern",
+    "ModelWorker", "SyntheticWorker", "EnsembleWorker", "FlakyWorker", "message_event",
     "build_worker_from_spec", "resolve_cost",
     "ProcessShardExecutor", "ProcessWorkerSpec",
     "WeightBroadcast", "BroadcastHandle", "AttachedBroadcast", "attach",
     "pipeline_state", "restore_pipeline",
-    "PatternFallback",
+    "PatternFallback", "PatternLibrary", "PatternStats",
     "replay_records", "render_reports", "report_sort_key",
 ]

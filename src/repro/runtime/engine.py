@@ -47,7 +47,7 @@ from .queues import OFFER_DROPPED, OFFER_FULL, OFFER_OK, OFFER_REJECTED, ShardQu
 from .router import ShardRouter
 from .shard import ShardState
 from .supervisor import WorkerSupervisor
-from .worker import EnsembleWorker, InferenceWorker, ModelWorker, message_pattern
+from .worker import EnsembleWorker, InferenceWorker, ModelWorker, message_event
 
 __all__ = ["InferenceRuntime", "RuntimeStats"]
 
@@ -135,7 +135,7 @@ class InferenceRuntime:
 
     def __init__(self,
                  worker_factory: Callable[[int], InferenceWorker] | None, *,
-                 pattern_fn: Callable[[list], tuple[int, ...]],
+                 event_fn: Callable[[str, str], int],
                  shards: int = 1, window: int = 10, step: int = 5,
                  max_batch: int = 16, max_latency: float | None = None,
                  queue_capacity: int = 10_000, backpressure: str = "block",
@@ -202,7 +202,7 @@ class InferenceRuntime:
 
             self._process = ProcessShardExecutor(
                 process_spec, shards=shards,
-                pattern_fn=pattern_fn, emit=self._emit,
+                event_fn=event_fn, emit=self._emit,
                 window=window, step=step, max_batch=max_batch,
                 max_latency=max_latency,
                 supervisor_options=supervisor_options,
@@ -224,7 +224,7 @@ class InferenceRuntime:
             self.queues.append(ShardQueue(queue_capacity, policy=backpressure))
             self.shards.append(ShardState(
                 index, supervisor,
-                pattern_fn=pattern_fn, emit=self._emit,
+                event_fn=event_fn, emit=self._emit,
                 registry=registry, clock=registry.clock,
                 window=window, step=step,
                 max_batch=max_batch, max_latency=max_latency,
@@ -245,42 +245,40 @@ class InferenceRuntime:
     def from_model(cls, model, **kwargs) -> "InferenceRuntime":
         """Build a runtime over a fitted LogSynergy model.
 
-        Wires the featurizer-based window pattern (distinct event-id
-        set, as the online service gates) and a :class:`ModelWorker`
-        per shard.  In threaded mode one lock is shared by the pattern
-        function and every worker, because both paths may ingest novel
-        templates into the featurizer's store, which is not thread-safe.
+        Each record is parsed once, at admission, by its own system's
+        featurizer (:meth:`~repro.core.pipeline.LogSynergy.event_id_of`);
+        the gate keys on the window's event-id set and a
+        :class:`ModelWorker` per shard scores the carried ids.  In
+        threaded mode one lock is shared by that admission parse and
+        every worker, because the featurizers share the LEI and encoder
+        caches, which are not thread-safe.
 
         With ``executor="process"`` the pipeline is packed into a
         shared-memory weight broadcast and every shard process rebuilds
-        its own warm replica — no lock, no sharing.  Pass ``llm_spec``
-        (a provider spec string) to give replicas a live interpreter.
+        its own warm replica and parses there — no lock, no sharing; the
+        parent's hook only serves a shard degraded to the parent-side
+        fallback.  Pass ``llm_spec`` (a provider spec string) to give
+        replicas a live interpreter.
         """
         if model.model is None:
             raise ValueError("InferenceRuntime requires a fitted LogSynergy model")
-        featurizer = model._featurizer(model.target_system)
-
-        def raw_pattern(window: list) -> tuple[int, ...]:
-            ids = {featurizer.event_id_of(entry.message) for entry in window}
-            return tuple(sorted(ids))
-
         if kwargs.get("executor") == "process":
             from .procexec import ProcessWorkerSpec
 
             kwargs.setdefault("process_spec", ProcessWorkerSpec.for_pipeline(
                 model, llm_spec=kwargs.pop("llm_spec", None)))
-            return cls(None, pattern_fn=raw_pattern, **kwargs)
+            return cls(None, event_fn=model.event_id_of, **kwargs)
         if kwargs.get("executor") == "thread":
             lock = threading.Lock()
 
-            def pattern_fn(window: list) -> tuple[int, ...]:
+            def event_fn(system: str, message: str) -> int:
                 with lock:
-                    return raw_pattern(window)
+                    return model.event_id_of(system, message)
         else:
             lock = None
-            pattern_fn = raw_pattern
+            event_fn = model.event_id_of
         runtime = cls(lambda index: ModelWorker(model, lock=lock),
-                      pattern_fn=pattern_fn, **kwargs)
+                      event_fn=event_fn, **kwargs)
         runtime._serving = (model, lock)
         return runtime
 
@@ -309,7 +307,7 @@ class InferenceRuntime:
         kwargs["gate"] = False
         lock = threading.Lock() if kwargs.get("executor") == "thread" else None
         return cls(lambda index: EnsembleWorker(ensemble, lock=lock),
-                   pattern_fn=message_pattern, **kwargs)
+                   event_fn=message_event, **kwargs)
 
     # ------------------------------------------------------------------
     def swap_weights(self, state: dict) -> None:

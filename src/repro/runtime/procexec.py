@@ -12,9 +12,9 @@ This module runs each shard in its own **worker process**:
 * **Determinism by construction** — routing stays system-sticky, every
   record carries the engine-assigned sequence number in a
   :class:`~repro.runtime.queues.RecordEnvelope`, and each child runs the
-  same :class:`~repro.runtime.shard.ShardState` windowing/gating code
-  over exactly the records sync mode would hand that shard, in the same
-  order.  Report identity is keyed by window id (system + per-system
+  same :class:`~repro.runtime.shard.ShardState` parse/windowing/gating
+  code over exactly the records sync mode would hand that shard, in the
+  same order (so each per-system Drain parser sees the same sequence).  Report identity is keyed by window id (system + per-system
   window ordinal), which is a pure function of the input stream — so
   ``repro replay --shards N --executor process`` renders byte-identical
   to sync mode.
@@ -156,7 +156,7 @@ class ProcessShardExecutor:
     :class:`~repro.runtime.engine.InferenceRuntime`."""
 
     def __init__(self, spec: ProcessWorkerSpec, *, shards: int,
-                 pattern_fn, emit,
+                 event_fn, emit,
                  window: int = 10, step: int = 5, max_batch: int = 16,
                  max_latency: float | None = None,
                  supervisor_options: dict | None = None,
@@ -171,8 +171,8 @@ class ProcessShardExecutor:
         self.spec = spec
         self._emit = emit
         # For the parent-side degraded fallback only — worker processes
-        # derive their own pattern function from the spec.
-        self._pattern_fn = pattern_fn
+        # parse in their own replica (build_worker_from_spec's hook).
+        self._event_fn = event_fn
         self._registry = registry
         self._clock = registry.clock
         self._prefix = prefix
@@ -304,7 +304,7 @@ class ProcessShardExecutor:
         params = self._shard_params
         slot.fallback = ShardState(
             slot.index, supervisor,
-            pattern_fn=self._pattern_fn,
+            event_fn=self._event_fn,
             emit=lambda report, _slot=slot: self._accept(_slot, report),
             registry=self._registry, clock=self._registry.clock,
             window=params["window"], step=params["step"],
@@ -633,7 +633,7 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
     try:
         registry = MetricsRegistry()
         with use_registry(registry):
-            worker, pattern_fn, gate = build_worker_from_spec(cfg)
+            worker, event_fn, gate = build_worker_from_spec(cfg)
             options = dict(cfg.get("supervisor_options") or {})
             options.setdefault("clock", registry.clock)
             scope = f".shard{index}"
@@ -643,7 +643,7 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
             reports: list = []
             shard = ShardState(
                 index, supervisor,
-                pattern_fn=pattern_fn, emit=reports.append,
+                event_fn=event_fn, emit=reports.append,
                 registry=registry, clock=registry.clock,
                 window=cfg["window"], step=cfg["step"],
                 max_batch=cfg["max_batch"], max_latency=cfg["max_latency"],

@@ -1,18 +1,25 @@
-"""Per-shard state: windowing, pattern gate, lanes, scoring, resolution.
+"""Per-shard state: admission parse, windowing, pattern gate, scoring.
 
 A shard owns every stage of its systems' traffic after routing:
 
-1. **Windowing** — records are normalized (:func:`normalize_record`,
-   the one owner of the record normal form) and assembled into the
-   production sliding window per system (a system never spans shards, so
-   per-system windows are independent of the shard count).
-2. **Pattern gate** — each window's event-id pattern is looked up in the
-   shard's per-system :class:`~repro.deploy.pattern_library.PatternLibrary`.
+1. **Admission** — each record is normalized (:func:`normalize_record`,
+   the one owner of the record normal form) and parsed exactly once:
+   the per-record ``event_fn(system, message)`` hook stamps its event id
+   on the :class:`UnifiedLog` entry.  For the learned model that hook is
+   the record's *own* system featurizer (its Drain parser, §III-B); a
+   system never spans shards, so each featurizer sees only its system's
+   records, in that system's order, for any shard count or executor.
+2. **Windowing** — entries are assembled into the production sliding
+   window per system; the event ids ride the window from here on, and
+   nothing downstream parses again.
+3. **Pattern gate** — each window's pattern (the sorted set of its event
+   ids) is looked up in the shard's per-system
+   :class:`~repro.runtime.pattern_library.PatternLibrary`.
    Known patterns resolve immediately; windows whose pattern is already
    awaiting a verdict become *followers* (they resolve silently when the
    batch lands, exactly like the duplicate-dedup of the original online
    service); novel patterns join the micro-batch scheduler.
-3. **Scoring** — due batches go through the
+4. **Scoring** — due batches go through the
    :class:`~repro.runtime.supervisor.WorkerSupervisor`.  A healthy worker
    returns model reports: verdicts are remembered, anomalous windows are
    emitted.  A degraded worker returns ``None``: every window in the
@@ -34,6 +41,7 @@ from typing import Callable
 from ..core.report import AnomalyReport
 from ..obs import LATENCY_BUCKETS
 from .fallback import PatternFallback
+from .pattern_library import PatternLibrary
 from .scheduler import MicroBatchScheduler, PendingWindow
 from .supervisor import WorkerSupervisor
 
@@ -52,15 +60,19 @@ class UnifiedLog:
     system: str
     host: str
     message: str
+    event_id: int
 
 
-def normalize_record(record) -> UnifiedLog:
-    """Bring one raw record into the unified structure."""
+def normalize_record(record, event_fn: Callable[[str, str], int]) -> UnifiedLog:
+    """Bring one raw record into the unified structure, parsing its
+    message once through ``event_fn(system, message) -> event id``."""
+    message = record.message.strip()
     return UnifiedLog(
         timestamp=record.timestamp,
         system=record.system,
         host=record.host,
-        message=record.message.strip(),
+        message=message,
+        event_id=event_fn(record.system, message),
     )
 
 
@@ -70,7 +82,7 @@ class ShardState:
     confines each instance to its shard's worker thread."""
 
     def __init__(self, index: int, supervisor: WorkerSupervisor, *,
-                 pattern_fn: Callable[[list], tuple[int, ...]],
+                 event_fn: Callable[[str, str], int],
                  emit: Callable[[AnomalyReport], None],
                  registry, clock: Callable[[], float],
                  window: int = 10, step: int = 5,
@@ -79,10 +91,6 @@ class ShardState:
                  max_patterns: int = 100_000,
                  prefix: str = "runtime", scope: str = "",
                  spans: bool = False, gate: bool = True):
-        # Local import: repro.deploy's package __init__ pulls in the online
-        # service, which imports this package at module level.
-        from ..deploy.pattern_library import PatternLibrary
-
         if window <= 0 or step <= 0:
             raise ValueError("window and step must be positive")
         self.index = index
@@ -95,18 +103,17 @@ class ShardState:
         self.scheduler = MicroBatchScheduler(max_batch, max_latency)
         self.window = window
         self.step = step
-        self._pattern_fn = pattern_fn
+        self._event_fn = event_fn
         self._emit = emit
         self._clock = clock
         self._spans = spans
         self._prefix = prefix
         self._tracer = registry.tracer
-        self._library_cls = PatternLibrary
         self._max_patterns = max_patterns
         self._fallback_threshold = fallback_threshold
         self._assembly: dict[str, list] = {}
         self._window_index: dict[str, int] = {}
-        self.libraries: dict[str, object] = {}
+        self.libraries: dict[str, PatternLibrary] = {}
         self._fallbacks: dict[str, PatternFallback] = {}
         # (system, pattern) -> follower window ids awaiting the verdict.
         self._awaiting: dict[tuple[str, tuple[int, ...]], list[str]] = {}
@@ -126,10 +133,10 @@ class ShardState:
         self._batch_seconds = registry.histogram(f"{prefix}.batch_seconds{scope}")
 
     # ------------------------------------------------------------------
-    def _library_of(self, system: str):
+    def _library_of(self, system: str) -> PatternLibrary:
         library = self.libraries.get(system)
         if library is None:
-            library = self._library_cls(max_patterns=self._max_patterns)
+            library = PatternLibrary(max_patterns=self._max_patterns)
             self.libraries[system] = library
             self._fallbacks[system] = PatternFallback(
                 library, threshold=self._fallback_threshold
@@ -137,8 +144,8 @@ class ShardState:
         return library
 
     def ingest(self, record) -> None:
-        """Window one record; gate any windows it completes."""
-        entry = normalize_record(record)
+        """Parse and window one record; gate any windows it completes."""
+        entry = normalize_record(record, self._event_fn)
         lane = self._assembly.setdefault(record.system, [])
         lane.append(entry)
         while len(lane) >= self.window:
@@ -151,7 +158,7 @@ class ShardState:
         self._windows.inc()
         index = self._window_index.get(system, 0)
         self._window_index[system] = index + 1
-        pattern = self._pattern_fn(window_entries)
+        pattern = tuple(sorted({entry.event_id for entry in window_entries}))
         library = self._library_of(system)
         cached = library.lookup(pattern) if self.gate else None
         gate_seconds = self._clock() - start

@@ -5,9 +5,11 @@ into one :class:`~repro.core.report.AnomalyReport` per window, in order.
 Three implementations:
 
 * :class:`ModelWorker` — the production path over a fitted
-  :class:`~repro.core.pipeline.LogSynergy` (``detect_stream_batch``).
-  An optional shared lock serializes calls when shards run threaded,
-  because the featurizer's Drain store mutates on novel templates.
+  :class:`~repro.core.pipeline.LogSynergy`: the event ids parsed at
+  admission go straight to ``score_event_windows`` (gather + one
+  forward per window-length group), with no second parse.  An optional
+  shared lock serializes calls when shards run threaded, because the
+  featurizers' LEI and encoder caches are shared.
 * :class:`SyntheticWorker` — deterministic content-hash scoring with an
   injectable per-batch cost, for tests and the runtime benchmark (the
   cost stands in for LLM/accelerator inference latency, which LogLLM and
@@ -29,7 +31,7 @@ from .scheduler import PendingWindow
 
 __all__ = [
     "WorkerError", "InferenceWorker", "ModelWorker", "SyntheticWorker",
-    "EnsembleWorker", "FlakyWorker", "message_pattern",
+    "EnsembleWorker", "FlakyWorker", "message_event",
     "resolve_cost", "build_worker_from_spec",
 ]
 
@@ -45,15 +47,13 @@ class InferenceWorker(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def message_pattern(window: list) -> tuple[int, ...]:
-    """Featurizer-free window pattern: distinct CRC32 message buckets.
+def message_event(system: str, message: str) -> int:
+    """Featurizer-free event id: the message's CRC32 bucket.
 
-    Mirrors the event-id-set pattern the online service computes from the
-    model's featurizer, for runtimes driven by a :class:`SyntheticWorker`.
+    Stands in for the model's per-system Drain parse in runtimes driven
+    by a :class:`SyntheticWorker` or a detector ensemble.
     """
-    return tuple(sorted({
-        zlib.crc32(entry.message.encode("utf-8")) % 4096 for entry in window
-    }))
+    return zlib.crc32(message.encode("utf-8")) % 4096
 
 
 class ModelWorker:
@@ -63,20 +63,24 @@ class ModelWorker:
         if model.model is None:
             raise ValueError("ModelWorker requires a fitted LogSynergy model")
         self.model = model
-        # Shared across shards in threaded mode: detect_stream_batch may
-        # ingest novel templates into the Drain store, which is not
-        # thread-safe.  Synchronous engines pass None.
+        # Shared across shards (and the admission parse) in threaded
+        # mode.  Synchronous engines pass None.
         self._lock = lock
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
         fault_point("runtime.worker.score")
+        # A batch is one system lane's chunk (MicroBatchScheduler).
+        system = batch[0].system
+        grid = [[entry.event_id for entry in p.window] for p in batch]
         messages = [[entry.message for entry in p.window] for p in batch]
         timestamps = [[entry.timestamp for entry in p.window] for p in batch]
         if self._lock is None:
-            reports = self.model.detect_stream_batch(messages, timestamps)
+            reports = self.model.score_event_windows(
+                system, grid, messages, timestamps)
         else:
             with self._lock:
-                reports = self.model.detect_stream_batch(messages, timestamps)
+                reports = self.model.score_event_windows(
+                    system, grid, messages, timestamps)
         reports = fault_point("runtime.worker.result", reports)
         # A dropped result degrades the batch (the supervisor treats a
         # missing result like an exhausted retry budget).
@@ -207,7 +211,7 @@ def resolve_cost(spec: tuple | None) -> Callable[[int], None] | None:
 
 
 def build_worker_from_spec(cfg: dict):
-    """Construct ``(worker, pattern_fn, gate)`` inside a worker process.
+    """Construct ``(worker, event_fn, gate)`` inside a worker process.
 
     ``cfg`` is the picklable dict a
     :class:`~repro.runtime.procexec.ProcessWorkerSpec` ships to each
@@ -219,7 +223,7 @@ def build_worker_from_spec(cfg: dict):
     if kind == "synthetic":
         worker = SyntheticWorker(threshold=cfg.get("threshold", 0.5),
                                  cost=resolve_cost(cfg.get("cost")))
-        return worker, message_pattern, cfg.get("gate", True)
+        return worker, message_event, cfg.get("gate", True)
 
     from .broadcast import attach, restore_pipeline
 
@@ -235,19 +239,13 @@ def build_worker_from_spec(cfg: dict):
     if kind == "model":
         if pipeline is None:
             raise ValueError("model worker spec requires a broadcast handle")
-        featurizer = pipeline._featurizer(pipeline.target_system)
-
-        def raw_pattern(window: list) -> tuple[int, ...]:
-            ids = {featurizer.event_id_of(entry.message) for entry in window}
-            return tuple(sorted(ids))
-
-        return ModelWorker(pipeline), raw_pattern, cfg.get("gate", True)
+        return ModelWorker(pipeline), pipeline.event_id_of, cfg.get("gate", True)
     if kind == "ensemble":
         from ..detectors import ensemble_from_spec
 
         ensemble = ensemble_from_spec(cfg["detectors"], pipeline=pipeline,
                                       seed=cfg.get("seed", 0))
-        return EnsembleWorker(ensemble), message_pattern, False
+        return EnsembleWorker(ensemble), message_event, False
     raise ValueError(
         f"unknown worker spec kind {kind!r}; expected synthetic|model|ensemble")
 

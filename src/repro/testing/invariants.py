@@ -71,7 +71,7 @@ from ..llm.providers import FlakyLLM, ProviderError
 from ..llm.simulated import SimulatedLLM, normalize_tokens
 from ..logs.events import EventKind, concepts_for_system
 from ..obs import MetricsRegistry, use_registry
-from ..runtime import InferenceRuntime, SyntheticWorker, message_pattern
+from ..runtime import InferenceRuntime, SyntheticWorker, message_event
 from ..runtime.replay import render_reports
 from .fuzzer import FuzzedStream
 from .plan import FaultInjector, FaultPlan, FaultSpec
@@ -169,7 +169,7 @@ def _run_replay(context: CheckContext, *, shards: int,
     registry = registry if registry is not None else MetricsRegistry()
     executor = context.executor if executor is None else executor
     common = dict(
-        pattern_fn=message_pattern,
+        event_fn=message_event,
         shards=shards, window=context.window, step=context.step,
         max_batch=context.max_batch, max_latency=None,
         backpressure="block", registry=registry,

@@ -7,14 +7,14 @@ from repro.logs.generator import LogGenerator
 from repro.obs import MetricsRegistry
 from repro.runtime import (
     OFFER_DROPPED, InferenceRuntime, RuntimeStats, SyntheticWorker,
-    message_pattern,
+    message_event,
 )
 from repro.runtime.queues import BACKPRESSURE_POLICIES
 
 
 def _runtime(**kwargs) -> InferenceRuntime:
     return InferenceRuntime(lambda index: SyntheticWorker(),
-                            pattern_fn=message_pattern, **kwargs)
+                            event_fn=message_event, **kwargs)
 
 
 class TestOverflow:

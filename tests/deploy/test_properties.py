@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.deploy import PatternLibrary
+from repro.runtime import PatternLibrary
 
 
 class TestPatternLibraryProperties:

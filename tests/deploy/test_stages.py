@@ -7,12 +7,13 @@ import dataclasses
 import pytest
 
 from repro.core.report import build_report
-from repro.deploy import AlertRouter, EmailSink, OnlineService, PatternLibrary, SmsSink
+from repro.deploy import AlertRouter, EmailSink, OnlineService, SmsSink
 from repro.detectors import ensemble_from_spec
 from repro.logs import generate_logs
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    InferenceRuntime, SyntheticWorker, message_pattern, normalize_record,
+    InferenceRuntime, PatternLibrary, SyntheticWorker, message_event,
+    normalize_record,
 )
 
 
@@ -27,7 +28,7 @@ def _service(capacity: int) -> OnlineService:
 
 def _runtime(**kwargs) -> InferenceRuntime:
     return InferenceRuntime(lambda index: SyntheticWorker(),
-                            pattern_fn=message_pattern,
+                            event_fn=message_event,
                             registry=MetricsRegistry(), **kwargs)
 
 
@@ -105,11 +106,12 @@ class TestFormatter:
     def test_normalization(self):
         record = generate_logs("spirit", 1, seed=0)[0]
         padded = dataclasses.replace(record, message=f"  {record.message}\n")
-        entry = normalize_record(padded)
+        entry = normalize_record(padded, message_event)
         assert entry.system == "spirit"
         assert entry.host == record.host
         assert entry.timestamp == record.timestamp
         assert entry.message == record.message.strip()
+        assert entry.event_id == message_event("spirit", entry.message)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

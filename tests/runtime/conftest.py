@@ -47,3 +47,24 @@ def multi_system_stream(systems: int = 6, lines: int = 120,
         streams.append([dataclasses.replace(record, system=f"svc-{index:02d}")
                        for record in records])
     return [record for group in zip(*streams) for record in group]
+
+
+MODEL_SYSTEMS = ("bgl", "spirit", "thunderbird", "system_a", "system_b",
+                 "system_c")
+
+
+def six_system_model_stream(lines: int = 150, seed: int = 30) -> list:
+    """Six real system dialects interleaved in timestamp order, dense
+    enough in repeats that the model path's pattern gate emits reports.
+
+    The names spread over shards 0/1 at 2 shards and 0/1/3 at 4, so a
+    multi-shard replay really splits the systems.
+    """
+    import heapq
+
+    streams = [
+        LogGenerator(system, seed=seed + index,
+                     repeat_probability=0.6).generate(lines)
+        for index, system in enumerate(MODEL_SYSTEMS)
+    ]
+    return list(heapq.merge(*streams, key=lambda record: record.timestamp))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    FlakyWorker, InferenceRuntime, SyntheticWorker, message_pattern,
+    FlakyWorker, InferenceRuntime, SyntheticWorker, message_event,
     render_reports, report_sort_key,
 )
 
@@ -16,7 +16,7 @@ from .conftest import FakeClock, multi_system_stream
 def sync_runtime(shards: int = 1, worker_factory=None, **kwargs):
     factory = worker_factory or (lambda index: SyntheticWorker())
     kwargs.setdefault("registry", MetricsRegistry())
-    return InferenceRuntime(factory, pattern_fn=message_pattern,
+    return InferenceRuntime(factory, event_fn=message_event,
                             shards=shards, **kwargs)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    InferenceRuntime, SyntheticWorker, message_pattern, render_reports,
+    InferenceRuntime, SyntheticWorker, message_event, render_reports,
     report_sort_key,
 )
 from repro.testing import FaultInjector, FaultPlan, FaultSpec
@@ -26,7 +26,7 @@ def _no_sleep(seconds: float) -> None:
 def _run(records, *, supervisor_options=None, shards=2, max_batch=4):
     registry = MetricsRegistry()
     runtime = InferenceRuntime(
-        lambda index: SyntheticWorker(), pattern_fn=message_pattern,
+        lambda index: SyntheticWorker(), event_fn=message_event,
         shards=shards, max_batch=max_batch, registry=registry,
         supervisor_options=supervisor_options,
     )

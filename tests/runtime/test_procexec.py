@@ -6,18 +6,18 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    InferenceRuntime, ProcessWorkerSpec, SyntheticWorker, message_pattern,
+    InferenceRuntime, ProcessWorkerSpec, SyntheticWorker, message_event,
     render_reports, report_sort_key,
 )
 from repro.testing.plan import FaultInjector, FaultPlan, FaultSpec
 
-from .conftest import multi_system_stream
+from .conftest import MODEL_SYSTEMS, multi_system_stream, six_system_model_stream
 
 
 def sync_replay(records, shards: int = 1, **kwargs):
     runtime = InferenceRuntime(
         lambda index: SyntheticWorker(threshold=0.5),
-        pattern_fn=message_pattern, shards=shards, max_batch=4,
+        event_fn=message_event, shards=shards, max_batch=4,
         max_latency=None, backpressure="block",
         registry=MetricsRegistry(), **kwargs)
     for record in records:
@@ -30,7 +30,7 @@ def sync_replay(records, shards: int = 1, **kwargs):
 def process_replay(records, shards: int, registry=None, spec=None, **kwargs):
     registry = registry if registry is not None else MetricsRegistry()
     runtime = InferenceRuntime(
-        None, pattern_fn=message_pattern, executor="process",
+        None, event_fn=message_event, executor="process",
         process_spec=spec or ProcessWorkerSpec.synthetic(threshold=0.5),
         shards=shards, max_batch=4, max_latency=None,
         backpressure="block", registry=registry, **kwargs)
@@ -82,8 +82,8 @@ class TestByteIdentity:
         from repro.logs.generator import LogGenerator
         from repro.runtime.replay import replay_records
 
-        # detect_stream_batch ingests novel templates into the featurizer
-        # store, so every run must start from an identical on-disk
+        # The admission parse ingests novel templates into the featurizer
+        # stores, so every run must start from an identical on-disk
         # pipeline (exactly what the CLI does with --model-dir).
         fitted_logsynergy.save_pipeline(tmp_path / "pipe")
         # The target system's own dialect, dense enough in repeats that
@@ -111,6 +111,52 @@ class TestByteIdentity:
         got.sort(key=report_sort_key)
         assert render_reports(got) == golden
         assert golden  # model path produced reports
+
+    def test_multi_system_model_matches_across_executors(
+            self, fitted_logsynergy, tmp_path):
+        """Each record is parsed by its own system's featurizer, whose
+        input order is fixed by system-sticky routing: a six-system
+        stream renders the same bytes under every executor and shard
+        count."""
+        from repro.core import LogSynergy
+
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = six_system_model_stream()
+
+        def replay(executor: str, shards: int):
+            model = LogSynergy.load_pipeline(tmp_path / "pipe")
+            runtime = InferenceRuntime.from_model(
+                model, executor=executor, shards=shards, max_batch=4,
+                max_latency=None, backpressure="block",
+                registry=MetricsRegistry())
+            if executor == "thread":
+                runtime.start()
+                for record in records:
+                    runtime.submit(record)
+                reports = runtime.stop()
+            else:
+                try:
+                    for record in records:
+                        runtime.submit(record)
+                    reports = runtime.drain()
+                finally:
+                    if executor == "process":
+                        runtime.stop()
+            reports.sort(key=report_sort_key)
+            return reports
+
+        golden_reports = replay("sync", 1)
+        golden = render_reports(golden_reports)
+        for executor in ("sync", "thread", "process"):
+            for shards in (1, 2, 4):
+                assert render_reports(replay(executor, shards)) == golden, (
+                    f"diverged under {executor} at shards={shards}")
+        # Not vacuous: several systems alert, each under its own name.
+        systems = {report.metadata["window_id"].rpartition(":")[0]
+                   for report in golden_reports}
+        assert len(systems & set(MODEL_SYSTEMS)) >= 3
+        for report in golden_reports:
+            assert report.metadata["window_id"].startswith(f"{report.system}:")
 
 
 class TestCrashRecovery:
@@ -148,13 +194,13 @@ class TestCrashRecovery:
 class TestValidationAndCleanup:
     def test_process_requires_spec(self):
         with pytest.raises(ValueError, match="process_spec"):
-            InferenceRuntime(None, pattern_fn=message_pattern,
+            InferenceRuntime(None, event_fn=message_event,
                              executor="process")
 
     def test_process_requires_block_backpressure(self):
         with pytest.raises(ValueError, match="block"):
             InferenceRuntime(
-                None, pattern_fn=message_pattern, executor="process",
+                None, event_fn=message_event, executor="process",
                 process_spec=ProcessWorkerSpec.synthetic(),
                 backpressure="reject")
 
@@ -175,7 +221,7 @@ class TestValidationAndCleanup:
 
     def test_pump_raises_in_process_mode(self):
         runtime = InferenceRuntime(
-            None, pattern_fn=message_pattern, executor="process",
+            None, event_fn=message_event, executor="process",
             process_spec=ProcessWorkerSpec.synthetic(),
             registry=MetricsRegistry())
         with pytest.raises(RuntimeError, match="pump"):
@@ -186,7 +232,7 @@ class TestValidationAndCleanup:
         # The windows pending in worker processes are invisible to the
         # parent: the count must refuse rather than report 0.
         runtime = InferenceRuntime(
-            None, pattern_fn=message_pattern, executor="process",
+            None, event_fn=message_event, executor="process",
             process_spec=ProcessWorkerSpec.synthetic(), max_batch=64,
             registry=MetricsRegistry())
         try:

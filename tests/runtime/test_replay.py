@@ -2,20 +2,22 @@
 
 import json
 
+from repro.core import LogSynergy
 from repro.deploy import OnlineService
 from repro.logs.generator import LogGenerator
+from repro.obs import MetricsRegistry, use_registry
 from repro.runtime import (
-    InferenceRuntime, SyntheticWorker, message_pattern, render_reports,
+    InferenceRuntime, SyntheticWorker, message_event, render_reports,
     replay_records, report_sort_key,
 )
 
-from .conftest import multi_system_stream
+from .conftest import multi_system_stream, six_system_model_stream
 
 
 class TestRenderReports:
     def _reports(self):
         runtime = InferenceRuntime(
-            lambda index: SyntheticWorker(), pattern_fn=message_pattern,
+            lambda index: SyntheticWorker(), event_fn=message_event,
             shards=2, max_batch=4,
         )
         for record in multi_system_stream(systems=3, lines=120):
@@ -68,3 +70,43 @@ class TestReplayRecords:
                                            shards=4, max_batch=16)
         anomalous = [r for r in reports if r.is_anomalous]
         assert render_reports(anomalous) == render_reports(expected)
+
+
+class TestParseOnce:
+    def test_sync_model_replay_parses_each_record_once(
+            self, fitted_logsynergy, tmp_path):
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = six_system_model_stream()
+        registry = MetricsRegistry()
+        # Drain parsers bind their counters at construction, so the
+        # registry is installed before the pipeline (and the featurizers
+        # new systems get online) are built.
+        with use_registry(registry):
+            model = LogSynergy.load_pipeline(tmp_path / "pipe")
+            reports, runtime = replay_records(
+                model, records, shards=2, max_batch=4, registry=registry)
+        assert reports and runtime.stats.model_invocations > 0
+        parsed = registry.counter("drain.messages_parsed").value
+        assert parsed == len(records)
+
+    def test_detect_stream_scores_like_the_runtime(
+            self, fitted_logsynergy, tmp_path):
+        """A target-system window scores the same through the public
+        ``detect_stream_batch`` as through the served runtime path."""
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = LogGenerator("thunderbird", seed=23,
+                               repeat_probability=0.6).generate(400)
+        served, _runtime = replay_records(
+            LogSynergy.load_pipeline(tmp_path / "pipe"), records,
+            shards=1, max_batch=1)
+        assert served
+
+        direct = LogSynergy.load_pipeline(tmp_path / "pipe")
+        windows = [[record.message.strip() for record in records[start:start + 10]]
+                   for start in range(0, len(records) - 9, 5)]
+        scored = [direct.detect_stream_batch([window])[0] for window in windows]
+        for report in served:
+            expected = scored[int(report.metadata["window_id"].rpartition(":")[2])]
+            assert report.system == expected.system == "thunderbird"
+            assert report.score == expected.score
+            assert report.interpretations == expected.interpretations
