@@ -532,21 +532,23 @@ class ForwardConventionsRule(LintRule):
 @register_rule
 class DetectorOutsideRegistryRule(LintRule):
     """Detectors are a portfolio, not a convenience: a class with a
-    ``score_window`` method defined outside :mod:`repro.detectors` can
-    never be reached by ``--detectors`` specs, gets no per-member obs
-    counters, and silently skips the ensemble's warmup/degradation
-    contract.  New members belong in ``repro.detectors`` with a
+    ``score_window`` or ``score_windows`` (batch) method defined outside
+    :mod:`repro.detectors` can never be reached by ``--detectors``
+    specs, gets no per-member obs counters, and silently skips the
+    ensemble's warmup/degradation contract.  New members belong in ``repro.detectors`` with a
     ``DETECTOR_BUILDERS`` registration.  Tests and benchmarks may define
     ad-hoc scorers."""
 
     name = "detector-outside-registry"
-    description = "classes with a score_window method belong in repro.detectors"
+    description = ("classes with a score_window/score_windows method belong "
+                   "in repro.detectors")
     hint = ("move the detector into repro.detectors and register it in "
             "DETECTOR_BUILDERS (or suppress with "
             "# lint: disable=detector-outside-registry)")
 
     # Path fragments (posix-normalized) exempt from the rule.
     _ALLOWED_FRAGMENTS = ("repro/detectors/", "tests/", "benchmarks/")
+    _SCORERS = ("score_window", "score_windows")
 
     def _exempt(self) -> bool:
         path = self.source.path.replace("\\", "/")
@@ -557,10 +559,10 @@ class DetectorOutsideRegistryRule(LintRule):
             scorer = next((item for item in node.body
                            if isinstance(item, (ast.FunctionDef,
                                                 ast.AsyncFunctionDef))
-                           and item.name == "score_window"), None)
+                           and item.name in self._SCORERS), None)
             if scorer is not None:
                 self.report(scorer,
-                            f"{node.name}.score_window defines a detector "
+                            f"{node.name}.{scorer.name} defines a detector "
                             f"outside the repro.detectors registry")
         self.generic_visit(node)
 

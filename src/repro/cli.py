@@ -355,7 +355,9 @@ def _build_runtime(args: argparse.Namespace, **extra):
     :class:`~repro.runtime.ProcessWorkerSpec` — weight broadcast for a
     model, spec string for an ensemble — instead of a worker factory.
     """
-    from .runtime import InferenceRuntime, SyntheticWorker, message_event
+    from .runtime import (
+        InferenceRuntime, SyntheticWorker, admission_event_fn, message_event,
+    )
 
     process = args.executor == "process"
     common = dict(shards=args.shards, window=args.window, step=args.step,
@@ -382,8 +384,9 @@ def _build_runtime(args: argparse.Namespace, **extra):
             spec = ProcessWorkerSpec.ensemble(
                 args.detectors, seed=args.seed, pipeline=model,
                 llm_spec=getattr(args, "llm", None))
-            return InferenceRuntime(None, event_fn=message_event,
-                                    process_spec=spec, **common)
+            return InferenceRuntime(
+                None, event_fn=admission_event_fn(ensemble.pipeline),
+                process_spec=spec, **common)
         return InferenceRuntime.from_ensemble(ensemble, **common)
     if model is not None:
         if process:

@@ -6,10 +6,16 @@ threshold, matching :class:`~repro.core.report.AnomalyReport`).  The
 contract is deliberately narrow so unsupervised statistical members and
 the learned model share one interface:
 
-* ``score_window(system, window)`` — window entries only need
-  ``.message`` and ``.timestamp`` attributes, which both
+* ``score_windows(system, windows)`` — the batch entry: one score per
+  window, in order, for a run of one system's consecutive windows (the
+  runtime hands over one micro-batch per call).  The default loops
+  :meth:`Detector.score_window`; members that can share work across a
+  batch override it.  Window entries need ``.message`` and
+  ``.timestamp`` attributes, which both
   :class:`~repro.logs.generator.LogRecord` and the runtime's normalized
-  :class:`~repro.runtime.UnifiedLog` satisfy.  Detectors keep
+  :class:`~repro.runtime.UnifiedLog` satisfy.  A live model member also
+  reads ``.event_id``, the id the runtime's admission parse stamped on
+  the entry (so only runtime windows carry it).  Detectors keep
   any rolling state **per system**: a system's windows always arrive in
   per-system stream order (the runtime guarantees this for every shard
   count), and cross-system interleaving must not affect verdicts — that
@@ -22,13 +28,14 @@ the learned model share one interface:
 * ``fit(system, windows, labels)`` — optional: statistical members
   ignore it, the logistic stacker and the model adapter use it.  A
   detector that cannot score (no model loaded, dependency down) raises
-  :class:`DetectorError`; the ensemble degrades that member and keeps
-  the unsupervised members live instead of dropping the window.
+  :class:`DetectorError`; the ensemble degrades that member for every
+  window of the batch and keeps the unsupervised members live instead
+  of dropping the windows.
 
-Every concrete ``score_window`` implementation must live in this
-package — the ``detector-outside-registry`` lint rule enforces it, the
-same way ``direct-llm-call`` fences provider construction into
-``repro.llm``.
+Every concrete ``score_window`` or ``score_windows`` implementation
+must live in this package — the ``detector-outside-registry`` lint rule
+enforces it, the same way ``direct-llm-call`` fences provider
+construction into ``repro.llm``.
 """
 
 from __future__ import annotations
@@ -74,8 +81,9 @@ class Detector:
     """Base class for portfolio members (see the module docstring).
 
     Subclasses set ``name`` and ``warmup_windows`` as class attributes
-    and implement :meth:`score_window`; ``fit`` defaults to a no-op so
-    purely unsupervised members need not define it.
+    and implement :meth:`score_window` (and :meth:`score_windows` when a
+    batch can share work); ``fit`` defaults to a no-op so purely
+    unsupervised members need not define it.
     """
 
     name: str = "detector"
@@ -87,3 +95,7 @@ class Detector:
     def score_window(self, system: str, window: list) -> float:
         """Calibrated anomaly score in ``[0, 1]`` for one window."""
         raise NotImplementedError
+
+    def score_windows(self, system: str, windows: list[list]) -> list[float]:
+        """One score per window, in stream order (the batch entry)."""
+        return [self.score_window(system, window) for window in windows]

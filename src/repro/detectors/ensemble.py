@@ -1,10 +1,13 @@
 """Ensemble combiner: vote / max / learned logistic stacker.
 
 Combines the portfolio's per-member scores into one calibrated verdict
-per window.  Members are consulted in registration order; a member that
-raises :class:`~repro.detectors.base.DetectorError` is degraded for
-that window (counted on ``detectors.<name>.errors``) and the remaining
-live members carry the verdict — this is the mechanism behind the
+per window.  A batch of one system's windows is scored column by
+column: each member, in registration order, is consulted once for the
+whole batch (:meth:`~repro.detectors.base.Detector.score_windows`).  A
+member that raises :class:`~repro.detectors.base.DetectorError` is
+degraded for every window of that batch (counted per window on
+``detectors.<name>.errors``) and the remaining live members carry the
+verdicts — this is the mechanism behind the
 "degraded model keeps unsupervised members live" fuzz invariant.
 Members still inside their declared ``warmup_windows`` for a system are
 fed every window (so they build state) but excluded from combination.
@@ -35,11 +38,14 @@ verdicts), all registered in :mod:`repro.obs.catalog`.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.obs import get_registry
 
 from .base import Detector, DetectorError
+from .model import ModelDetector
 
 __all__ = ["Ensemble", "LogisticStacker", "ENSEMBLE_MODES"]
 
@@ -139,33 +145,54 @@ class Ensemble:
         """Live (post-warmup, non-degraded) window count for one member."""
         return int(self._member_counters[name]["windows"].value)
 
-    def member_scores(self, system: str, window: list) -> list[float | None]:
-        """Consult every member; ``None`` marks degraded or warming members."""
-        scores: list[float | None] = []
+    @property
+    def pipeline(self):
+        """The fitted pipeline behind a live model member, else ``None``.
+
+        The runtime admits records through its per-system parse when
+        there is one, so the member scores the ids stamped at admission.
+        """
         for member in self.members:
-            counters = self._member_counters[member.name]
-            key = (member.name, system)
-            observed = self._seen.get(key, 0)
-            try:
-                score = member.score_window(system, window)
-            except DetectorError:
-                counters["errors"].inc()
-                self._member_errors.inc()
-                scores.append(None)
-                continue
-            self._seen[key] = observed + 1
-            if observed < member.warmup_windows:
+            if isinstance(member, ModelDetector) and member.available:
+                return member.pipeline
+        return None
+
+    def _member_column(self, member: Detector, system: str,
+                       windows: list[list]) -> list[float | None]:
+        """One member's scores for a batch; ``None`` marks degraded or
+        warming windows.  A :class:`DetectorError` degrades the batch."""
+        counters = self._member_counters[member.name]
+        try:
+            scores = member.score_windows(system, windows)
+        except DetectorError:
+            counters["errors"].inc(len(windows))
+            self._member_errors.inc(len(windows))
+            return [None] * len(windows)
+        key = (member.name, system)
+        observed = self._seen.get(key, 0)
+        self._seen[key] = observed + len(windows)
+        column: list[float | None] = []
+        for ordinal, score in enumerate(scores, start=observed):
+            if ordinal < member.warmup_windows:
                 counters["warmups"].inc()
-                scores.append(None)
+                column.append(None)
                 continue
             score = max(0.0, min(1.0, float(score)))
             counters["windows"].inc()
             if score > 0.5:
                 counters["anomalous"].inc()
-            scores.append(score)
-        return scores
+            column.append(score)
+        return column
 
-    def combine(self, scores: list[float | None]) -> float:
+    def _score_rows(self, system: str, windows: list[list]) -> list[tuple]:
+        """Consult every member once for the batch; one row of member
+        scores per window."""
+        if not windows:
+            return []
+        return list(zip(*(self._member_column(member, system, windows)
+                          for member in self.members)))
+
+    def combine(self, scores: Sequence[float | None]) -> float:
         """Combine member scores (see module docstring for mode semantics)."""
         live = [s for s in scores if s is not None]
         if self.mode == "stacker":
@@ -183,15 +210,19 @@ class Ensemble:
         return fraction
 
     def score_window(self, system: str, window: list) -> float:
-        combined = self.combine(self.member_scores(system, window))
-        self._windows.inc()
-        if combined > self.threshold:
-            self._anomalous.inc()
-        return combined
+        return self.score_windows(system, [window])[0]
 
     def score_windows(self, system: str, windows: list[list]) -> list[float]:
-        """Score windows in stream order (members are stateful)."""
-        return [self.score_window(system, window) for window in windows]
+        """Score one system's windows in stream order (members are
+        stateful); each member is consulted once for the whole batch."""
+        scores = []
+        for row in self._score_rows(system, windows):
+            combined = self.combine(row)
+            self._windows.inc()
+            if combined > self.threshold:
+                self._anomalous.inc()
+            scores.append(combined)
+        return scores
 
     # ------------------------------------------------------------------
     def fit(self, system: str, windows: list[list], labels) -> None:
@@ -207,8 +238,8 @@ class Ensemble:
         for member in self.members:
             member.fit(system, windows, labels)
         matrix = np.array(
-            [[0.5 if s is None else s for s in self.member_scores(system, window)]
-             for window in windows],
+            [[0.5 if s is None else s for s in row]
+             for row in self._score_rows(system, windows)],
             dtype=np.float64,
         )
         if self.mode == "stacker":

@@ -32,13 +32,15 @@ _EPS = 1e-9
 
 
 class _ReferenceSet:
-    """Per-system FIFO of window vectors and recent k-NN distances."""
+    """Per-system FIFO of window vectors and recent k-NN distances, plus
+    the message embeddings of the system's previous window."""
 
-    __slots__ = ("vectors", "distances")
+    __slots__ = ("vectors", "distances", "embedded")
 
     def __init__(self) -> None:
         self.vectors: list[np.ndarray] = []
         self.distances: list[float] = []
+        self.embedded: dict[str, np.ndarray] = {}
 
 
 class LofLiteDetector(Detector):
@@ -77,10 +79,24 @@ class LofLiteDetector(Detector):
             self._encoder = load_pretrained_encoder()
         return self._encoder
 
-    def _window_vector(self, window: list) -> np.ndarray:
-        matrix = self.encoder.encode_batch([entry.message for entry in window])
-        if matrix.shape[0] == 0:
+    def _window_vector(self, state: _ReferenceSet, window: list) -> np.ndarray:
+        # Consecutive windows overlap (step < window), so most messages
+        # were embedded for the previous window already; encode only the
+        # rest.  Keeping just the previous window's map bounds it by the
+        # window size, and encoding is a pure function of the message,
+        # so the vector is exactly what encoding every message gives.
+        previous = state.embedded
+        embedded: dict[str, np.ndarray] = {}
+        for entry in window:
+            message = entry.message
+            if message not in embedded:
+                vector = previous.get(message)
+                embedded[message] = (self.encoder.encode(message)
+                                     if vector is None else vector)
+        state.embedded = embedded
+        if not window:
             return np.zeros(self.encoder.dim, dtype=np.float32)
+        matrix = np.stack([embedded[entry.message] for entry in window])
         vec = matrix.mean(axis=0)
         norm = float(np.linalg.norm(vec))
         if norm > 0:
@@ -95,7 +111,7 @@ class LofLiteDetector(Detector):
 
     def score_window(self, system: str, window: list) -> float:
         state = self._references.setdefault(system, _ReferenceSet())
-        vec = self._window_vector(window)
+        vec = self._window_vector(state, window)
         score = 0.0
         if len(state.vectors) > self.k:
             distance = self._knn_distance(vec, state.vectors)

@@ -9,6 +9,12 @@ the day-0 story becomes concrete: with no model loaded (``pipeline=None``
 member as degraded, and the unsupervised members carry the verdict.
 The same degradation path absorbs a model that dies mid-stream, so a
 broken checkpoint can never take the whole portfolio down with it.
+
+A live member parses nothing itself: it scores the ``event_id`` each
+window entry was stamped with by the runtime's admission parse (the
+window's own system's featurizer, see
+:meth:`~repro.runtime.InferenceRuntime.from_ensemble`), one forward per
+batch through :meth:`~repro.core.pipeline.LogSynergy.score_event_windows`.
 """
 
 from __future__ import annotations
@@ -32,13 +38,25 @@ class ModelDetector(Detector):
         return self.pipeline is not None and getattr(self.pipeline, "model", None) is not None
 
     def score_window(self, system: str, window: list) -> float:
+        return self.score_windows(system, [window])[0]
+
+    def score_windows(self, system: str, windows: list[list]) -> list[float]:
         if not self.available:
             raise DetectorError("learned model unavailable (day-0 / not loaded)")
         try:
-            report = self.pipeline.detect_stream([entry.message for entry in window])
+            grid = [[entry.event_id for entry in window] for window in windows]
+        except AttributeError as exc:
+            raise DetectorError(
+                "window entries carry no event_id: the model member scores "
+                "ids stamped by the runtime's admission parse "
+                "(InferenceRuntime.from_ensemble with a fitted pipeline)"
+            ) from exc
+        messages = [[entry.message for entry in window] for window in windows]
+        try:
+            reports = self.pipeline.score_event_windows(system, grid, messages)
         except Exception as exc:  # lint: disable=blanket-except
             # A dying model must degrade this member, not kill the
             # portfolio: the ensemble catches DetectorError and keeps
             # the unsupervised members live.
             raise DetectorError(f"learned model failed to score: {exc}") from exc
-        return max(0.0, min(1.0, float(report.score)))
+        return [max(0.0, min(1.0, float(report.score))) for report in reports]

@@ -15,9 +15,10 @@ the model's batch-first ``score_event_windows``/``predict_proba`` path:
 * :func:`normalize_record` / :class:`UnifiedLog` — the formatting stage:
   the one record normal form every shard window is built from.  Each
   record is parsed once here, by the per-record ``event_fn(system,
-  message)`` hook — for the learned model, the record's own system
-  featurizer — and its event id rides the window to the gate (pattern
-  = sorted id set) and the batched forward; nothing parses it again.
+  message)`` hook (:func:`admission_event_fn`) — for the learned model,
+  alone or as an ensemble member, the record's own system featurizer —
+  and its event id rides the window to the gate (pattern = sorted id
+  set) and the batched forward; nothing parses it again.
 * :class:`PatternLibrary` — the §VI-A pattern gate's per-system
   verdict cache, keyed by window event-id patterns.
 * :class:`MicroBatchScheduler` — accumulates windows per system lane and
@@ -78,6 +79,7 @@ from .worker import (
     ModelWorker,
     SyntheticWorker,
     WorkerError,
+    admission_event_fn,
     build_worker_from_spec,
     message_event,
     resolve_cost,
@@ -91,7 +93,7 @@ __all__ = [
     "MicroBatchScheduler", "PendingWindow",
     "WorkerSupervisor", "RespawnPolicy", "WorkerError",
     "ModelWorker", "SyntheticWorker", "EnsembleWorker", "FlakyWorker", "message_event",
-    "build_worker_from_spec", "resolve_cost",
+    "admission_event_fn", "build_worker_from_spec", "resolve_cost",
     "ProcessShardExecutor", "ProcessWorkerSpec",
     "WeightBroadcast", "BroadcastHandle", "AttachedBroadcast", "attach",
     "pipeline_state", "restore_pipeline",

@@ -47,7 +47,7 @@ from .queues import OFFER_DROPPED, OFFER_FULL, OFFER_OK, OFFER_REJECTED, ShardQu
 from .router import ShardRouter
 from .shard import ShardState
 from .supervisor import WorkerSupervisor
-from .worker import EnsembleWorker, InferenceWorker, ModelWorker, message_event
+from .worker import EnsembleWorker, InferenceWorker, ModelWorker, admission_event_fn
 
 __all__ = ["InferenceRuntime", "RuntimeStats"]
 
@@ -267,18 +267,10 @@ class InferenceRuntime:
 
             kwargs.setdefault("process_spec", ProcessWorkerSpec.for_pipeline(
                 model, llm_spec=kwargs.pop("llm_spec", None)))
-            return cls(None, event_fn=model.event_id_of, **kwargs)
-        if kwargs.get("executor") == "thread":
-            lock = threading.Lock()
-
-            def event_fn(system: str, message: str) -> int:
-                with lock:
-                    return model.event_id_of(system, message)
-        else:
-            lock = None
-            event_fn = model.event_id_of
+            return cls(None, event_fn=admission_event_fn(model), **kwargs)
+        lock = threading.Lock() if kwargs.get("executor") == "thread" else None
         runtime = cls(lambda index: ModelWorker(model, lock=lock),
-                      event_fn=event_fn, **kwargs)
+                      event_fn=admission_event_fn(model, lock), **kwargs)
         runtime._serving = (model, lock)
         return runtime
 
@@ -290,11 +282,19 @@ class InferenceRuntime:
         (EWMA, LOF) derive their verdicts from per-system rolling state,
         so memoizing a window pattern's first verdict would both starve
         the baselines and serve stale answers.  Every window reaches the
-        ensemble; it runs its own memoization where sound (the rule
-        member's per-line pattern library).  One ensemble instance is
-        shared by all shards — per-system state plus system-sticky
-        routing keeps replay byte-identical across shard counts, and in
-        threaded mode one shared lock serializes the workers.
+        ensemble, one micro-batch per
+        :meth:`~repro.detectors.Ensemble.score_windows` call; it runs its
+        own memoization where sound (the rule member's per-line pattern
+        library).  When the ensemble has a live model member, records
+        are admitted through that pipeline's per-system parse, as in
+        :meth:`from_model`, and the member scores the stamped ids with
+        one forward per batch; otherwise admission uses
+        :func:`~repro.runtime.worker.message_event` (see
+        :func:`~repro.runtime.worker.admission_event_fn`).  One ensemble
+        instance is shared by all shards — per-system state plus
+        system-sticky routing keeps replay byte-identical across shard
+        counts, and in threaded mode one shared lock serializes the
+        workers and the admission parse.
         """
         if kwargs.get("executor") == "process":
             # A live ensemble cannot be shipped to worker processes;
@@ -307,7 +307,8 @@ class InferenceRuntime:
         kwargs["gate"] = False
         lock = threading.Lock() if kwargs.get("executor") == "thread" else None
         return cls(lambda index: EnsembleWorker(ensemble, lock=lock),
-                   event_fn=message_event, **kwargs)
+                   event_fn=admission_event_fn(ensemble.pipeline, lock),
+                   **kwargs)
 
     # ------------------------------------------------------------------
     def swap_weights(self, state: dict) -> None:

@@ -32,7 +32,7 @@ from .scheduler import PendingWindow
 __all__ = [
     "WorkerError", "InferenceWorker", "ModelWorker", "SyntheticWorker",
     "EnsembleWorker", "FlakyWorker", "message_event",
-    "resolve_cost", "build_worker_from_spec",
+    "admission_event_fn", "resolve_cost", "build_worker_from_spec",
 ]
 
 
@@ -51,9 +51,33 @@ def message_event(system: str, message: str) -> int:
     """Featurizer-free event id: the message's CRC32 bucket.
 
     Stands in for the model's per-system Drain parse in runtimes driven
-    by a :class:`SyntheticWorker` or a detector ensemble.
+    by a :class:`SyntheticWorker` or a detector ensemble without a live
+    model member.
     """
     return zlib.crc32(message.encode("utf-8")) % 4096
+
+
+def admission_event_fn(pipeline, lock: threading.Lock | None = None
+                       ) -> Callable[[str, str], int]:
+    """The runtime's per-record admission hook.
+
+    With a fitted pipeline it is the pipeline's per-system parse
+    (:meth:`~repro.core.pipeline.LogSynergy.event_id_of`), so the model
+    scores the ids stamped here; without one it is :func:`message_event`.
+    Pass the workers' lock in threaded mode: the featurizers' LEI and
+    encoder caches are shared with scoring and are not thread-safe.
+    """
+    if pipeline is None:
+        return message_event
+    parse = pipeline.event_id_of
+    if lock is None:
+        return parse
+
+    def event_fn(system: str, message: str) -> int:
+        with lock:
+            return parse(system, message)
+
+    return event_fn
 
 
 class ModelWorker:
@@ -102,12 +126,17 @@ class ModelWorker:
 class EnsembleWorker:
     """Scores batches through a :class:`repro.detectors.Ensemble`.
 
-    The ensemble keeps rolling per-system state (EWMA baselines, LOF
+    A batch is one system lane's chunk, handed to
+    :meth:`~repro.detectors.Ensemble.score_windows` whole: each member
+    scores it in one call, and a live model member reads the event ids
+    stamped at admission (one forward per batch, no second parse).  The
+    ensemble keeps rolling per-system state (EWMA baselines, LOF
     reference buffers), so windows of one system must reach it in
     stream order — the engine's deterministic pump already guarantees
-    that for every shard count, and batches are per-system lanes.  An
-    optional shared lock serializes calls when shards run threaded,
-    because that per-system state is a plain dict.
+    that for every shard count.  An optional shared lock serializes
+    calls when shards run threaded, because that per-system state is a
+    plain dict and the featurizers' caches are shared with the
+    admission parse.
     """
 
     def __init__(self, ensemble, lock: threading.Lock | None = None):
@@ -115,18 +144,20 @@ class EnsembleWorker:
         self._lock = lock
 
     def _score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
-        reports = []
-        for pending in batch:
-            score = self.ensemble.score_window(pending.system, pending.window)
-            reports.append(build_report(
-                system=pending.system,
+        system = batch[0].system
+        scores = self.ensemble.score_windows(
+            system, [pending.window for pending in batch])
+        return [
+            build_report(
+                system=system,
                 score=score,
                 threshold=self.ensemble.threshold,
                 messages=[entry.message for entry in pending.window],
                 interpretations=[entry.message for entry in pending.window],
                 timestamps=[entry.timestamp for entry in pending.window],
-            ))
-        return reports
+            )
+            for pending, score in zip(batch, scores)
+        ]
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
         fault_point("runtime.worker.score")
@@ -239,13 +270,14 @@ def build_worker_from_spec(cfg: dict):
     if kind == "model":
         if pipeline is None:
             raise ValueError("model worker spec requires a broadcast handle")
-        return ModelWorker(pipeline), pipeline.event_id_of, cfg.get("gate", True)
+        return ModelWorker(pipeline), admission_event_fn(pipeline), cfg.get("gate", True)
     if kind == "ensemble":
         from ..detectors import ensemble_from_spec
 
         ensemble = ensemble_from_spec(cfg["detectors"], pipeline=pipeline,
                                       seed=cfg.get("seed", 0))
-        return EnsembleWorker(ensemble), message_event, False
+        return (EnsembleWorker(ensemble), admission_event_fn(ensemble.pipeline),
+                False)
     raise ValueError(
         f"unknown worker spec kind {kind!r}; expected synthetic|model|ensemble")
 

@@ -770,6 +770,17 @@ class TestDetectorOutsideRegistry:
         assert [v.rule for v in violations] == ["detector-outside-registry"]
         assert "ShadowDetector" in violations[0].message
 
+    def test_flags_batch_scorer_outside_registry(self):
+        text = (
+            "class BatchShadow:\n"
+            "    def score_windows(self, system, windows):\n"
+            "        return [0.0 for _ in windows]\n"
+        )
+        violations = lint_source(text, path="src/repro/runtime/custom.py")
+        assert [v.rule for v in violations] == ["detector-outside-registry"]
+        assert "BatchShadow.score_windows" in violations[0].message
+        assert lint_source(text, path="src/repro/detectors/custom.py") == []
+
     def test_detectors_package_is_exempt(self):
         assert lint_source(self.DETECTOR,
                            path="src/repro/detectors/custom.py") == []

@@ -139,6 +139,86 @@ class TestDegradationAndWarmup:
         assert ensemble.score_window("b", WINDOW) == 0.0
 
 
+class BatchFailingDetector(Detector):
+    """Batch member whose ``score_windows`` fails on scripted calls."""
+
+    def __init__(self, name, failing_calls):
+        self.name = name
+        self.failing_calls = set(failing_calls)
+        self.calls = 0
+
+    def score_window(self, system, window):
+        raise AssertionError("the ensemble consults members per batch")
+
+    def score_windows(self, system, windows):
+        self.calls += 1
+        if self.calls in self.failing_calls:
+            raise DetectorError(f"{self.name} batch failure")
+        return [0.9] * len(windows)
+
+
+def multi_system_windows(window=10, step=5, lines=240):
+    """Per-system window lists over three generated dialects."""
+    from repro.logs.generator import LogGenerator
+
+    windows = {}
+    for index, system in enumerate(("bgl", "spirit", "thunderbird")):
+        records = LogGenerator(system, seed=40 + index).generate(lines)
+        windows[system] = [records[start:start + window]
+                           for start in range(0, lines - window + 1, step)]
+    return windows
+
+
+class TestBatchScoring:
+    def test_batches_match_per_window_scoring(self):
+        """``score_windows`` over batches of 16 gives the per-window
+        scores and ``detectors.*`` counters exactly."""
+        from repro.detectors import ensemble_from_spec
+
+        windows = multi_system_windows()
+        spec = "ewma,lof,rules:max"
+        per_window_registry, batch_registry = MetricsRegistry(), MetricsRegistry()
+        per_window = ensemble_from_spec(spec, registry=per_window_registry)
+        batched = ensemble_from_spec(spec, registry=batch_registry)
+        expected, got = [], []
+        longest = max(len(system_windows) for system_windows in windows.values())
+        # Systems interleave batch by batch, as runtime lanes do.
+        for start in range(0, longest, 16):
+            for system, system_windows in windows.items():
+                batch = system_windows[start:start + 16]
+                expected += [per_window.score_window(system, window)
+                             for window in batch]
+                got += batched.score_windows(system, batch)
+        assert got == expected
+        assert any(score > 0.5 for score in got)
+
+        def counters(registry):
+            return {name: metric.value
+                    for name, metric in registry.metrics().items()
+                    if name.startswith("detectors.")}
+
+        assert counters(batch_registry) == counters(per_window_registry)
+        assert batch_registry.counter("detectors.lof.warmups").value > 0
+
+    def test_failing_batch_degrades_every_window_of_that_batch(self):
+        registry = MetricsRegistry()
+        failing = BatchFailingDetector("flaky", failing_calls={2})
+        live = FixedDetector("live", [0.2] * 12)
+        ensemble = Ensemble([failing, live], mode="max", registry=registry)
+        first = ensemble.score_windows("sys", [WINDOW] * 4)
+        second = ensemble.score_windows("sys", [WINDOW] * 5)
+        third = ensemble.score_windows("sys", [WINDOW] * 3)
+        assert first == pytest.approx([0.9] * 4)
+        assert second == pytest.approx([0.2] * 5)  # only the live member
+        assert third == pytest.approx([0.9] * 3)
+        assert failing.calls == 3
+        assert ensemble.member_error_count("flaky") == 5
+        assert ensemble.member_scored_count("flaky") == 7
+        assert ensemble.member_scored_count("live") == 12
+        assert registry.counter("detectors.ensemble.member_errors").value == 5
+        assert registry.counter("detectors.ensemble.windows").value == 12
+
+
 class TestStacker:
     def _training_data(self, seed=0):
         rng = np.random.default_rng(seed)

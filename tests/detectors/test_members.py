@@ -17,6 +17,7 @@ from repro.detectors import (
     window_span_seconds,
 )
 from repro.logs.generator import LogRecord
+from repro.runtime import UnifiedLog
 
 
 def make_window(messages, *, start=0.0, spacing=1.0, system="sys"):
@@ -116,6 +117,41 @@ class TestLofLiteDetector:
         assert len(detector._references["sys"].vectors) <= 8
 
 
+    def test_overlapping_windows_encode_only_new_messages(self):
+        """Reusing the previous window's vectors gives window vectors
+        byte-identical to encoding every message, with a step's worth of
+        encodes per window."""
+        from repro.embedding import load_pretrained_encoder
+
+        class CountingEncoder:
+            def __init__(self, inner):
+                self.inner = inner
+                self.dim = inner.dim
+                self.encoded = 0
+
+            def encode(self, sentence):
+                self.encoded += 1
+                return self.inner.encode(sentence)
+
+        encoder = load_pretrained_encoder()
+        messages = [f"node {index % 13} link {('up', 'down')[index % 3 == 0]} "
+                    f"after {index} retries" for index in range(120)]
+        windows = [make_window(messages[start:start + 10])
+                   for start in range(0, 111, 5)]
+        counting = CountingEncoder(encoder)
+        detector = LofLiteDetector(k=2, encoder=counting)
+        for window in windows:
+            detector.score_window("sys", window)
+        state = detector._references["sys"]
+        for window, vector in zip(windows, state.vectors):
+            matrix = encoder.encode_batch([entry.message for entry in window])
+            expected = matrix.mean(axis=0)
+            expected = (expected / float(np.linalg.norm(expected))).astype(np.float32)
+            assert vector.tobytes() == expected.tobytes()
+        assert len(state.vectors) == len(windows)
+        assert counting.encoded == 10 + 5 * (len(windows) - 1)
+        assert len(state.embedded) == 10
+
 class TestRuleDetector:
     def test_failure_language_fires(self):
         detector = RuleDetector()
@@ -150,24 +186,31 @@ class TestRuleDetector:
         assert library.known_anomalous_patterns() > 0
 
 
+def stamped_window(messages):
+    """A runtime-shaped window: entries carry the admission ``event_id``."""
+    return [UnifiedLog(timestamp=0.0, system="sys", host="sys-host01",
+                       message=message, event_id=index)
+            for index, message in enumerate(messages)]
+
+
 class TestModelDetector:
     def test_day0_without_pipeline_degrades(self):
         detector = ModelDetector()
         assert not detector.available
         with pytest.raises(DetectorError):
-            detector.score_window("sys", make_window(["boot ok"] * 10))
+            detector.score_window("sys", stamped_window(["boot ok"] * 10))
 
     def test_pipeline_exceptions_become_detector_errors(self):
         class ExplodingPipeline:
             model = object()
 
-            def detect_stream(self, messages, timestamps=None):
+            def score_event_windows(self, system, grid, windows):
                 raise RuntimeError("featurizer corrupted")
 
         detector = ModelDetector(pipeline=ExplodingPipeline())
         assert detector.available
         with pytest.raises(DetectorError):
-            detector.score_window("sys", make_window(["boot ok"] * 10))
+            detector.score_window("sys", stamped_window(["boot ok"] * 10))
 
     def test_report_score_is_clamped(self):
         class Report:
@@ -176,9 +219,39 @@ class TestModelDetector:
         class Pipeline:
             model = object()
 
-            def detect_stream(self, messages, timestamps=None):
-                return Report()
+            def score_event_windows(self, system, grid, windows):
+                return [Report() for _ in grid]
 
         detector = ModelDetector(pipeline=Pipeline())
-        score = detector.score_window("sys", make_window(["x"] * 10))
+        score = detector.score_window("sys", stamped_window(["x"] * 10))
         assert score == 1.0
+
+    def test_batch_scores_the_stamped_ids_in_one_call(self):
+        calls = []
+
+        class Report:
+            def __init__(self, score):
+                self.score = score
+
+        class Pipeline:
+            model = object()
+
+            def score_event_windows(self, system, grid, windows):
+                calls.append((system, grid, windows))
+                return [Report(0.1 * len(ids)) for ids in grid]
+
+        detector = ModelDetector(pipeline=Pipeline())
+        windows = [stamped_window(["a", "b"]), stamped_window(["c"])]
+        assert detector.score_windows("sys", windows) == pytest.approx([0.2, 0.1])
+        assert calls == [("sys", [[0, 1], [0]], [["a", "b"], ["c"]])]
+
+    def test_unstamped_entries_are_a_clear_detector_error(self):
+        class Pipeline:
+            model = object()
+
+            def score_event_windows(self, system, grid, windows):
+                raise AssertionError("must not be reached")
+
+        detector = ModelDetector(pipeline=Pipeline())
+        with pytest.raises(DetectorError, match="no event_id"):
+            detector.score_windows("sys", [make_window(["boot ok"] * 10)])

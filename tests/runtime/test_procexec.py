@@ -159,6 +159,64 @@ class TestByteIdentity:
             assert report.metadata["window_id"].startswith(f"{report.system}:")
 
 
+    def test_fitted_ensemble_matches_across_executors(
+            self, fitted_logsynergy, tmp_path):
+        """With a live model member the ensemble runtime admits records
+        through the pipeline's per-system parse in every executor: the
+        member scores the stamped ids (never a CRC bucket, which would
+        degrade it) and the bytes match sync mode at every shard count."""
+        from repro.core import LogSynergy
+        from repro.detectors import ensemble_from_spec
+
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = six_system_model_stream(lines=90)
+        detectors = "ewma,lof,rules,model:max"
+
+        def replay(executor: str, shards: int):
+            pipeline = LogSynergy.load_pipeline(tmp_path / "pipe")
+            registry = MetricsRegistry()
+            common = dict(executor=executor, shards=shards, max_batch=4,
+                          max_latency=None, backpressure="block",
+                          registry=registry)
+            if executor == "process":
+                runtime = InferenceRuntime(
+                    None, event_fn=pipeline.event_id_of,
+                    process_spec=ProcessWorkerSpec.ensemble(
+                        detectors, pipeline=pipeline), **common)
+            else:
+                ensemble = ensemble_from_spec(detectors, pipeline=pipeline,
+                                              registry=registry)
+                runtime = InferenceRuntime.from_ensemble(ensemble, **common)
+            if executor == "thread":
+                runtime.start()
+                for record in records:
+                    runtime.submit(record)
+                reports = runtime.stop()
+            else:
+                try:
+                    for record in records:
+                        runtime.submit(record)
+                    reports = runtime.drain()
+                finally:
+                    if executor == "process":
+                        runtime.stop()
+            reports.sort(key=report_sort_key)
+            return render_reports(reports), registry
+
+        golden, registry = replay("sync", 1)
+        assert registry.counter("detectors.model.errors").value == 0
+        assert registry.counter("detectors.model.windows").value > 0
+        for executor, shards in (("sync", 2), ("sync", 3), ("thread", 1),
+                                 ("thread", 2), ("thread", 3),
+                                 ("process", 2)):
+            rendered, registry = replay(executor, shards)
+            assert rendered == golden, (
+                f"diverged under {executor} at shards={shards}")
+            assert registry.counter("detectors.model.errors").value == 0, (
+                f"model member degraded under {executor} at shards={shards}")
+            assert registry.counter("detectors.model.windows").value > 0
+
+
 class TestCrashRecovery:
     def test_sigkill_mid_stream_is_invisible_in_output(self):
         records = multi_system_stream(systems=3, lines=100)
