@@ -101,7 +101,7 @@ class EventIdFeaturizer:
             for col, record in enumerate(sequence.records):
                 event = cache.get(id(record))
                 if event is None:
-                    event = store.ingest(record.message).event_id
+                    event = store.ingest_id(record.message)
                     cache[id(record)] = event
                 out[row, col] = event
         return out

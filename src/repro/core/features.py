@@ -104,7 +104,7 @@ class SystemFeaturizer:
                 key = id(record)
                 event_id = cache.get(key)
                 if event_id is None:
-                    event_id = self.store.ingest(record.message).event_id
+                    event_id = self.store.ingest_id(record.message)
                     if self.interpreter is None and event_id not in self._interpretations:
                         # Snapshot now: the template may generalize later.
                         self._interpretations[event_id] = self.store.template_text(event_id)
@@ -155,14 +155,13 @@ class SystemFeaturizer:
 
     def embed_message(self, message: str) -> np.ndarray:
         """Parse one message and return its event embedding."""
-        parsed = self.store.ingest(message)
-        return self._ensure_event(parsed.event_id)
+        return self._ensure_event(self.store.ingest_id(message))
 
     def event_id_of(self, message: str) -> int:
         """Parse one message and return its event id (embedding cached)."""
-        parsed = self.store.ingest(message)
-        self._ensure_event(parsed.event_id)
-        return parsed.event_id
+        event_id = self.store.ingest_id(message)
+        self._ensure_event(event_id)
+        return event_id
 
     # ------------------------------------------------------------------
     def embed_sequences(self, sequences: list[LogSequence]) -> np.ndarray:

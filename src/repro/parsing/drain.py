@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from ..obs import get_registry
 from .masking import WILDCARD, mask_message
 
-__all__ = ["LogTemplate", "DrainParser", "ParseResult"]
+__all__ = ["LogTemplate", "DrainParser", "ParseResult", "ROUTE_MEMO_CAP"]
+
+# Most route-memo entries a parser keeps: a stream whose leading tokens
+# never repeat (hex ids, user names) clears the memo when it fills
+# rather than growing it for the life of the process.
+ROUTE_MEMO_CAP = 4096
 
 
 @dataclass
@@ -83,6 +88,8 @@ class DrainParser:
         self.max_children = max_children
         self.mask = mask
         self._length_roots: dict[int, _Node] = {}
+        # (token count, first ``depth`` tokens) -> leaf; never serialized.
+        self._route_memo: dict[tuple, _Node] = {}
         self._templates: dict[int, LogTemplate] = {}
         self._next_id = 0
         registry = get_registry()
@@ -106,6 +113,23 @@ class DrainParser:
 
     # ------------------------------------------------------------------
     def _route(self, tokens: list[str]) -> _Node:
+        """The leaf node for this token sequence, memoized on its key.
+
+        The memo is exact: tree nodes are never removed and a child,
+        once created, is never replaced, so the walk from a key already
+        routed always ends at the same leaf — including a ``max_children``
+        overflow to ``<*>`` (a full node stays full).
+        """
+        key = (len(tokens), *tokens[:self.depth])
+        leaf = self._route_memo.get(key)
+        if leaf is None:
+            leaf = self._walk(tokens)
+            if len(self._route_memo) >= ROUTE_MEMO_CAP:
+                self._route_memo.clear()
+            self._route_memo[key] = leaf
+        return leaf
+
+    def _walk(self, tokens: list[str]) -> _Node:
         """Walk/extend the tree to the leaf node for this token sequence."""
         root = self._length_roots.setdefault(len(tokens), _Node())
         node = root
@@ -128,14 +152,15 @@ class DrainParser:
     def _similarity(template_tokens: list[str], tokens: list[str]) -> float:
         if len(template_tokens) != len(tokens):
             return 0.0
-        equal = sum(1 for a, b in zip(template_tokens, tokens) if a == b and a != WILDCARD)
-        non_wild = sum(1 for a in template_tokens if a != WILDCARD)
+        non_wild = len(template_tokens) - template_tokens.count(WILDCARD)
         if non_wild == 0:
             return 1.0
+        equal = sum(1 for a, b in zip(template_tokens, tokens) if a == b and a != WILDCARD)
         return equal / non_wild
 
-    def parse(self, message: str) -> ParseResult:
-        """Parse one message, creating or generalizing a template."""
+    def _parse(self, message: str) -> tuple[LogTemplate, list[str]]:
+        """Match one message into the tree, creating or generalizing a
+        template; returns the template and the message's tokens."""
         masked = mask_message(message) if self.mask else message
         tokens = masked.split()
         if not tokens:
@@ -157,14 +182,26 @@ class DrainParser:
             leaf.groups.append(template)
             self._templates[template.template_id] = template
             self._template_counter.inc()
-            return ParseResult(template=template, parameters=tuple(template.parameters_of(tokens)))
+            return template, tokens
 
         # Generalize: disagreeing positions become wildcards.
-        best.tokens = [
-            a if a == b else WILDCARD for a, b in zip(best.tokens, tokens)
-        ]
+        if best.tokens != tokens:
+            best.tokens = [
+                a if a == b else WILDCARD for a, b in zip(best.tokens, tokens)
+            ]
         best.count += 1
-        return ParseResult(template=best, parameters=tuple(best.parameters_of(tokens)))
+        return best, tokens
+
+    def parse(self, message: str) -> ParseResult:
+        """Parse one message, creating or generalizing a template."""
+        template, tokens = self._parse(message)
+        return ParseResult(template=template,
+                           parameters=tuple(template.parameters_of(tokens)))
+
+    def parse_id(self, message: str) -> int:
+        """Parse one message and return only its template id: the same
+        tree update as :meth:`parse`, without building the parameters."""
+        return self._parse(message)[0].template_id
 
     def parse_all(self, messages: list[str]) -> list[ParseResult]:
         """Parse a batch of messages in order."""

@@ -41,6 +41,14 @@ class TemplateStore:
             parameters=result.parameters,
         )
 
+    def ingest_id(self, message: str) -> int:
+        """:meth:`ingest` for callers that need only the event id (runtime
+        admission): same parser and representative update, no template
+        text or parameters built."""
+        event_id = self.parser.parse_id(message)
+        self._representatives.setdefault(event_id, message)
+        return event_id
+
     def ingest_all(self, messages: list[str]) -> list[ParsedLog]:
         return [self.ingest(m) for m in messages]
 

@@ -65,7 +65,6 @@ from .queues import (
     OFFER_FULL,
     OFFER_OK,
     OFFER_REJECTED,
-    RecordEnvelope,
     ShardQueue,
 )
 from .replay import render_reports, replay_records, report_sort_key
@@ -89,7 +88,7 @@ __all__ = [
     "InferenceRuntime", "RuntimeStats",
     "ShardRouter",
     "ShardQueue", "OFFER_OK", "OFFER_REJECTED", "OFFER_DROPPED", "OFFER_FULL",
-    "RecordEnvelope", "UnifiedLog", "normalize_record",
+    "UnifiedLog", "normalize_record",
     "MicroBatchScheduler", "PendingWindow",
     "WorkerSupervisor", "RespawnPolicy", "WorkerError",
     "ModelWorker", "SyntheticWorker", "EnsembleWorker", "FlakyWorker", "message_event",

@@ -368,12 +368,11 @@ class InferenceRuntime:
         outcome (one of the ``OFFER_*`` constants)."""
         index = self.router.shard_of(record.system)
         if self._process is not None:
-            # The process executor journals every envelope (its crash
+            # The process executor journals every record (its crash
             # recovery refeeds it), so admission never sheds: block is
             # the only supported policy and blocking happens at the
             # bounded IPC flush, not here.
-            self._seq += 1
-            self._process.submit(index, self._seq, record)
+            self._process.submit(index, record)
             return OFFER_OK
         queue = self.queues[index]
         self._seq += 1

@@ -9,17 +9,22 @@ This module runs each shard in its own **worker process**:
   featurizer array into one :class:`~repro.runtime.broadcast.WeightBroadcast`
   arena; each child attaches zero-copy and rebuilds a warm pipeline
   replica before its first batch (npz fallback when shm is unavailable).
-* **Determinism by construction** — routing stays system-sticky, every
-  record carries the engine-assigned sequence number in a
-  :class:`~repro.runtime.queues.RecordEnvelope`, and each child runs the
-  same :class:`~repro.runtime.shard.ShardState` parse/windowing/gating
-  code over exactly the records sync mode would hand that shard, in the
-  same order (so each per-system Drain parser sees the same sequence).  Report identity is keyed by window id (system + per-system
-  window ordinal), which is a pure function of the input stream — so
-  ``repro replay --shards N --executor process`` renders byte-identical
-  to sync mode.
+* **Determinism by construction** — routing stays system-sticky, records
+  cross the pipe as compact :class:`WireRecord` tuples in submit order,
+  and each child runs the same :class:`~repro.runtime.shard.ShardState`
+  parse/windowing/gating code over exactly the records sync mode would
+  hand that shard, in the same order (so each per-system Drain parser
+  sees the same sequence).  Report identity is keyed by window id
+  (system + per-system window ordinal), which is a pure function of the
+  input stream — so ``repro replay --shards N --executor process``
+  renders byte-identical to sync mode.
+* **A cheap output poll** — each spawn epoch shares a ``produced``
+  counter that only the child writes, bumped after every message it
+  puts on its output queue.  The parent counts what it reads
+  (``consumed``) and touches the queue only while it is behind, so a
+  record whose shard has nothing new to report costs no pipe syscall.
 * **Crash supervision with exactly-once output** — the parent keeps a
-  per-shard journal of every envelope it ever sent.  A dead child
+  per-shard journal of every record it ever sent.  A dead child
   (detected on flush/drain, or killed by the ``runtime.proc.death``
   fault) is respawned with the same warm-start path on a **fresh epoch**
   with fresh IPC queues (a SIGKILL mid-write can corrupt a pipe, so old
@@ -39,22 +44,35 @@ from __future__ import annotations
 
 import contextlib
 import os
+import queue
 import signal
 from dataclasses import dataclass
+from datetime import datetime
+from typing import NamedTuple
 
 from ..obs import MetricsRegistry, use_registry
 from ..testing.faultpoints import fault_point
 from .broadcast import WeightBroadcast, pipeline_state
-from .queues import RecordEnvelope
 from .shard import ShardState
 from .supervisor import RespawnPolicy, WorkerSupervisor
 from .worker import WorkerError, build_worker_from_spec
 
-__all__ = ["ProcessWorkerSpec", "ProcessShardExecutor"]
+__all__ = ["ProcessWorkerSpec", "ProcessShardExecutor", "WireRecord"]
 
 # Records per IPC message: amortizes pickling/queue overhead without
 # letting the parent run far ahead of a crashed child.
 _CHUNK = 32
+
+
+class WireRecord(NamedTuple):
+    """One record as it crosses the pipe and sits in the journal: the
+    four fields admission reads (:func:`~repro.runtime.shard.normalize_record`).
+    Journal order is the submit order, so no sequence number rides along."""
+
+    timestamp: datetime
+    system: str
+    host: str
+    message: str
 
 
 @dataclass(frozen=True)
@@ -131,19 +149,24 @@ class _AbandonedWorker:
 class _ShardSlot:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("index", "process", "in_q", "out_q", "epoch", "journal",
-                 "buffer", "emitted", "restarts", "fallback")
+    __slots__ = ("index", "process", "in_q", "out_q", "produced", "consumed",
+                 "epoch", "journal", "buffer", "emitted", "restarts",
+                 "fallback")
 
     def __init__(self, index: int):
         self.index = index
         self.process = None
         self.in_q = None
         self.out_q = None
+        # This epoch's output messages: ``produced`` is the child's
+        # shared count of puts, ``consumed`` the parent's count of reads.
+        self.produced = None
+        self.consumed = 0
         self.epoch = 0
-        # Every envelope ever submitted to this shard, in submit order —
+        # Every record ever submitted to this shard, in submit order —
         # the respawn path refeeds this to rebuild the child's state.
-        self.journal: list[RecordEnvelope] = []
-        self.buffer: list[RecordEnvelope] = []
+        self.journal: list[WireRecord] = []
+        self.buffer: list[WireRecord] = []
         # Window ids already emitted to the engine (membership checks
         # only): the exactly-once guarantee across respawns.
         self.emitted: set[str] = set()
@@ -243,10 +266,12 @@ class ProcessShardExecutor:
                 slot.epoch += 1
                 slot.in_q = self._ctx.Queue()
                 slot.out_q = self._ctx.Queue()
+                slot.produced = self._ctx.RawValue("Q", 0)
+                slot.consumed = 0
                 process = self._ctx.Process(
                     target=_shard_process_main,
                     args=(slot.index, slot.epoch, self._child_cfg(),
-                          slot.in_q, slot.out_q),
+                          slot.in_q, slot.out_q, slot.produced),
                     name=f"repro-proc-shard-{slot.index}", daemon=True,
                 )
                 process.start()
@@ -279,10 +304,10 @@ class ProcessShardExecutor:
     def _abandon_queues(self, slot: _ShardSlot) -> None:
         # Never read from a dead child's queues: a SIGKILL mid-write can
         # leave a partial pickle in the pipe.  Close and walk away.
-        for queue in (slot.in_q, slot.out_q):
-            if queue is not None:
-                queue.close()
-                queue.cancel_join_thread()
+        for ipc in (slot.in_q, slot.out_q):
+            if ipc is not None:
+                ipc.close()
+                ipc.cancel_join_thread()
         slot.in_q = None
         slot.out_q = None
 
@@ -315,8 +340,8 @@ class ProcessShardExecutor:
             gate=self.spec.gate,
         )
         slot.buffer = []
-        for envelope in slot.journal:
-            slot.fallback.ingest(envelope.record)
+        for record in slot.journal:
+            slot.fallback.ingest(record)
             slot.fallback.flush_ready(self._clock())
 
     def _recover(self, slot: _ShardSlot) -> None:
@@ -404,20 +429,21 @@ class ProcessShardExecutor:
                 os.kill(slot.process.pid, signal.SIGKILL)
 
     # ------------------------------------------------------------------
-    def submit(self, index: int, seq: int, record) -> None:
+    def submit(self, index: int, record) -> None:
         self.ensure_started()
         slot = self._slots[index]
-        envelope = RecordEnvelope(seq, record)
-        slot.journal.append(envelope)
+        wire = WireRecord(record.timestamp, record.system, record.host,
+                          record.message)
+        slot.journal.append(wire)
         if slot.fallback is not None:
-            slot.fallback.ingest(record)
+            slot.fallback.ingest(wire)
             slot.fallback.flush_ready(self._clock())
             return
         # The death probe: a `corrupt -> True` fault here SIGKILLs this
         # shard's process mid-stream (what the fuzz invariant exercises).
         if fault_point("runtime.proc.death", False):
             self._kill(slot)
-        slot.buffer.append(envelope)
+        slot.buffer.append(wire)
         if len(slot.buffer) >= _CHUNK:
             self._flush(slot)
         self._poll_out(slot)
@@ -428,23 +454,24 @@ class ProcessShardExecutor:
         if slot.process is None or not slot.process.is_alive():
             self._recover(slot)
             return
-        slot.in_q.put(("recs", list(slot.buffer)))
-        slot.buffer.clear()
+        slot.in_q.put(("recs", slot.buffer))
+        slot.buffer = []
 
     def _poll_out(self, slot: _ShardSlot) -> None:
         """Opportunistically ship finished reports upward (non-blocking),
-        so long streams don't buffer everything until drain."""
-        import queue as queue_mod
-
+        so long streams don't buffer everything until drain.  The queue
+        is read only while the child has put more than the parent took."""
         if slot.out_q is None:
             return
-        while True:
+        while slot.consumed < slot.produced.value:
             try:
                 message = slot.out_q.get_nowait()
-            except queue_mod.Empty:
+            except queue.Empty:
+                # Counted but still in the child's feeder thread.
                 return
             except (OSError, EOFError):
                 return
+            slot.consumed += 1
             try:
                 self._consume(slot, message)
             except _ChildFailed:
@@ -507,8 +534,6 @@ class ProcessShardExecutor:
             self._drain_slot(slot)
 
     def _drain_slot(self, slot: _ShardSlot) -> None:
-        import queue as queue_mod
-
         while slot.fallback is None:
             deadline = self._clock() + self._drain_timeout
             self._flush(slot)
@@ -523,7 +548,7 @@ class ProcessShardExecutor:
             while not acked and not failed:
                 try:
                     message = slot.out_q.get(timeout=self._poll_interval)
-                except queue_mod.Empty:
+                except queue.Empty:
                     if not slot.process.is_alive():
                         failed = True
                     elif self._clock() > deadline:
@@ -534,6 +559,7 @@ class ProcessShardExecutor:
                 except (OSError, EOFError):
                     failed = True
                     continue
+                slot.consumed += 1
                 try:
                     acked = self._consume(slot, message)
                 except _ChildFailed:
@@ -621,7 +647,7 @@ def _registry_reset(registry) -> None:
 
 
 def _shard_process_main(index: int, epoch: int, cfg: dict,
-                        in_q, out_q) -> None:
+                        in_q, out_q, produced) -> None:
     """One shard's whole life inside its worker process.
 
     Builds a warm worker from the spec (attaching the weight broadcast),
@@ -629,7 +655,14 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
     up tagged with the spawn epoch; the parent ignores stale acks and
     deduplicates reports, so this function never needs to know whether
     it is a first launch or a post-crash respawn over a refed journal.
+    Every put is followed by a bump of the shared ``produced`` count,
+    which is what tells the parent's poll there is something to read.
     """
+
+    def send(message) -> None:
+        out_q.put(message)
+        produced.value += 1
+
     try:
         registry = MetricsRegistry()
         with use_registry(registry):
@@ -655,8 +688,8 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
                 message = in_q.get()
                 kind = message[0]
                 if kind == "recs":
-                    for envelope in message[1]:
-                        shard.ingest(envelope.record)
+                    for record in message[1]:
+                        shard.ingest(record)
                     shard.flush_ready(registry.clock())
                 elif kind == "drain":
                     # Residual lanes flush in the same canonical order
@@ -666,10 +699,9 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
                     for _system, batch in residual:
                         shard.score_batch(batch)
                     if reports:
-                        out_q.put(("reports", epoch, list(reports)))
+                        send(("reports", epoch, list(reports)))
                         reports.clear()
-                    out_q.put(("drained", epoch,
-                               _registry_snapshot(registry)))
+                    send(("drained", epoch, _registry_snapshot(registry)))
                     _registry_reset(registry)
                     continue
                 elif kind == "swap":
@@ -680,7 +712,7 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
                 elif kind == "stop":
                     break
                 if reports:
-                    out_q.put(("reports", epoch, list(reports)))
+                    send(("reports", epoch, list(reports)))
                     reports.clear()
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
         return
@@ -688,4 +720,4 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
         # Last gasp: tell the parent this loop is dead so it can respawn
         # instead of waiting out the drain timeout.
         with contextlib.suppress(Exception):  # queue may already be gone
-            out_q.put(("error", epoch, repr(exc)))
+            send(("error", epoch, repr(exc)))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
 from ..testing.faultpoints import DROPPED, fault_point
@@ -28,23 +27,8 @@ T = TypeVar("T")
 
 __all__ = [
     "BACKPRESSURE_POLICIES", "OFFER_OK", "OFFER_REJECTED", "OFFER_DROPPED",
-    "OFFER_FULL", "RecordEnvelope", "ShardQueue",
+    "OFFER_FULL", "ShardQueue",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class RecordEnvelope:
-    """One sequenced record, as shipped across an executor boundary.
-
-    The synchronous and threaded engines pass plain ``(seq, record)``
-    tuples; the process executor needs a stable, picklable shape for its
-    IPC queues and its per-shard replay journal — the ``seq`` assigned
-    by ``InferenceRuntime.submit`` is what makes a respawned worker's
-    refeed reproduce the exact admission order.
-    """
-
-    seq: int
-    record: object
 
 BACKPRESSURE_POLICIES = ("block", "reject", "drop-oldest")
 

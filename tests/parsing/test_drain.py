@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logs.generator import generate_logs
-from repro.parsing.drain import DrainParser
+from repro.parsing.drain import ROUTE_MEMO_CAP, DrainParser
 from repro.parsing.masking import WILDCARD
 
 
@@ -120,3 +120,58 @@ class TestOnGeneratedLogs:
         for record in generate_logs("system_c", 50, seed=seed):
             result = parser.parse(record.message)
             assert result.template.template_id >= 0
+
+
+class _Unmemoized(DrainParser):
+    """Walks the tree for every message: the route memo's reference."""
+
+    def _route(self, tokens):
+        return self._walk(tokens)
+
+
+def _word(index: int) -> str:
+    letters = []
+    for _ in range(4):
+        index, digit = divmod(index, 26)
+        letters.append(chr(ord("a") + digit))
+    return "u" + "".join(letters)
+
+
+class TestRouteMemo:
+    def test_memo_is_bounded_and_exact_over_distinct_leading_tokens(self):
+        """50k distinct first tokens (users, hex-free ids) interleaved with
+        a repetitive stream: the memo never passes its cap, and ids and
+        the serialized tree match a parser that walks every message —
+        also across a ``from_dict`` rebuild mid-stream."""
+        repeats = [record.message
+                   for record in generate_logs("bgl", 10_000, seed=3)]
+        messages = []
+        for index in range(50_000):
+            tail = " ".join(["session", "opened", "for", "root"][:1 + index % 4])
+            messages.append(f"{_word(index)} {tail}")
+            if index % 5 == 0:
+                messages.append(repeats[index // 5])
+        reference = _Unmemoized()
+        expected = [reference.parse(message).template.template_id
+                    for message in messages]
+
+        parser = DrainParser()
+        got = []
+        largest = 0
+        half = len(messages) // 2
+        for position, message in enumerate(messages):
+            if position == half:
+                parser = DrainParser.from_dict(parser.to_dict())
+                assert parser._route_memo == {}
+            got.append(parser.parse_id(message))
+            largest = max(largest, len(parser._route_memo))
+        assert largest == ROUTE_MEMO_CAP  # filled, then cleared
+        assert got == expected
+        assert parser.to_dict() == reference.to_dict()
+
+    def test_parse_and_parse_id_agree(self):
+        messages = [record.message for record in generate_logs("spirit", 2000, seed=4)]
+        full, lean = DrainParser(), DrainParser()
+        for message in messages:
+            assert lean.parse_id(message) == full.parse(message).template.template_id
+        assert lean.to_dict() == full.to_dict()

@@ -1,6 +1,9 @@
 """Variable masking tests."""
 
-from repro.parsing.masking import WILDCARD, mask_message
+import pytest
+
+from repro.logs import PROFILES, SCENARIOS, LogGenerator
+from repro.parsing.masking import DEFAULT_MASKS, WILDCARD, mask_message
 
 
 class TestMasking:
@@ -37,3 +40,45 @@ class TestMasking:
     def test_idempotent(self):
         once = mask_message("ip 1.2.3.4 count 7")
         assert mask_message(once) == once
+
+
+def unguarded(message: str) -> str:
+    """The plain six-``sub`` chain the guards must reproduce exactly."""
+    for _, _, pattern in DEFAULT_MASKS:
+        message = pattern.sub(WILDCARD, message)
+    return message
+
+
+class TestGuardedMasking:
+    """Each mask is skipped when its guard literal is absent; the output
+    must equal the unguarded chain on every message."""
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_matches_unguarded_chain_on_generated_streams(self, scenario):
+        for index, system in enumerate(PROFILES):
+            records = LogGenerator(system, seed=index,
+                                   scenario=scenario).generate(400)
+            for record in records:
+                for text in (record.message, record.raw):
+                    assert mask_message(text) == unguarded(text), text
+
+    @pytest.mark.parametrize("message", [
+        "lease deadbeef-cafe-babe-face-decafbadface renewed",
+        "req 123E4567-E89B-12D3-A456-426614174000 done",
+        "fault code 0X1F raised",
+        "read /10.0.0.1/x failed",
+        "connect db-primary:5432 refused",
+        "peer 10.0.0.7:80 via gw 10.0.0.1 at /srv/a-b.c/log 0xff id 7",
+        "plain words only here",
+        "",
+    ])
+    def test_matches_unguarded_chain_on_edge_cases(self, message):
+        assert mask_message(message) == unguarded(message)
+
+    def test_uppercase_hex_prefix_stays_unmasked(self):
+        assert "0X1F" in mask_message("fault code 0X1F raised")
+
+    def test_all_letter_and_uppercase_uuids_are_masked(self):
+        for uuid in ("deadbeef-cafe-babe-face-decafbadface",
+                     "123E4567-E89B-12D3-A456-426614174000"):
+            assert mask_message(f"id {uuid} ok") == f"id {WILDCARD} ok"

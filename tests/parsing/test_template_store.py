@@ -1,5 +1,6 @@
 """Template store tests."""
 
+from repro.logs import generate_logs
 from repro.parsing.template_store import TemplateStore
 
 
@@ -36,3 +37,10 @@ class TestTemplateStore:
         first = store.ingest("stable message body")
         second = store.ingest("stable message body")
         assert first.event_id == second.event_id
+
+    def test_ingest_id_matches_ingest(self):
+        messages = [record.message for record in generate_logs("thunderbird", 1500, seed=5)]
+        full, lean = TemplateStore(), TemplateStore()
+        for message in messages:
+            assert lean.ingest_id(message) == full.ingest(message).event_id
+        assert lean.to_dict() == full.to_dict()

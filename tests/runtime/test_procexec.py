@@ -1,13 +1,17 @@
 """Process executor: byte-identity to sync mode, crash recovery, stats."""
 
 import glob
+import os
+import queue
+import signal
+import time
 
 import pytest
 
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    InferenceRuntime, ProcessWorkerSpec, SyntheticWorker, message_event,
-    render_reports, report_sort_key,
+    InferenceRuntime, ProcessShardExecutor, ProcessWorkerSpec, SyntheticWorker,
+    message_event, render_reports, report_sort_key,
 )
 from repro.testing.plan import FaultInjector, FaultPlan, FaultSpec
 
@@ -234,6 +238,66 @@ class TestCrashRecovery:
         assert registry.counter("runtime.proc.restarts").value == 1
         assert registry.counter("runtime.proc.refed_records").value > 0
 
+    def test_sigkill_with_unread_model_output_recovers(
+            self, fitted_logsynergy, tmp_path):
+        """A real-model shard dies after its child counted an output
+        message the parent never read: the respawn recomputes it, and
+        the bytes equal sync mode's."""
+        from repro.core import LogSynergy
+
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = six_system_model_stream()
+
+        def build(executor: str, registry):
+            return InferenceRuntime.from_model(
+                LogSynergy.load_pipeline(tmp_path / "pipe"),
+                executor=executor, shards=2, max_batch=4, max_latency=None,
+                backpressure="block", registry=registry)
+
+        sync = build("sync", MetricsRegistry())
+        for record in records:
+            sync.submit(record)
+        golden_reports = sync.drain()
+        golden_reports.sort(key=report_sort_key)
+        golden = render_reports(golden_reports)
+        assert golden_reports
+
+        registry = MetricsRegistry()
+        runtime = build("process", registry)
+        executor = runtime._process
+        half = len(records) // 2
+        try:
+            # Hold the parent's output poll off so the child's reports
+            # for the first half stay unread.
+            executor._poll_out = lambda slot: None
+            for record in records[:half]:
+                runtime.submit(record)
+            for slot in executor._slots:
+                executor._flush(slot)
+            victim = None
+            deadline = time.monotonic() + 60.0
+            while victim is None and time.monotonic() < deadline:
+                victim = next((slot for slot in executor._slots
+                               if slot.produced.value > slot.consumed), None)
+                time.sleep(0.01)
+            assert victim is not None, "no shard produced output"
+            os.kill(victim.process.pid, signal.SIGKILL)
+            victim.process.join(timeout=10.0)
+            del executor._poll_out
+            for record in records[half:]:
+                runtime.submit(record)
+            reports = runtime.drain()
+            # The respawn started a fresh count, and drain read it all.
+            for slot in executor._slots:
+                assert slot.consumed == slot.produced.value > 0
+        finally:
+            runtime.stop()
+        reports.sort(key=report_sort_key)
+        assert render_reports(reports) == golden
+        assert registry.counter("runtime.proc.deaths").value == 1
+        assert registry.counter("runtime.proc.restarts").value == 1
+        assert registry.counter("runtime.proc.refed_records").value > 0
+
     def test_spawn_failure_is_retried(self):
         records = multi_system_stream(systems=2, lines=60)
         golden = sync_replay(records, shards=2)
@@ -247,6 +311,41 @@ class TestCrashRecovery:
         assert rendered == golden
         assert registry.counter("runtime.proc.spawn_failures").value == 1
         assert registry.counter("runtime.proc.spawned").value == 2
+
+
+class TestOutputPoll:
+    def test_poll_reads_only_while_the_child_is_ahead(self):
+        class CountingQueue:
+            """Holds ``ready`` messages; counts every read attempt."""
+
+            def __init__(self):
+                self.ready = 0
+                self.reads = 0
+
+            def get_nowait(self):
+                self.reads += 1
+                if not self.ready:
+                    raise queue.Empty
+                self.ready -= 1
+                return ("reports", 1, [])
+
+        executor = ProcessShardExecutor(
+            ProcessWorkerSpec.synthetic(), shards=1, event_fn=message_event,
+            emit=lambda report: None, registry=MetricsRegistry())
+        slot = executor._slots[0]
+        slot.out_q = CountingQueue()
+        slot.produced = executor._ctx.RawValue("Q", 0)
+        executor._poll_out(slot)
+        assert slot.out_q.reads == 0
+        slot.out_q.ready = slot.produced.value = 2
+        executor._poll_out(slot)
+        assert (slot.out_q.reads, slot.consumed) == (2, 2)
+        executor._poll_out(slot)
+        assert slot.out_q.reads == 2
+        # Counted but not yet in the pipe: one attempt, nothing taken.
+        slot.produced.value = 3
+        executor._poll_out(slot)
+        assert (slot.out_q.reads, slot.consumed) == (3, 2)
 
 
 class TestValidationAndCleanup:
