@@ -3,14 +3,13 @@
 Two workload profiles bracket the deployment spectrum:
 
 * ``io`` — per-batch cost is a fixed sleep (a remote LLM endpoint or
-  accelerator round-trip).  Threads overlap it perfectly; this is the
-  profile the threaded executor was built for.
+  accelerator round-trip).  Shard processes overlap it even on one core.
 * ``cpu`` — per-batch cost is a pure-Python spin (local feature
-  extraction / model math).  The GIL serializes threads here no matter
-  the shard count; the process executor is the only way past it.
+  extraction / model math).  Only extra cores can overlap it.
 
-Each profile runs both executors (``thread``: shard threads in one
-interpreter; ``process``: one worker process per shard, warmed by the
+Each profile runs both executors (``sync``: every shard scored inline
+on the caller's thread, pumped after each record as ``repro serve``
+does; ``process``: one worker process per shard, warmed by the
 shared-memory weight broadcast) at shards in {1, 2, 4, 8}, on the same
 8-system interleaved stream.  Both executors resolve the identical cost
 spec through :func:`repro.runtime.resolve_cost`, so rows differ only in
@@ -18,11 +17,11 @@ execution strategy.  Results land as a table (benchmarks/results/) and
 machine-readable rows — one per (profile, executor, shards), each
 tagged with the host core count — in BENCH_runtime.json.
 
-Bars enforced in full mode: the io profile must keep the historical
->= 2x windows/s at thread@4 vs thread@1, and every row must see the
-same windows with nothing shed or degraded (the determinism contract).
-``--smoke`` runs only cpu-profile thread@2 vs process@2 and asserts the
-process executor wins on multi-core hosts (on a single core there is no
+Bars enforced in full mode: the io profile must keep >= 2x windows/s
+at process@4 vs process@1, and every row must see the same windows
+with nothing shed or degraded (the determinism contract).  ``--smoke``
+runs only cpu-profile sync@2 vs process@2 and asserts the process
+executor wins on multi-core hosts (on a single core there is no
 parallelism to buy, so the bar relaxes to an overhead ceiling).
 """
 
@@ -42,17 +41,17 @@ LINES_PER_SYSTEM = 900
 SMOKE_LINES_PER_SYSTEM = 300
 MAX_BATCH = 16
 SHARD_COUNTS = (1, 2, 4, 8)
-EXECUTORS = ("thread", "process")
+EXECUTORS = ("sync", "process")
 
-# Per-batch cost specs (resolved identically in shard threads and in
+# Per-batch cost specs (resolved identically in the sync engine and in
 # worker processes via repro.runtime.resolve_cost).
 IO_COST = ("sleep", 0.008)      # simulated remote round-trip
 CPU_COST = ("spin", 20_000)     # pure-Python LCG iterations (GIL-bound)
 PROFILES = {"io": IO_COST, "cpu": CPU_COST}
 
-# Multi-core hosts must see the process executor beat threads on the
-# CPU-bound profile; a single core has no parallelism to sell, so the
-# bar becomes "IPC overhead eats at most 70% of throughput".
+# Multi-core hosts must see the process executor beat the sync engine
+# on the CPU-bound profile; a single core has no parallelism to sell, so
+# the bar becomes "IPC overhead eats at most 70% of throughput".
 SMOKE_MULTICORE_BAR = 1.0
 SMOKE_SINGLE_CORE_BAR = 0.3
 
@@ -106,19 +105,22 @@ def _build(executor: str, cost_spec: tuple, shards: int,
     return InferenceRuntime(
         lambda index: SyntheticWorker(cost=cost),
         event_fn=message_event, shards=shards, max_batch=MAX_BATCH,
-        max_latency=0.05, executor="thread", queue_capacity=50_000,
-        registry=registry,
+        max_latency=0.05, registry=registry,
     )
 
 
 def _run(records, profile: str, executor: str, shards: int) -> dict:
     registry = MetricsRegistry()
     runtime = _build(executor, PROFILES[profile], shards, registry)
+    sync = executor == "sync"
     clock = registry.clock
-    runtime.start()
+    if not sync:
+        runtime.start()
     started = clock()
     for record in records:
         runtime.submit(record)
+        if sync:
+            runtime.pump()
     reports = runtime.stop()
     elapsed = clock() - started
     stats = runtime.stats
@@ -150,23 +152,23 @@ def _wps(rows, profile: str, executor: str, shards: int) -> float:
 
 
 def smoke() -> None:
-    """CPU-bound profile, 2 shards, thread vs process — the GIL-break
+    """CPU-bound profile, 2 shards, sync vs process — the multi-core
     check scripts/smoke.sh runs (no files written)."""
     records = _workload(SMOKE_LINES_PER_SYSTEM)
     rows = [_run(records, "cpu", executor, 2) for executor in EXECUTORS]
-    thread_row, process_row = rows
+    sync_row, process_row = rows
     cores = os.cpu_count() or 1
     bar = SMOKE_MULTICORE_BAR if cores >= 2 else SMOKE_SINGLE_CORE_BAR
-    ratio = process_row["windows_per_s"] / thread_row["windows_per_s"]
+    ratio = process_row["windows_per_s"] / sync_row["windows_per_s"]
     print(f"cpu profile @2 shards on {cores} core(s): "
-          f"thread {thread_row['windows_per_s']:,.1f} windows/s, "
+          f"sync {sync_row['windows_per_s']:,.1f} windows/s, "
           f"process {process_row['windows_per_s']:,.1f} windows/s "
           f"({ratio:.2f}x, bar >= {bar:.2f}x)")
-    assert thread_row["windows"] == process_row["windows"], \
+    assert sync_row["windows"] == process_row["windows"], \
         "executors disagreed on the number of windows"
     assert all(row["records_shed"] == 0 for row in rows)
     assert ratio >= bar, (
-        f"process@2 at {ratio:.2f}x of thread@2 on {cores} core(s) "
+        f"process@2 at {ratio:.2f}x of sync@2 on {cores} core(s) "
         f"(bar {bar:.2f}x)")
 
 
@@ -176,9 +178,10 @@ def test_runtime_throughput_scaling():
             for profile in PROFILES
             for executor in EXECUTORS
             for shards in SHARD_COUNTS]
-    io_speedup = _wps(rows, "io", "thread", 4) / _wps(rows, "io", "thread", 1)
-    gil_break = (_wps(rows, "cpu", "process", 8)
-                 / _wps(rows, "cpu", "thread", 4))
+    io_speedup = (_wps(rows, "io", "process", 4)
+                  / _wps(rows, "io", "process", 1))
+    cpu_speedup = (_wps(rows, "cpu", "process", 8)
+                   / _wps(rows, "cpu", "sync", 8))
     cores = os.cpu_count() or 1
 
     lines = [
@@ -198,9 +201,9 @@ def test_runtime_throughput_scaling():
             f"batch p50 {row['batch_p50_s'] * 1e3:.1f} ms / "
             f"p99 {row['batch_p99_s'] * 1e3:.1f} ms)"
         )
-    lines.append(f"io thread speedup (4 vs 1)  : {io_speedup:.2f}x "
+    lines.append(f"io process speedup (4 vs 1) : {io_speedup:.2f}x "
                  f"(bar: >= 2.0x)")
-    lines.append(f"cpu process@8 vs thread@4   : {gil_break:.2f}x "
+    lines.append(f"cpu process@8 vs sync@8     : {cpu_speedup:.2f}x "
                  f"(recorded; needs >= 2 cores to exceed 1x)")
     emit("runtime_throughput", "\n".join(lines))
     emit_json("runtime", {
@@ -215,8 +218,8 @@ def test_runtime_throughput_scaling():
             "executors": list(EXECUTORS),
         },
         "results": rows,
-        "io_thread_speedup_4_vs_1": round(io_speedup, 3),
-        "cpu_process8_vs_thread4": round(gil_break, 3),
+        "io_process_speedup_4_vs_1": round(io_speedup, 3),
+        "cpu_process8_vs_sync8": round(cpu_speedup, 3),
     })
 
     # Same detection work in every configuration, nothing shed or
@@ -225,7 +228,7 @@ def test_runtime_throughput_scaling():
     assert all(row["degraded_windows"] == 0 for row in rows)
     assert all(row["records_shed"] == 0 for row in rows)
     assert io_speedup >= 2.0, \
-        f"expected >=2x io thread speedup at 4 shards, got {io_speedup:.2f}x"
+        f"expected >=2x io process speedup at 4 shards, got {io_speedup:.2f}x"
 
 
 if __name__ == "__main__":

@@ -72,9 +72,9 @@ test -s "$replay_metrics" || { echo "smoke: replay produced no metrics" >&2; exi
 
 # The process executor must render the exact bytes the synchronous
 # engine does, and its throughput floor must hold (bench --smoke:
-# process workers beat threads on the CPU-bound profile when the host
-# has cores to parallelize on, and stay within the IPC-overhead ceiling
-# when it doesn't). A process-suite fuzz episode SIGKILLs a worker
+# process workers beat the sync engine on the CPU-bound profile when
+# the host has cores to parallelize on, and stay within the
+# IPC-overhead ceiling when it doesn't). A process-suite fuzz episode SIGKILLs a worker
 # mid-stream and requires byte-identical recovery.
 PYTHONPATH=src python -m repro.cli replay \
     --logs examples/data/replay_sample.jsonl --shards 2 \

@@ -17,7 +17,7 @@ cross-system transfer results *before* any epoch runs.
   symbol table (:mod:`.symbols`), call graph (:mod:`.callgraph`) and
   forward dataflow engine (:mod:`.dataflow`): determinism of everything
   reachable from the replay/serve/fuzz entry points, lock discipline in
-  the threaded runtime, and registry/catalog drift.  Findings live in
+  every lock-owning class, and registry/catalog drift.  Findings live in
   the ``flow/`` rule namespace, with JSON/SARIF output and a baseline
   file (:mod:`.output`) for the CI gate.
 

@@ -37,6 +37,7 @@ from .dataflow import ForwardDataflow
 from .lint import LintViolation
 from .rules import (
     _ALLOWED_RANDOM_ATTRS, _CLOCK_FUNCS, _DATETIME_FUNCS, _NUMPY_ALIASES,
+    FaultPointAllowlistRule,
 )
 from .symbols import ClassSymbol, FunctionSymbol, ModuleSymbol, SymbolTable
 
@@ -685,7 +686,8 @@ class RegistryDriftPass(FlowPass):
     hint = ("plant/remove the fault point, or update "
             "repro.testing.faultpoints.FAULT_POINTS / repro.obs.catalog")
 
-    _FAULT_EXEMPT = ("repro/testing/", "tests/")
+    # Where the fault-point lint rule lets hooks be planted freely.
+    _FAULT_EXEMPT = FaultPointAllowlistRule.allowed_in
     _METRIC_EXEMPT = ("repro/obs/", "tests/")
     _EMITTERS = ("counter", "gauge", "histogram")
 

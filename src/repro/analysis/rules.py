@@ -14,7 +14,8 @@ from .lint import LintRule, register_rule
 __all__ = [
     "GlobalNumpyRandomRule", "WallClockRule", "MutableDefaultRule",
     "BlanketExceptRule", "SilentExceptRule", "ModuleSuperInitRule",
-    "ForwardConventionsRule", "DirectThreadRule", "PerTimestepLoopRule",
+    "ConfinedRule", "ForwardConventionsRule", "DirectThreadRule",
+    "DirectProcessRule", "PerTimestepLoopRule",
     "FaultPointAllowlistRule", "DirectLLMCallRule",
     "DetectorOutsideRegistryRule", "UnmanagedCheckpointWriteRule",
 ]
@@ -28,6 +29,44 @@ _ALLOWED_RANDOM_ATTRS = {
 }
 _CLOCK_FUNCS = {"time", "perf_counter", "monotonic", "process_time", "clock"}
 _DATETIME_FUNCS = {"now", "utcnow", "today"}
+
+
+def _dotted_callee(func: ast.expr) -> str:
+    """``name`` or ``owner.attr`` for a plain callee, else ``""``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return ""
+
+
+class ConfinedRule(LintRule):
+    """A construct the project confines to a few modules.
+
+    ``allowed_in`` lists the posix path fragments where it is allowed;
+    :meth:`run` skips those files whole, so matchers never look at
+    paths.  A "callee in a set" rule is pure data: ``callees`` maps each
+    dotted callee, as written (``threading.Thread``, ``Thread``), to the
+    name its finding shows, formatted into the ``message`` template as
+    ``{callee}``.  Rules with richer matchers override the ``visit_*``
+    methods instead.
+    """
+
+    allowed_in: tuple[str, ...] = ()
+    callees: dict[str, str] = {}
+    message = ""
+
+    def run(self, tree: ast.AST) -> list:
+        self.path = self.source.path.replace("\\", "/")
+        if any(fragment in self.path for fragment in self.allowed_in):
+            return self.violations
+        return super().run(tree)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        shown = self.callees.get(_dotted_callee(node.func))
+        if shown is not None:
+            self.report(node, self.message.format(callee=shown))
+        self.generic_visit(node)
 
 
 @register_rule
@@ -172,7 +211,7 @@ class SilentExceptRule(LintRule):
 
 
 @register_rule
-class FaultPointAllowlistRule(LintRule):
+class FaultPointAllowlistRule(ConfinedRule):
     """Fault points are reviewed hooks, not a free-for-all: every
     ``fault_point(...)`` call must use a name registered in
     :data:`repro.testing.faultpoints.FAULT_POINTS`, planted in the one
@@ -185,11 +224,7 @@ class FaultPointAllowlistRule(LintRule):
 
     # The harness itself (benchmarks, the injector) and tests may touch
     # hooks freely; the allowlist binds production modules only.
-    _EXEMPT_FRAGMENTS = ("repro/testing/", "tests/")
-
-    def _exempt(self) -> bool:
-        path = self.source.path.replace("\\", "/")
-        return any(fragment in path for fragment in self._EXEMPT_FRAGMENTS)
+    allowed_in = ("repro/testing/", "tests/")
 
     @staticmethod
     def _registry() -> dict[str, str]:
@@ -202,16 +237,15 @@ class FaultPointAllowlistRule(LintRule):
         named = (isinstance(func, ast.Name) and func.id == "fault_point") or (
             isinstance(func, ast.Attribute) and func.attr == "fault_point"
         )
-        if named and not self._exempt():
+        if named:
             first = node.args[0] if node.args else None
             if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
                 self.report(node, "fault_point name must be a string literal")
             else:
                 registered = self._registry().get(first.value)
-                path = self.source.path.replace("\\", "/")
                 if registered is None:
                     self.report(node, f"unregistered fault point {first.value!r}")
-                elif registered not in path:
+                elif registered not in self.path:
                     self.report(
                         node,
                         f"fault point {first.value!r} planted outside its "
@@ -221,7 +255,7 @@ class FaultPointAllowlistRule(LintRule):
 
 
 @register_rule
-class DirectLLMCallRule(LintRule):
+class DirectLLMCallRule(ConfinedRule):
     """The LLM is a supervised dependency, not a convenience: calls that
     bypass :mod:`repro.llm` skip the traffic-control middleware (cache,
     coalescing, breaker, retries, rate limit) and the one spec grammar
@@ -237,13 +271,9 @@ class DirectLLMCallRule(LintRule):
 
     # The LLM package itself, the fault harness and tests exercise
     # providers directly by design.
-    _EXEMPT_FRAGMENTS = ("repro/llm/", "repro/testing/", "tests/",
-                         "benchmarks/", "examples/")
+    allowed_in = ("repro/llm/", "repro/testing/", "tests/",
+                  "benchmarks/", "examples/")
     _COMPLETE_ATTRS = ("complete", "complete_batch")
-
-    def _exempt(self) -> bool:
-        path = self.source.path.replace("\\", "/")
-        return any(fragment in path for fragment in self._EXEMPT_FRAGMENTS)
 
     @staticmethod
     def _provider_class_names() -> frozenset[str]:
@@ -263,8 +293,6 @@ class DirectLLMCallRule(LintRule):
         )
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self._exempt():
-            return
         func = node.func
         callee = func.id if isinstance(func, ast.Name) else \
             func.attr if isinstance(func, ast.Attribute) else ""
@@ -337,39 +365,32 @@ class ModuleSuperInitRule(LintRule):
 
 
 @register_rule
-class DirectThreadRule(LintRule):
+class DirectThreadRule(ConfinedRule):
     """Concurrency is a subsystem, not a convenience: ad-hoc threads
     bypass the runtime's queues, backpressure and supervision, and make
-    replay non-deterministic.  ``repro.runtime`` is the one sanctioned
-    construction site; everything else must submit work to it (or carry
-    an explicit, reviewable suppression)."""
+    replay non-deterministic.  The project has no sanctioned thread
+    construction site — in-process serving is the synchronous engine,
+    and parallel serving is ``repro.runtime``'s process executor — so
+    every ``threading.Thread`` carries an explicit, reviewable
+    suppression."""
 
     name = "direct-thread"
-    description = "forbid threading.Thread(...) outside repro.runtime"
+    description = "forbid threading.Thread(...) construction"
     hint = "submit work to repro.runtime (or suppress with # lint: disable=direct-thread)"
 
-    # Path fragments (posix-normalized) exempt from the rule.
-    _ALLOWED_FRAGMENTS = ("repro/runtime/",)
+    callees = dict.fromkeys(("threading.Thread", "Thread"), "threading.Thread")
+    message = "direct {callee} construction"
 
-    def _exempt(self) -> bool:
-        path = self.source.path.replace("\\", "/")
-        return any(fragment in path for fragment in self._ALLOWED_FRAGMENTS)
 
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        constructed = (
-            (isinstance(func, ast.Attribute) and func.attr == "Thread"
-             and isinstance(func.value, ast.Name)
-             and func.value.id == "threading")
-            or (isinstance(func, ast.Name) and func.id == "Thread")
-        )
-        if constructed and not self._exempt():
-            self.report(node, "direct threading.Thread construction")
-        self.generic_visit(node)
+# Constructors on the `multiprocessing` / `mp` module objects, and on
+# `multiprocessing.shared_memory` (or its alias).
+_MP_ATTRS = ("Process", "Pool", "Manager", "Queue", "SimpleQueue",
+             "JoinableQueue", "Pipe", "get_context")
+_SHM_ATTRS = ("SharedMemory", "ShareableList")
 
 
 @register_rule
-class DirectProcessRule(LintRule):
+class DirectProcessRule(ConfinedRule):
     """The process-executor counterpart of ``direct-thread``: ad-hoc
     worker processes and shared-memory segments bypass the executor's
     weight broadcast, journal-refeed crash recovery and registry
@@ -383,45 +404,20 @@ class DirectProcessRule(LintRule):
     hint = ("route work through repro.runtime's process executor "
             "(or suppress with # lint: disable=direct-process)")
 
-    # Path fragments (posix-normalized) exempt from the rule.
-    _ALLOWED_FRAGMENTS = ("repro/runtime/", "tests/", "benchmarks/")
-
-    # Constructors on the `multiprocessing` / `mp` module objects.
-    _MP_ATTRS = frozenset({
-        "Process", "Pool", "Manager", "Queue", "SimpleQueue",
-        "JoinableQueue", "Pipe", "get_context",
-    })
-    # Constructors on `multiprocessing.shared_memory` (or its alias).
-    _SHM_ATTRS = frozenset({"SharedMemory", "ShareableList"})
-    # Bare names that only the mp machinery exports (``Queue`` is
-    # deliberately absent: bare ``Queue`` is usually ``queue.Queue``).
-    _BARE_NAMES = frozenset({"Process", "Pool", "SharedMemory",
-                             "ShareableList"})
-
-    def _exempt(self) -> bool:
-        path = self.source.path.replace("\\", "/")
-        return any(fragment in path for fragment in self._ALLOWED_FRAGMENTS)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        constructed = False
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            base = func.value.id
-            constructed = (
-                (base in ("multiprocessing", "mp")
-                 and func.attr in self._MP_ATTRS)
-                or (base in ("shared_memory", "multiprocessing", "mp")
-                    and func.attr in self._SHM_ATTRS)
-            )
-        elif isinstance(func, ast.Name):
-            constructed = func.id in self._BARE_NAMES
-        if constructed and not self._exempt():
-            self.report(node, f"direct {ast.unparse(func)} construction")
-        self.generic_visit(node)
+    allowed_in = ("repro/runtime/", "tests/", "benchmarks/")
+    # Bare names are only those the mp machinery alone exports (bare
+    # ``Queue`` is usually ``queue.Queue``).
+    callees = {name: name for name in (
+        *(f"{base}.{attr}" for base in ("multiprocessing", "mp")
+          for attr in _MP_ATTRS + _SHM_ATTRS),
+        *(f"shared_memory.{attr}" for attr in _SHM_ATTRS),
+        "Process", "Pool", "SharedMemory", "ShareableList",
+    )}
+    message = "direct {callee} construction"
 
 
 @register_rule
-class PerTimestepLoopRule(LintRule):
+class PerTimestepLoopRule(ConfinedRule):
     """BPTT recurrences belong in :mod:`repro.nn.kernels`, where one fused
     autograd node replays the whole sequence; a Python loop over a tensor
     time axis anywhere else rebuilds the per-timestep graph the kernel
@@ -431,12 +427,7 @@ class PerTimestepLoopRule(LintRule):
     description = "forbid per-timestep Python loops over a tensor time axis outside repro.nn.kernels"
     hint = "route the recurrence through repro.nn.kernels (or suppress with # lint: disable=per-timestep-loop)"
 
-    # Path fragments (posix-normalized) exempt from the rule.
-    _ALLOWED_FRAGMENTS = ("repro/nn/kernels.py",)
-
-    def _exempt(self) -> bool:
-        path = self.source.path.replace("\\", "/")
-        return any(fragment in path for fragment in self._ALLOWED_FRAGMENTS)
+    allowed_in = ("repro/nn/kernels.py",)
 
     @staticmethod
     def _is_shape_attr(node: ast.expr) -> bool:
@@ -481,8 +472,6 @@ class PerTimestepLoopRule(LintRule):
                 and self._axis_at_least_one(arg.slice))
 
     def visit_Module(self, node: ast.Module) -> None:
-        if self._exempt():
-            return
         time_names = self._collect_time_axis_names(node)
         for child in ast.walk(node):
             if isinstance(child, ast.For):
@@ -530,7 +519,7 @@ class ForwardConventionsRule(LintRule):
 
 
 @register_rule
-class DetectorOutsideRegistryRule(LintRule):
+class DetectorOutsideRegistryRule(ConfinedRule):
     """Detectors are a portfolio, not a convenience: a class with a
     ``score_window`` or ``score_windows`` (batch) method defined outside
     :mod:`repro.detectors` can never be reached by ``--detectors``
@@ -546,29 +535,23 @@ class DetectorOutsideRegistryRule(LintRule):
             "DETECTOR_BUILDERS (or suppress with "
             "# lint: disable=detector-outside-registry)")
 
-    # Path fragments (posix-normalized) exempt from the rule.
-    _ALLOWED_FRAGMENTS = ("repro/detectors/", "tests/", "benchmarks/")
+    allowed_in = ("repro/detectors/", "tests/", "benchmarks/")
     _SCORERS = ("score_window", "score_windows")
 
-    def _exempt(self) -> bool:
-        path = self.source.path.replace("\\", "/")
-        return any(fragment in path for fragment in self._ALLOWED_FRAGMENTS)
-
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if not self._exempt():
-            scorer = next((item for item in node.body
-                           if isinstance(item, (ast.FunctionDef,
-                                                ast.AsyncFunctionDef))
-                           and item.name in self._SCORERS), None)
-            if scorer is not None:
-                self.report(scorer,
-                            f"{node.name}.{scorer.name} defines a detector "
-                            f"outside the repro.detectors registry")
+        scorer = next((item for item in node.body
+                       if isinstance(item, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                       and item.name in self._SCORERS), None)
+        if scorer is not None:
+            self.report(scorer,
+                        f"{node.name}.{scorer.name} defines a detector "
+                        f"outside the repro.detectors registry")
         self.generic_visit(node)
 
 
 @register_rule
-class UnmanagedCheckpointWriteRule(LintRule):
+class UnmanagedCheckpointWriteRule(ConfinedRule):
     """Checkpoint durability rests on one code path: the manifest-aware
     :class:`~repro.core.checkpoint.CheckpointStore` saver, which digests
     the payload, writes to a temp file, renames atomically, and records
@@ -584,27 +567,14 @@ class UnmanagedCheckpointWriteRule(LintRule):
     hint = ("route checkpoint writes through CheckpointStore.save (or "
             "suppress with # lint: disable=unmanaged-checkpoint-write)")
 
-    # Path fragments (posix-normalized) exempt from the rule.
-    _ALLOWED_FRAGMENTS = (
+    allowed_in = (
         "repro/core/checkpoint.py", "repro/nn/module.py",
         "repro/runtime/broadcast.py", "repro/core/pipeline.py",
         "tests/", "benchmarks/", "examples/",
     )
-
-    _SAVEZ_FUNCS = ("savez", "savez_compressed")
-
-    def _exempt(self) -> bool:
-        path = self.source.path.replace("\\", "/")
-        return any(fragment in path for fragment in self._ALLOWED_FRAGMENTS)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if not self._exempt():
-            func = node.func
-            if (isinstance(func, ast.Attribute)
-                    and func.attr in self._SAVEZ_FUNCS
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in _NUMPY_ALIASES):
-                self.report(node, f"unmanaged checkpoint write np.{func.attr}()")
-            elif isinstance(func, ast.Name) and func.id in self._SAVEZ_FUNCS:
-                self.report(node, f"unmanaged checkpoint write {func.id}()")
-        self.generic_visit(node)
+    callees = {
+        **{f"{alias}.{func}": f"np.{func}" for alias in sorted(_NUMPY_ALIASES)
+           for func in ("savez", "savez_compressed")},
+        "savez": "savez", "savez_compressed": "savez_compressed",
+    }
+    message = "unmanaged checkpoint write {callee}()"

@@ -219,16 +219,12 @@ def _cmd_onboard(args: argparse.Namespace) -> int:
     with _observability(args):
         pipeline = LogSynergy.load_pipeline(args.model_dir)
         runtime = None
-        started = False
         if args.executor != "none":
             from .runtime import InferenceRuntime
 
             runtime = InferenceRuntime.from_model(
                 pipeline, executor=args.executor,
                 window=args.window, step=args.step)
-            if args.executor in ("thread", "process"):
-                runtime.start()
-                started = True
         store = (CheckpointStore(args.checkpoint_dir)
                  if args.checkpoint_dir else None)
         session = OnboardingSession(
@@ -238,7 +234,9 @@ def _cmd_onboard(args: argparse.Namespace) -> int:
             result = session.run(system, sequences, epochs=args.epochs,
                                  store=store, resume=args.resume)
         finally:
-            if started:
+            if runtime is not None:
+                # Reaps a process runtime's shard processes (spawned by
+                # a promotion's swap); a sync runtime has nothing queued.
                 runtime.stop()
         verdict = "PROMOTED" if result.promoted else "REJECTED"
         print(f"onboard {system}: {verdict} — shadow F1 {result.shadow_f1:.3f} "
@@ -349,8 +347,8 @@ def _build_runtime(args: argparse.Namespace, **extra):
     (day-0 capable: no trained model required); ``--model-dir`` then
     loads the pipeline the ensemble's ``model`` member wraps.
 
-    ``--executor process`` swaps the shard threads (or the synchronous
-    loop) for one worker process per shard: live workers cannot cross
+    ``--executor process`` swaps the synchronous loop for one worker
+    process per shard: live workers cannot cross
     the process boundary, so this path builds a picklable
     :class:`~repro.runtime.ProcessWorkerSpec` — weight broadcast for a
     model, spec string for an ensemble — instead of a worker factory.
@@ -412,11 +410,6 @@ def _print_runtime_summary(runtime, records: int, reports: int) -> None:
     print(f"{records} records -> {stats.windows_seen} windows, "
           f"{reports} reports ({stats.degraded_windows} degraded windows, "
           f"model skip rate {stats.model_skip_rate:.2f})")
-    shed = stats.records_rejected + stats.records_dropped
-    if shed:
-        print(f"backpressure shed {shed} records "
-              f"({stats.records_rejected} rejected, "
-              f"{stats.records_dropped} dropped-oldest)")
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -431,14 +424,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         # trigger — output is byte-identical for any --shards value.
         # --executor process keeps the same contract (seq-numbered
         # journals + window-id dedup), just with worker processes.
-        runtime = _build_runtime(args, max_latency=None,
-                                 backpressure="block")
+        runtime = _build_runtime(args, max_latency=None)
         for record in records:
             runtime.submit(record)
-        reports = runtime.drain()
-        if runtime.executor == "process":
-            # Reap worker processes and unlink the broadcast arena.
-            runtime.stop()
+        # stop() drains; under process it also reaps the worker
+        # processes and unlinks the broadcast arena.
+        reports = runtime.stop()
         reports.sort(key=report_sort_key)
         rendered = render_reports(reports)
         if args.out:
@@ -459,19 +450,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not records:
         raise SystemExit(f"{args.logs}: no records")
     with _observability(args):
-        if args.executor == "process" and args.backpressure != "block":
-            raise SystemExit("--executor process supports only "
-                             "--backpressure block (the journal-refeed "
-                             "recovery path must never shed records)")
-        runtime = _build_runtime(
-            args, max_latency=args.max_latency,
-            backpressure=args.backpressure, queue_capacity=args.queue_capacity,
-        )
+        runtime = _build_runtime(args, max_latency=args.max_latency)
+        sync = runtime.executor == "sync"
         clock = runtime.registry.clock
-        runtime.start()
+        if not sync:
+            runtime.start()
         started = clock()
         for record in records:
             runtime.submit(record)
+            if sync:
+                # Inline pump: scores full batches and flushes lanes
+                # past --max-latency as the stream arrives.
+                runtime.pump()
         reports = runtime.stop()
         elapsed = clock() - started
         reports.sort(key=report_sort_key)
@@ -673,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     onboard.add_argument("--holdout-fraction", type=float, default=0.5,
                          help="tail fraction held out for shadow evaluation")
     onboard.add_argument("--executor", default="sync",
-                         choices=["none", "sync", "thread", "process"],
+                         choices=["none", "sync", "process"],
                          help="runtime serving the old weights during the "
                               "fine-tune (promotion hot-swaps it); 'none' "
                               "skips the runtime")
@@ -776,19 +766,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve", help="stream a log file through the sharded runtime "
-                      "(threaded or worker-process shards)"
+                      "(inline or worker-process shards)"
     )
     _add_runtime_flags(serve)
-    serve.add_argument("--executor", default="thread",
-                       choices=["thread", "process"],
-                       help="thread: one shard thread per shard (GIL-bound); "
-                            "process: one worker process per shard, "
-                            "overlapping CPU-bound scoring")
+    serve.add_argument("--executor", default="sync",
+                       choices=["sync", "process"],
+                       help="sync: shards scored inline, pumped after "
+                            "every record; process: one worker process "
+                            "per shard, overlapping CPU-bound scoring")
     serve.add_argument("--max-latency", type=float, default=0.05,
                        help="micro-batch latency budget in seconds")
-    serve.add_argument("--backpressure", default="block",
-                       choices=["block", "reject", "drop-oldest"])
-    serve.add_argument("--queue-capacity", type=int, default=10_000)
     serve.set_defaults(func=_cmd_serve)
 
     profile = commands.add_parser(

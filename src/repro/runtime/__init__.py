@@ -30,11 +30,11 @@ the model's batch-first ``score_event_windows``/``predict_proba`` path:
   backoff, and a health state machine.  While a shard's model worker is
   unhealthy its traffic falls back to the :class:`PatternFallback`
   known-pattern fast path instead of dropping detections.
-* :class:`InferenceRuntime` — the engine tying it together, with a
-  deterministic synchronous mode (``submit``/``pump``/``drain``, used by
-  ``repro replay``) and a threaded mode (``start``/``stop``, used by
-  ``repro serve``) whose shard workers are the only threads this project
-  is allowed to construct (see the ``direct-thread`` lint rule).
+* :class:`InferenceRuntime` — the engine tying it together, with two
+  executors: the deterministic synchronous one
+  (``submit``/``pump``/``drain`` on the caller's thread, used by
+  ``repro replay`` and, pumped after every submit, ``repro serve``) and
+  the process one below.
 * :class:`ProcessShardExecutor` / :class:`ProcessWorkerSpec` — the
   ``executor="process"`` mode: one worker process per shard, warmed by a
   one-time shared-memory :class:`WeightBroadcast` of the model arrays,

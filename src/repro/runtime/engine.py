@@ -1,44 +1,35 @@
 """The inference runtime engine: router + queues + shards + supervision.
 
-:class:`InferenceRuntime` runs in one of two modes:
+:class:`InferenceRuntime` runs under one of two executors:
 
-**Synchronous** (default) — ``submit`` / ``pump`` / ``drain`` on the
-caller's thread.  Records are admitted to their shard's bounded queue and
-``pump`` consumes them in *global submission order* (a k-way merge on the
-sequence number across shard queues).  That ordering — together with the
-scheduler's exact-``max_batch`` lane chunking, per-system pattern
-libraries and a canonical end-of-stream drain order — makes the output a
-pure function of the input stream: ``repro replay --shards N`` is
-byte-identical for every N.  This mode backs
-:class:`~repro.deploy.online.OnlineService` and ``repro replay``.
+**Synchronous** (``executor="sync"``, the default) — ``submit`` /
+``pump`` / ``drain`` on the caller's thread.  Records are admitted to
+their shard's bounded queue and ``pump`` consumes them in *global
+submission order* (a k-way merge on the sequence number across shard
+queues).  That ordering — together with the scheduler's
+exact-``max_batch`` lane chunking, per-system pattern libraries and a
+canonical end-of-stream drain order — makes the output a pure function
+of the input stream: ``repro replay --shards N`` is byte-identical for
+every N.  This mode backs :class:`~repro.deploy.online.OnlineService`,
+``repro replay`` and ``repro serve``, which pumps after every submit
+so the ``max_latency`` trigger flushes partial batches inline.
 
-**Threaded** (``executor="thread"``) — ``start`` /
-``stop``; one worker thread per shard consumes its own queue, so
-simulated/remote inference latency overlaps across shards
-(``repro serve``).  Determinism is traded for throughput: global
-ordering is not enforced and per-shard metric names get a ``.shard<i>``
-scope suffix so concurrent shards never race on one counter object.
-These shard threads are the only ``threading.Thread`` constructions the
-project permits (the ``direct-thread`` lint rule enforces this).
-
-**Process** (``executor="process"``) — each shard runs in its own
-worker process (:mod:`repro.runtime.procexec`), warmed through a
-one-time shared-memory weight broadcast.  Unlike threads this overlaps
-*CPU-bound* scoring past the GIL, and unlike the threaded mode it keeps
-the deterministic-output contract: replay output is byte-identical to
-sync mode (see the procexec module docstring for the argument).  Live
-workers are constructed from a picklable :class:`ProcessWorkerSpec`
-rather than ``worker_factory``.
+**Process** (``executor="process"``) — ``start`` / ``stop``; each shard
+runs in its own worker process (:mod:`repro.runtime.procexec`), warmed
+through a one-time shared-memory weight broadcast.  It overlaps scoring
+across cores past the GIL and keeps the deterministic-output contract:
+replay output is byte-identical to sync mode (see the procexec module
+docstring for the argument).  Live workers are constructed from a
+picklable :class:`ProcessWorkerSpec` rather than ``worker_factory``.
 
 Backpressure is explicit: the queue's ``block`` policy never sheds (the
-synchronous engine pumps inline to make room; threaded producers wait),
-while ``reject`` / ``drop-oldest`` shed and count through
-``<prefix>.records_rejected`` / ``<prefix>.records_dropped``.
+synchronous engine pumps inline to make room), while ``reject`` /
+``drop-oldest`` shed and count through ``<prefix>.records_rejected`` /
+``<prefix>.records_dropped``.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 from ..core.report import AnomalyReport
@@ -56,7 +47,8 @@ class RuntimeStats:
     """Read-view over an engine's registry counters.
 
     Sums the flat name and any ``.shard<i>``-scoped variants, so one
-    accessor works for both synchronous and threaded engines.
+    accessor also counts the per-shard metrics that worker processes
+    (and their parent-side fallbacks) report.
     """
 
     def __init__(self, registry: MetricsRegistry, prefix: str = "runtime"):
@@ -149,10 +141,9 @@ class InferenceRuntime:
                  prefix: str = "runtime",
                  on_report: Callable[[AnomalyReport], None] | None = None,
                  gate: bool = True):
-        if executor not in ("sync", "thread", "process"):
+        if executor not in ("sync", "process"):
             raise ValueError(f"unknown executor {executor!r}; "
-                             "expected sync|thread|process")
-        threaded = executor == "thread"
+                             "expected sync|process")
         if executor == "process":
             if process_spec is None:
                 raise ValueError(
@@ -170,24 +161,20 @@ class InferenceRuntime:
             # back to a private registry rather than the no-op one.
             registry = active if active.enabled else MetricsRegistry()
         self.router = ShardRouter(shards)
-        self.threaded = threaded
         self.executor = executor
         self.registry = registry
         self.prefix = prefix
-        self.poll_interval = poll_interval
         self.stats = RuntimeStats(registry, prefix)
         self._clock = registry.clock
         self._on_report = on_report
         self._reports: list[AnomalyReport] = []
-        self._report_lock = threading.Lock()
         self._seq = 0
-        self._started = False
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
-        # (pipeline, lock) for in-process weight swaps; wired by
-        # from_model for the sync/threaded paths (process mode swaps
-        # through the executor's re-broadcast instead).
-        self._serving: tuple | None = None
+        # The pipeline in-process weight swaps load into; wired by
+        # from_model for the sync path (process mode swaps through the
+        # executor's re-broadcast instead).
+        self._serving = None
+        # Always empty: no executor runs shard code on a thread of its
+        # own.  Kept because benchmark harnesses count its entries.
         self.shard_errors: list[BaseException] = []
         options = dict(supervisor_options or {})
         options.setdefault("clock", registry.clock)
@@ -197,7 +184,7 @@ class InferenceRuntime:
         self._process = None
         if executor == "process":
             # Submodule import keeps multiprocessing machinery out of the
-            # sync/threaded paths entirely.
+            # sync path entirely.
             from .procexec import ProcessShardExecutor
 
             self._process = ProcessShardExecutor(
@@ -216,10 +203,9 @@ class InferenceRuntime:
             self._dropped = registry.counter(f"{prefix}.records_dropped")
             return
         for index in range(shards):
-            scope = f".shard{index}" if threaded else ""
             supervisor = WorkerSupervisor(
                 worker_factory(index), registry=registry,
-                prefix=prefix, scope=scope, **options,
+                prefix=prefix, **options,
             )
             self.queues.append(ShardQueue(queue_capacity, policy=backpressure))
             self.shards.append(ShardState(
@@ -230,9 +216,7 @@ class InferenceRuntime:
                 max_batch=max_batch, max_latency=max_latency,
                 fallback_threshold=fallback_threshold,
                 max_patterns=max_patterns,
-                # Tracer spans are stack-based and not thread-safe: on
-                # only for the synchronous engine.
-                prefix=prefix, scope=scope, spans=not threaded, gate=gate,
+                prefix=prefix, spans=True, gate=gate,
             ))
             self._depth_gauges.append(
                 registry.gauge(f"{prefix}.queue_depth.shard{index}")
@@ -248,17 +232,14 @@ class InferenceRuntime:
         Each record is parsed once, at admission, by its own system's
         featurizer (:meth:`~repro.core.pipeline.LogSynergy.event_id_of`);
         the gate keys on the window's event-id set and a
-        :class:`ModelWorker` per shard scores the carried ids.  In
-        threaded mode one lock is shared by that admission parse and
-        every worker, because the featurizers share the LEI and encoder
-        caches, which are not thread-safe.
+        :class:`ModelWorker` per shard scores the carried ids.
 
         With ``executor="process"`` the pipeline is packed into a
         shared-memory weight broadcast and every shard process rebuilds
-        its own warm replica and parses there — no lock, no sharing; the
-        parent's hook only serves a shard degraded to the parent-side
-        fallback.  Pass ``llm_spec`` (a provider spec string) to give
-        replicas a live interpreter.
+        its own warm replica and parses there; the parent's hook only
+        serves a shard degraded to the parent-side fallback.  Pass
+        ``llm_spec`` (a provider spec string) to give replicas a live
+        interpreter.
         """
         if model.model is None:
             raise ValueError("InferenceRuntime requires a fitted LogSynergy model")
@@ -268,10 +249,9 @@ class InferenceRuntime:
             kwargs.setdefault("process_spec", ProcessWorkerSpec.for_pipeline(
                 model, llm_spec=kwargs.pop("llm_spec", None)))
             return cls(None, event_fn=admission_event_fn(model), **kwargs)
-        lock = threading.Lock() if kwargs.get("executor") == "thread" else None
-        runtime = cls(lambda index: ModelWorker(model, lock=lock),
-                      event_fn=admission_event_fn(model, lock), **kwargs)
-        runtime._serving = (model, lock)
+        runtime = cls(lambda index: ModelWorker(model),
+                      event_fn=admission_event_fn(model), **kwargs)
+        runtime._serving = model
         return runtime
 
     @classmethod
@@ -293,8 +273,7 @@ class InferenceRuntime:
         :func:`~repro.runtime.worker.admission_event_fn`).  One ensemble
         instance is shared by all shards — per-system state plus
         system-sticky routing keeps replay byte-identical across shard
-        counts, and in threaded mode one shared lock serializes the
-        workers and the admission parse.
+        counts.
         """
         if kwargs.get("executor") == "process":
             # A live ensemble cannot be shipped to worker processes;
@@ -305,10 +284,8 @@ class InferenceRuntime:
                 "detectors_spec, ...) so each worker process rebuilds its "
                 "own ensemble")
         kwargs["gate"] = False
-        lock = threading.Lock() if kwargs.get("executor") == "thread" else None
-        return cls(lambda index: EnsembleWorker(ensemble, lock=lock),
-                   event_fn=admission_event_fn(ensemble.pipeline, lock),
-                   **kwargs)
+        return cls(lambda index: EnsembleWorker(ensemble),
+                   event_fn=admission_event_fn(ensemble.pipeline), **kwargs)
 
     # ------------------------------------------------------------------
     def swap_weights(self, state: dict) -> None:
@@ -317,19 +294,14 @@ class InferenceRuntime:
         ``state`` is a :meth:`~repro.nn.module.Module.state_dict` for
         the served :class:`~repro.core.model.LogSynergyModel`.  Process
         mode rebuilds the shared-memory broadcast and swaps every shard
-        process; the in-process modes load the state into the served
-        pipeline's model — under the shared worker lock when threaded,
-        so a swap never interleaves with a scoring pass.
+        process; sync mode loads the state into the served pipeline's
+        model between two calls, so no scoring pass sees half-new
+        parameters.
         """
         if self._process is not None:
             self._process.swap_weights(state)
         elif self._serving is not None:
-            pipeline, lock = self._serving
-            if lock is None:
-                pipeline.model.load_state_dict(state)
-            else:
-                with lock:
-                    pipeline.model.load_state_dict(state)
+            self._serving.model.load_state_dict(state)
         else:
             raise RuntimeError(
                 "swap_weights requires a runtime built with from_model "
@@ -338,16 +310,14 @@ class InferenceRuntime:
 
     # ------------------------------------------------------------------
     def _emit(self, report: AnomalyReport) -> None:
-        with self._report_lock:
-            self._reports.append(report)
+        self._reports.append(report)
         if self._on_report is not None:
             self._on_report(report)
 
     def take_reports(self) -> list[AnomalyReport]:
         """Pop every report emitted since the last call."""
-        with self._report_lock:
-            reports = self._reports
-            self._reports = []
+        reports = self._reports
+        self._reports = []
         return reports
 
     def queue_depths(self) -> list[int]:
@@ -362,7 +332,15 @@ class InferenceRuntime:
                                "processes; drain() flushes them instead")
         return sum(shard.pending_windows() for shard in self.shards)
 
-    # -- synchronous mode ----------------------------------------------
+    def _sorted_reports(self) -> list[AnomalyReport]:
+        """Every report emitted so far, in canonical replay order."""
+        from .replay import report_sort_key
+
+        reports = self.take_reports()
+        reports.sort(key=report_sort_key)
+        return reports
+
+    # ------------------------------------------------------------------
     def submit(self, record) -> str:
         """Route one record to its shard queue; returns the admission
         outcome (one of the ``OFFER_*`` constants)."""
@@ -377,16 +355,12 @@ class InferenceRuntime:
         queue = self.queues[index]
         self._seq += 1
         item = (self._seq, record)
-        if self.threaded:
-            outcome = queue.offer(item) if queue.policy == "block" \
-                else queue.try_offer(item)
-        else:
+        outcome = queue.try_offer(item)
+        if outcome == OFFER_FULL:
+            # block policy, queue full: the producer *is* the consumer
+            # here, so make room by pumping inline.
+            self.pump()
             outcome = queue.try_offer(item)
-            if outcome == OFFER_FULL:
-                # block policy, queue full: the producer *is* the
-                # consumer here, so make room by pumping inline.
-                self.pump()
-                outcome = queue.try_offer(item)
         if outcome == OFFER_REJECTED:
             self._rejected.inc()
         elif outcome == OFFER_DROPPED:
@@ -399,12 +373,13 @@ class InferenceRuntime:
 
         The k-way merge on sequence numbers reproduces exactly the order
         ``submit`` saw, whatever the shard count — the keystone of
-        deterministic replay.  Full batches flush inline as lanes fill.
+        deterministic replay.  Full batches flush inline as lanes fill,
+        and so do partial ones past their ``max_latency``.
         """
-        if self.threaded or self._process is not None:
-            raise RuntimeError("pump() is for synchronous mode; "
-                               "threaded/process runtimes consume via "
-                               "start()/stop() or drain()")
+        if self._process is not None:
+            raise RuntimeError("pump() is for the sync executor; process "
+                               "runtimes consume via start()/stop() or "
+                               "drain()")
         while True:
             best_index = -1
             best_seq = None
@@ -432,12 +407,8 @@ class InferenceRuntime:
         if self._process is not None:
             # Full cross-process barrier; reports come back in canonical
             # replay order so callers see a deterministic sequence.
-            from .replay import report_sort_key
-
             self._process.drain()
-            reports = self.take_reports()
-            reports.sort(key=report_sort_key)
-            return reports
+            return self._sorted_reports()
         self.pump()
         residual: list[tuple[str, int, list]] = []
         for shard in self.shards:
@@ -448,70 +419,21 @@ class InferenceRuntime:
             self.shards[index].score_batch(batch)
         return self.take_reports()
 
-    # -- threaded / process mode ---------------------------------------
+    # -- process mode ----------------------------------------------------
     def start(self) -> None:
-        """Spawn the shard consumers (threaded or process mode)."""
-        if self._process is not None:
-            self._process.ensure_started()
-            self._started = True
-            return
-        if not self.threaded:
-            raise RuntimeError("start() requires executor='thread' "
-                               "or 'process'")
-        if self._started:
-            raise RuntimeError("runtime already started")
-        self._started = True
-        self._stop.clear()
-        # The one sanctioned construction site for threads in this
-        # project — everything else must go through this runtime.
-        self._threads = [
-            threading.Thread(target=self._shard_loop, args=(index,),
-                             name=f"repro-shard-{index}", daemon=True)
-            for index in range(len(self.shards))
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def _shard_loop(self, index: int) -> None:
-        queue = self.queues[index]
-        shard = self.shards[index]
-        gauge = self._depth_gauges[index]
-        try:
-            while True:
-                items = queue.poll_wait(shard.scheduler.max_batch * 4,
-                                        timeout=self.poll_interval)
-                for _seq, record in items:
-                    shard.ingest(record)
-                shard.flush_ready(self._clock())
-                gauge.set(len(queue))
-                if self._stop.is_set() and not len(queue):
-                    break
-            for _system, batch in shard.drain_batches():
-                shard.score_batch(batch)
-        except Exception as exc:  # lint: disable=blanket-except
-            # A dying shard thread must leave a trace for stop() to
-            # surface instead of hanging the whole runtime silently.
-            self.shard_errors.append(exc)
+        """Spawn the shard worker processes (process executor only)."""
+        if self._process is None:
+            raise RuntimeError("start() requires executor='process'; sync "
+                               "runtimes consume via pump()/drain()")
+        self._process.ensure_started()
 
     def stop(self, timeout: float | None = 30.0) -> list[AnomalyReport]:
-        """Signal shards to finish, join them, and return the reports."""
-        if self._process is not None:
-            from .replay import report_sort_key
+        """Finish the stream and return its reports.
 
-            self._process.stop(timeout)
-            self._started = False
-            reports = self.take_reports()
-            reports.sort(key=report_sort_key)
-            return reports
-        if not self._started:
-            return self.take_reports()
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=timeout)
-        self._threads = []
-        self._started = False
-        if self.shard_errors:
-            raise RuntimeError(
-                f"{len(self.shard_errors)} shard thread(s) failed"
-            ) from self.shard_errors[0]
-        return self.take_reports()
+        Process mode drains and reaps the shard processes; sync mode
+        scores everything queued or pending, exactly like :meth:`drain`.
+        """
+        if self._process is None:
+            return self.drain()
+        self._process.stop(timeout)
+        return self._sorted_reports()

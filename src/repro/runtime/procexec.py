@@ -1,8 +1,7 @@
 """Process-based shard executor: true parallelism past the GIL.
 
-The threaded engine overlaps *waiting* (simulated or remote inference
-latency) but cannot overlap *computing*: CPU-bound scoring serializes on
-the GIL, which caps the threaded scaling curve (ROADMAP open item #1).
+The synchronous engine scores every shard on the caller's thread, so
+neither inference latency nor CPU-bound scoring overlaps across shards.
 This module runs each shard in its own **worker process**:
 
 * **Warm start via shared memory** — the parent packs every model /
@@ -37,7 +36,7 @@ This module runs each shard in its own **worker process**:
 
 The ``multiprocessing`` constructions here (and in ``broadcast``) are
 the only ones the project permits — the ``direct-process`` lint rule
-enforces that, mirroring ``direct-thread``.
+enforces that.
 """
 
 from __future__ import annotations

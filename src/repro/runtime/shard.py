@@ -77,9 +77,9 @@ def normalize_record(record, event_fn: Callable[[str, str], int]) -> UnifiedLog:
 
 
 class ShardState:
-    """All mutable state for one shard.  Not thread-safe by itself: the
-    synchronous engine drives it from one thread, the threaded engine
-    confines each instance to its shard's worker thread."""
+    """All mutable state for one shard, owned by exactly one caller: the
+    synchronous engine, or the shard's worker process (and the parent's
+    fallback replica of it)."""
 
     def __init__(self, index: int, supervisor: WorkerSupervisor, *,
                  event_fn: Callable[[str, str], int],
@@ -117,9 +117,10 @@ class ShardState:
         self._fallbacks: dict[str, PatternFallback] = {}
         # (system, pattern) -> follower window ids awaiting the verdict.
         self._awaiting: dict[tuple[str, tuple[int, ...]], list[str]] = {}
-        # ``scope`` suffixes metric names per shard in threaded mode, so
-        # concurrent shards never share (and race on) one counter object;
-        # synchronous engines pass "" and keep the flat names.
+        # ``scope`` suffixes metric names per shard (``.shard<i>``) where
+        # shard processes ship their registries home, so the merged
+        # counters stay per shard; synchronous engines pass "" and keep
+        # the flat names.
         self._windows = registry.counter(f"{prefix}.windows_seen{scope}")
         self._invocations = registry.counter(f"{prefix}.model_invocations{scope}")
         self._library_hits = registry.counter(f"{prefix}.library_hits{scope}")

@@ -91,8 +91,8 @@ class WorkerSupervisor:
         self._clock = clock or registry.clock
         self._sleep = sleep or _no_sleep
         self.last_error: BaseException | None = None
-        # ``scope`` isolates per-shard counters in threaded engines (see
-        # ShardState); flat names when empty.
+        # ``scope`` isolates per-shard counters under the process
+        # executor (see ShardState); flat names when empty.
         self._retries = registry.counter(f"{prefix}.worker_retries{scope}")
         self._failures = registry.counter(f"{prefix}.worker_failures{scope}")
         self._timeouts = registry.counter(f"{prefix}.worker_timeouts{scope}")

@@ -7,9 +7,7 @@ Three implementations:
 * :class:`ModelWorker` — the production path over a fitted
   :class:`~repro.core.pipeline.LogSynergy`: the event ids parsed at
   admission go straight to ``score_event_windows`` (gather + one
-  forward per window-length group), with no second parse.  An optional
-  shared lock serializes calls when shards run threaded, because the
-  featurizers' LEI and encoder caches are shared.
+  forward per window-length group), with no second parse.
 * :class:`SyntheticWorker` — deterministic content-hash scoring with an
   injectable per-batch cost, for tests and the runtime benchmark (the
   cost stands in for LLM/accelerator inference latency, which LogLLM and
@@ -20,7 +18,6 @@ Three implementations:
 
 from __future__ import annotations
 
-import threading
 import time
 import zlib
 from typing import Callable, Protocol
@@ -57,39 +54,25 @@ def message_event(system: str, message: str) -> int:
     return zlib.crc32(message.encode("utf-8")) % 4096
 
 
-def admission_event_fn(pipeline, lock: threading.Lock | None = None
-                       ) -> Callable[[str, str], int]:
+def admission_event_fn(pipeline) -> Callable[[str, str], int]:
     """The runtime's per-record admission hook.
 
     With a fitted pipeline it is the pipeline's per-system parse
     (:meth:`~repro.core.pipeline.LogSynergy.event_id_of`), so the model
     scores the ids stamped here; without one it is :func:`message_event`.
-    Pass the workers' lock in threaded mode: the featurizers' LEI and
-    encoder caches are shared with scoring and are not thread-safe.
     """
     if pipeline is None:
         return message_event
-    parse = pipeline.event_id_of
-    if lock is None:
-        return parse
-
-    def event_fn(system: str, message: str) -> int:
-        with lock:
-            return parse(system, message)
-
-    return event_fn
+    return pipeline.event_id_of
 
 
 class ModelWorker:
     """Scores batches through LogSynergy's batch-first detection path."""
 
-    def __init__(self, model, lock: threading.Lock | None = None):
+    def __init__(self, model):
         if model.model is None:
             raise ValueError("ModelWorker requires a fitted LogSynergy model")
         self.model = model
-        # Shared across shards (and the admission parse) in threaded
-        # mode.  Synchronous engines pass None.
-        self._lock = lock
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
         fault_point("runtime.worker.score")
@@ -98,29 +81,16 @@ class ModelWorker:
         grid = [[entry.event_id for entry in p.window] for p in batch]
         messages = [[entry.message for entry in p.window] for p in batch]
         timestamps = [[entry.timestamp for entry in p.window] for p in batch]
-        if self._lock is None:
-            reports = self.model.score_event_windows(
-                system, grid, messages, timestamps)
-        else:
-            with self._lock:
-                reports = self.model.score_event_windows(
-                    system, grid, messages, timestamps)
+        reports = self.model.score_event_windows(
+            system, grid, messages, timestamps)
         reports = fault_point("runtime.worker.result", reports)
         # A dropped result degrades the batch (the supervisor treats a
         # missing result like an exhausted retry budget).
         return None if reports is DROPPED else reports
 
     def load_weights(self, state: dict) -> None:
-        """Hot-swap the served model's weights (the promotion path).
-
-        Taken under the shared lock in threaded mode so a swap never
-        interleaves with a scoring pass over half-new parameters.
-        """
-        if self._lock is None:
-            self.model.model.load_state_dict(state)
-        else:
-            with self._lock:
-                self.model.model.load_state_dict(state)
+        """Hot-swap the served model's weights (the promotion path)."""
+        self.model.model.load_state_dict(state)
 
 
 class EnsembleWorker:
@@ -133,21 +103,18 @@ class EnsembleWorker:
     ensemble keeps rolling per-system state (EWMA baselines, LOF
     reference buffers), so windows of one system must reach it in
     stream order — the engine's deterministic pump already guarantees
-    that for every shard count.  An optional shared lock serializes
-    calls when shards run threaded, because that per-system state is a
-    plain dict and the featurizers' caches are shared with the
-    admission parse.
+    that for every shard count.
     """
 
-    def __init__(self, ensemble, lock: threading.Lock | None = None):
+    def __init__(self, ensemble):
         self.ensemble = ensemble
-        self._lock = lock
 
-    def _score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
+    def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
+        fault_point("runtime.worker.score")
         system = batch[0].system
         scores = self.ensemble.score_windows(
             system, [pending.window for pending in batch])
-        return [
+        reports = [
             build_report(
                 system=system,
                 score=score,
@@ -158,14 +125,6 @@ class EnsembleWorker:
             )
             for pending, score in zip(batch, scores)
         ]
-
-    def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
-        fault_point("runtime.worker.score")
-        if self._lock is None:
-            reports = self._score_batch(batch)
-        else:
-            with self._lock:
-                reports = self._score_batch(batch)
         reports = fault_point("runtime.worker.result", reports)
         return None if reports is DROPPED else reports
 
@@ -218,10 +177,9 @@ def resolve_cost(spec: tuple | None) -> Callable[[int], None] | None:
     processes unchanged — both executors then pay the *same* simulated
     inference cost, which keeps executor benchmarks honest:
 
-    * ``("sleep", seconds)`` — I/O-shaped latency; releases the GIL, so
-      threads overlap it.
+    * ``("sleep", seconds)`` — I/O-shaped latency (remote inference).
     * ``("spin", iterations)`` — CPU-shaped work (a pure-Python LCG
-      loop); holds the GIL, so only processes overlap it.
+      loop); holds the GIL.
     """
     if spec is None:
         return None
@@ -247,8 +205,8 @@ def build_worker_from_spec(cfg: dict):
     ``cfg`` is the picklable dict a
     :class:`~repro.runtime.procexec.ProcessWorkerSpec` ships to each
     shard process; model and ensemble kinds rehydrate their warm state
-    from the shared-memory broadcast handle.  No locks are wired in:
-    each process owns its model replica outright.
+    from the shared-memory broadcast handle; each process owns its
+    model replica outright.
     """
     kind = cfg["kind"]
     if kind == "synthetic":

@@ -167,9 +167,10 @@ class TestDirectThread:
         )
         assert codes(text) == ["direct-thread"]
 
-    def test_runtime_package_is_exempt(self):
+    def test_runtime_package_is_not_exempt(self):
         text = "import threading\nt = threading.Thread(target=work)\n"
-        assert lint_source(text, path="src/repro/runtime/engine.py") == []
+        violations = lint_source(text, path="src/repro/runtime/engine.py")
+        assert [v.rule for v in violations] == ["direct-thread"]
 
     def test_other_threading_primitives_allowed(self):
         text = (

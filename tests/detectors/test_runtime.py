@@ -62,19 +62,19 @@ class TestFromEnsemble:
         assert ensemble.member_error_count("model") > 0
         assert all(report.is_anomalous for report in reports)
 
-    def test_threaded_mode_serves_the_ensemble(self):
+    def test_sharded_sync_runtime_serves_the_ensemble(self):
         stream = day0_stream()
         registry = MetricsRegistry()
         ensemble = ensemble_from_spec("ewma,rules:max", registry=registry)
         runtime = InferenceRuntime.from_ensemble(
             ensemble, shards=2, window=10, step=5, max_batch=8,
-            executor="thread", registry=registry,
+            registry=registry,
         )
-        runtime.start()
         for record in stream.records:
             runtime.submit(record)
         reports = runtime.stop()
         assert runtime.stats.windows_seen > 0
+        assert reports
         assert all(report.is_anomalous for report in reports)
 
 

@@ -1,13 +1,12 @@
 """Engine integration: shard invariance, backpressure, degradation."""
 
-import time
-
 import pytest
 
+from repro.logs.generator import LogGenerator
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    FlakyWorker, InferenceRuntime, SyntheticWorker, message_event,
-    render_reports, report_sort_key,
+    FlakyWorker, InferenceRuntime, ProcessWorkerSpec, SyntheticWorker,
+    message_event, render_reports, report_sort_key,
 )
 
 from .conftest import FakeClock, multi_system_stream
@@ -61,28 +60,22 @@ class TestShardInvariance:
 
 
 class TestBackpressure:
-    """A slow consumer (expensive worker, tiny queues) under each policy."""
+    """Tiny queues under each policy, with the consumer pumping only
+    every 20 records: 8 of each 20 fit, so the shed counts are exact."""
 
-    def _run_threaded(self, policy: str):
+    def _run_paced(self, policy: str):
         records = multi_system_stream(systems=1, lines=400)
-        runtime = sync_runtime(
-            1, worker_factory=lambda i: SyntheticWorker(
-                cost=lambda n: time.sleep(0.01)),
-            max_batch=4, queue_capacity=8, backpressure=policy,
-            executor="thread", poll_interval=0.005,
-        )
-        runtime.start()
+        runtime = sync_runtime(1, max_batch=4, queue_capacity=8,
+                               backpressure=policy)
         for index, record in enumerate(records):
             runtime.submit(record)
             if index % 20 == 19:
-                # Pace the producer so the consumer admits enough for
-                # complete windows; the slow worker still falls behind.
-                time.sleep(0.002)
-        runtime.stop()
+                runtime.pump()
+        runtime.drain()
         return runtime, len(records)
 
     def test_block_policy_loses_nothing(self):
-        runtime, total = self._run_threaded("block")
+        runtime, total = self._run_paced("block")
         queue = runtime.queues[0]
         assert queue.total_offered == total
         assert queue.total_rejected == 0
@@ -93,18 +86,20 @@ class TestBackpressure:
         assert runtime.stats.windows_seen == 79
 
     def test_reject_policy_sheds_and_counts(self):
-        runtime, _total = self._run_threaded("reject")
-        assert runtime.stats.records_rejected > 0
-        assert runtime.queues[0].total_rejected == \
-            runtime.stats.records_rejected
-        assert runtime.stats.windows_seen > 0  # survivors still judged
+        runtime, _total = self._run_paced("reject")
+        # 20 blocks of 20 records, 12 past capacity in each.
+        assert runtime.stats.records_rejected == 240
+        assert runtime.queues[0].total_rejected == 240
+        assert runtime.stats.records_dropped == 0
+        # The 160 survivors are still judged: (160 - 10) // 5 + 1.
+        assert runtime.stats.windows_seen == 31
 
     def test_drop_oldest_policy_sheds_and_counts(self):
-        runtime, _total = self._run_threaded("drop-oldest")
-        assert runtime.stats.records_dropped > 0
-        assert runtime.queues[0].total_dropped == \
-            runtime.stats.records_dropped
-        assert runtime.stats.windows_seen > 0
+        runtime, _total = self._run_paced("drop-oldest")
+        assert runtime.stats.records_dropped == 240
+        assert runtime.queues[0].total_dropped == 240
+        assert runtime.stats.records_rejected == 0
+        assert runtime.stats.windows_seen == 31
 
     def test_sync_block_pumps_inline_instead_of_shedding(self):
         records = multi_system_stream(systems=1, lines=200)
@@ -164,29 +159,33 @@ class TestGracefulDegradation:
         assert runtime.stats.worker_recoveries == 1
 
 
-class TestThreadedMode:
-    def test_threaded_finds_the_same_reports_as_sync(self):
-        records = multi_system_stream(systems=4, lines=120)
-        expected = render_reports(
-            run_sync(sync_runtime(4, max_batch=4), records))
-
-        runtime = sync_runtime(4, max_batch=4, executor="thread",
-                               max_latency=0.01, poll_interval=0.005)
-        runtime.start()
-        for record in records:
-            runtime.submit(record)
-        reports = runtime.stop()
-        reports.sort(key=report_sort_key)
-        assert render_reports(reports) == expected
-        assert runtime.shard_errors == []
-
+class TestExecutorGuards:
     def test_mode_guards(self):
         runtime = sync_runtime(1)
         with pytest.raises(RuntimeError):
             runtime.start()
-        threaded = sync_runtime(1, executor="thread")
+        process = InferenceRuntime(
+            None, event_fn=message_event, executor="process",
+            process_spec=ProcessWorkerSpec.synthetic(),
+            registry=MetricsRegistry())
         with pytest.raises(RuntimeError):
-            threaded.pump()
+            process.pump()
+        process.stop()
+
+    def test_stop_scores_everything_like_drain(self):
+        records = LogGenerator("thunderbird", seed=0).generate(300)
+        stopped = sync_runtime(2)
+        for record in records:
+            stopped.submit(record)
+        stop_reports = stopped.stop()
+        drained = sync_runtime(2)
+        for record in records:
+            drained.submit(record)
+        drain_reports = drained.drain()
+        assert stop_reports  # the stream does raise reports
+        assert render_reports(stop_reports) == render_reports(drain_reports)
+        assert stopped.stats.windows_seen == drained.stats.windows_seen == 59
+        assert stopped.pending_windows() == 0
 
 
 class TestStats:

@@ -133,25 +133,19 @@ class TestByteIdentity:
                 model, executor=executor, shards=shards, max_batch=4,
                 max_latency=None, backpressure="block",
                 registry=MetricsRegistry())
-            if executor == "thread":
-                runtime.start()
+            try:
                 for record in records:
                     runtime.submit(record)
-                reports = runtime.stop()
-            else:
-                try:
-                    for record in records:
-                        runtime.submit(record)
-                    reports = runtime.drain()
-                finally:
-                    if executor == "process":
-                        runtime.stop()
+                reports = runtime.drain()
+            finally:
+                if executor == "process":
+                    runtime.stop()
             reports.sort(key=report_sort_key)
             return reports
 
         golden_reports = replay("sync", 1)
         golden = render_reports(golden_reports)
-        for executor in ("sync", "thread", "process"):
+        for executor in ("sync", "process"):
             for shards in (1, 2, 4):
                 assert render_reports(replay(executor, shards)) == golden, (
                     f"diverged under {executor} at shards={shards}")
@@ -191,28 +185,20 @@ class TestByteIdentity:
                 ensemble = ensemble_from_spec(detectors, pipeline=pipeline,
                                               registry=registry)
                 runtime = InferenceRuntime.from_ensemble(ensemble, **common)
-            if executor == "thread":
-                runtime.start()
+            try:
                 for record in records:
                     runtime.submit(record)
-                reports = runtime.stop()
-            else:
-                try:
-                    for record in records:
-                        runtime.submit(record)
-                    reports = runtime.drain()
-                finally:
-                    if executor == "process":
-                        runtime.stop()
+                reports = runtime.drain()
+            finally:
+                if executor == "process":
+                    runtime.stop()
             reports.sort(key=report_sort_key)
             return render_reports(reports), registry
 
         golden, registry = replay("sync", 1)
         assert registry.counter("detectors.model.errors").value == 0
         assert registry.counter("detectors.model.windows").value > 0
-        for executor, shards in (("sync", 2), ("sync", 3), ("thread", 1),
-                                 ("thread", 2), ("thread", 3),
-                                 ("process", 2)):
+        for executor, shards in (("sync", 2), ("sync", 3), ("process", 2)):
             rendered, registry = replay(executor, shards)
             assert rendered == golden, (
                 f"diverged under {executor} at shards={shards}")

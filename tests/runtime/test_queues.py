@@ -1,7 +1,5 @@
 """Shard queue backpressure policies and shed accounting."""
 
-import threading
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,29 +45,6 @@ class TestAdmission:
         queue.try_offer("a")
         queue.try_offer("b")
         assert queue.total_offered == 2
-
-
-class TestBlockingOffer:
-    def test_offer_times_out_when_no_consumer(self):
-        queue = ShardQueue(1, policy="block")
-        queue.try_offer("a")
-        assert queue.offer("b", timeout=0.01) == OFFER_FULL
-
-    def test_offer_unblocks_when_consumer_polls(self):
-        queue = ShardQueue(1, policy="block")
-        queue.try_offer("a")
-        admitted = []
-
-        def producer():
-            admitted.append(queue.offer("b", timeout=5.0))
-
-        # lint: disable=direct-thread  (exercising the queue's blocking path)
-        thread = threading.Thread(target=producer)
-        thread.start()
-        assert queue.poll_wait(1, timeout=1.0) == ["a"]
-        thread.join(timeout=5.0)
-        assert admitted == [OFFER_OK]
-        assert queue.poll(10) == ["b"]
 
 
 class TestPolling:

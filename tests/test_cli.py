@@ -172,15 +172,16 @@ class TestReplayServe:
         stdout = capsys.readouterr().out
         assert out.read_text() in stdout
 
-    def test_serve_threaded_matches_replay(self, tmp_path, capsys):
+    def test_serve_matches_replay(self, tmp_path, capsys):
         replay_out = tmp_path / "replay.jsonl"
-        serve_out = tmp_path / "serve.jsonl"
         assert main(["replay", "--logs", self.SAMPLE, "--shards", "2",
                      "--out", str(replay_out)]) == 0
-        assert main(["serve", "--logs", self.SAMPLE, "--shards", "2",
-                     "--out", str(serve_out)]) == 0
-        assert serve_out.read_bytes() == replay_out.read_bytes()
-        assert "served" in capsys.readouterr().out
+        for executor in ([], ["--executor", "process"]):
+            serve_out = tmp_path / "serve.jsonl"
+            assert main(["serve", "--logs", self.SAMPLE, "--shards", "2",
+                         "--out", str(serve_out), *executor]) == 0
+            assert serve_out.read_bytes() == replay_out.read_bytes(), executor
+            assert "served" in capsys.readouterr().out
 
     def test_replay_rejects_empty_logs(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
