@@ -4,7 +4,8 @@
 # throughput sanity pass, a day-0 detector-portfolio floor check plus a
 # seeded detectors fuzz episode, a deterministic 2-shard runtime replay over
 # the bundled sample stream (must produce reports and non-empty
-# metrics, and the process executor must render identical bytes), a
+# metrics, and the process executor must render identical bytes, in
+# replay and in serve under a latency budget), a
 # seeded fault-injection fuzz pass (twice — the violation
 # report must be byte-identical, with the unarmed-hook overhead guard),
 # a checkpointed train/SIGKILL/resume byte-diff against an uninterrupted
@@ -23,7 +24,7 @@ bash scripts/lint.sh
 flow_a="$(mktemp)"
 flow_b="$(mktemp)"
 trap 'rm -f "$flow_a" "$flow_b" "${replay_out:-}" "${replay_metrics:-}" \
-    "${replay_proc:-}" "${fuzz_a:-}" "${fuzz_b:-}"
+    "${replay_proc:-}" "${serve_proc:-}" "${fuzz_a:-}" "${fuzz_b:-}"
 rm -rf "${ckpt_root:-}"' EXIT
 PYTHONPATH=src python -m repro.cli lint src --select 'flow/*' \
     --format json >"$flow_a"
@@ -62,6 +63,7 @@ PYTHONPATH=src python -m repro.cli fuzz --episodes 1 --seed 7 \
 replay_out="$(mktemp)"
 replay_metrics="$(mktemp)"
 replay_proc="$(mktemp)"
+serve_proc="$(mktemp)"
 fuzz_a="$(mktemp)"
 fuzz_b="$(mktemp)"
 PYTHONPATH=src python -m repro.cli replay \
@@ -81,6 +83,15 @@ PYTHONPATH=src python -m repro.cli replay \
     --executor process --out "$replay_proc"
 cmp -s "$replay_out" "$replay_proc" \
     || { echo "smoke: process-executor replay diverged from sync replay" >&2
+         exit 1; }
+# Serving under a 50 ms budget ships partial chunks early; the
+# synthetic worker's scores do not depend on batch composition, so the
+# bytes must still match the replay.
+PYTHONPATH=src python -m repro.cli serve \
+    --logs examples/data/replay_sample.jsonl --shards 2 \
+    --executor process --max-latency 0.05 --out "$serve_proc" >/dev/null
+cmp -s "$replay_out" "$serve_proc" \
+    || { echo "smoke: process-executor serve diverged from sync replay" >&2
          exit 1; }
 PYTHONPATH=src python benchmarks/bench_runtime_throughput.py --smoke
 PYTHONPATH=src python -m repro.cli fuzz --episodes 1 --seed 7 \

@@ -86,9 +86,15 @@ class LogSynergyModel(nn.Module):
         return (self.predict_proba(sequences, batch_size=batch_size) > threshold).astype(np.int64)
 
     def predict_proba(self, sequences: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Anomaly probabilities, batched, in eval mode with grads disabled."""
+        """Anomaly probabilities, batched, in eval mode with grads disabled.
+
+        A model already in eval mode (the served one) skips the two
+        mode walks over its module tree; a training model is switched
+        to eval for the call and back afterwards.
+        """
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         probabilities = []
         try:
             with nn.no_grad():
@@ -96,7 +102,8 @@ class LogSynergyModel(nn.Module):
                     batch = sequences[start : start + batch_size]
                     probabilities.append(self.forward(batch).data)
         finally:
-            self.train(was_training)
+            if was_training:
+                self.train()
         if not probabilities:
             return np.zeros(0, dtype=np.float32)
         return np.concatenate(probabilities)

@@ -21,9 +21,22 @@ __all__ = ["load_pretrained_encoder", "DEFAULT_EMBEDDING_DIM"]
 DEFAULT_EMBEDDING_DIM = 64
 
 
-@lru_cache(maxsize=4)
 def load_pretrained_encoder(dim: int = DEFAULT_EMBEDDING_DIM, seed: int = 0) -> SentenceEncoder:
-    """Train (or return the cached) domain sentence encoder."""
+    """Train (or return the cached) domain sentence encoder.
+
+    One encoder per ``(dim, seed)`` however the call spells them:
+    ``load_pretrained_encoder()`` and ``load_pretrained_encoder(64)``
+    return the same object (and share its OOV cache).
+    """
+    return _trained_encoder(int(dim), int(seed))
+
+
+@lru_cache(maxsize=4)
+def _trained_encoder(dim: int, seed: int) -> SentenceEncoder:
     corpus = build_corpus(seed=seed)
     vectors = train_word_vectors(corpus, dim=dim, window=4, min_count=2)
     return SentenceEncoder(vectors)
+
+
+# Drops every cached encoder (a cold start, as in a fresh process).
+load_pretrained_encoder.cache_clear = _trained_encoder.cache_clear

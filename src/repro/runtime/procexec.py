@@ -22,14 +22,21 @@ This module runs each shard in its own **worker process**:
   puts on its output queue.  The parent counts what it reads
   (``consumed``) and touches the queue only while it is behind, so a
   record whose shard has nothing new to report costs no pipe syscall.
+* **Shipping within the latency budget** — records reach a child over
+  a one-way pipe written from the caller's thread (no feeder thread, and
+  ``submit`` blocks while a lagging child's pipe is full).  A shard's
+  buffer ships when it holds ``_CHUNK`` records or, under a
+  ``max_latency`` budget, once its oldest record has waited
+  ``_SHIP_AGE_SHARE`` of that budget, so a quiet shard still reaches
+  its child's latency trigger in time.
 * **Crash supervision with exactly-once output** — the parent keeps a
   per-shard journal of every record it ever sent.  A dead child
   (detected on flush/drain, or killed by the ``runtime.proc.death``
   fault) is respawned with the same warm-start path on a **fresh epoch**
-  with fresh IPC queues (a SIGKILL mid-write can corrupt a pipe, so old
-  queues are abandoned unread), and the journal is refed.  The respawned
-  child recomputes every window; the parent deduplicates on window id,
-  so nothing is lost and nothing is emitted twice.  If respawning is
+  with fresh IPC channels (a SIGKILL mid-write can corrupt a pipe, so
+  old channels are abandoned unread), and the journal is refed.  The
+  respawned child recomputes every window; the parent deduplicates on
+  window id, so nothing is lost and nothing is emitted twice.  If respawning is
   exhausted (:class:`~repro.runtime.supervisor.RespawnPolicy`), the
   shard degrades to a parent-side pattern-library fallback — the same
   degraded path an unhealthy in-process worker takes.
@@ -58,9 +65,14 @@ from .worker import WorkerError, build_worker_from_spec
 
 __all__ = ["ProcessWorkerSpec", "ProcessShardExecutor", "WireRecord"]
 
-# Records per IPC message: amortizes pickling/queue overhead without
+# Records per IPC message: amortizes pickling/pipe overhead without
 # letting the parent run far ahead of a crashed child.
 _CHUNK = 32
+# Under a latency budget, a partial buffer ships once its oldest record
+# has waited this share of ``max_latency``: the child's latency trigger
+# only runs when a message arrives, so a record must not sit in the
+# parent for most of its budget.
+_SHIP_AGE_SHARE = 0.25
 
 
 class WireRecord(NamedTuple):
@@ -148,14 +160,15 @@ class _AbandonedWorker:
 class _ShardSlot:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("index", "process", "in_q", "out_q", "produced", "consumed",
-                 "epoch", "journal", "buffer", "emitted", "restarts",
-                 "fallback")
+    __slots__ = ("index", "process", "inbox", "out_q", "produced", "consumed",
+                 "epoch", "journal", "buffer", "buffered_at", "emitted",
+                 "restarts", "fallback")
 
     def __init__(self, index: int):
         self.index = index
         self.process = None
-        self.in_q = None
+        # The write end of the child's one-way inbound pipe.
+        self.inbox = None
         self.out_q = None
         # This epoch's output messages: ``produced`` is the child's
         # shared count of puts, ``consumed`` the parent's count of reads.
@@ -166,6 +179,9 @@ class _ShardSlot:
         # the respawn path refeeds this to rebuild the child's state.
         self.journal: list[WireRecord] = []
         self.buffer: list[WireRecord] = []
+        # When the oldest record in ``buffer`` was buffered (read only
+        # under a latency budget).
+        self.buffered_at = 0.0
         # Window ids already emitted to the engine (membership checks
         # only): the exactly-once guarantee across respawns.
         self.emitted: set[str] = set()
@@ -200,6 +216,12 @@ class ProcessShardExecutor:
         self._prefix = prefix
         self._poll_interval = poll_interval
         self._drain_timeout = drain_timeout
+        # Age-bounded shipping: ``_oldest`` is never later than the
+        # earliest ``buffered_at`` of a non-empty buffer, so one
+        # comparison per submit tells whether any buffer is due.
+        self._ship_age = (None if max_latency is None
+                          else max_latency * _SHIP_AGE_SHARE)
+        self._oldest = float("inf")
         self._policy = respawn_policy or RespawnPolicy()
         # The injected clock/sleep hooks tests wire into supervisors are
         # closures — not reliably picklable, and meaningless in a child
@@ -263,17 +285,25 @@ class ProcessShardExecutor:
             try:
                 fault_point("runtime.proc.spawn")
                 slot.epoch += 1
-                slot.in_q = self._ctx.Queue()
+                inbox, slot.inbox = self._ctx.Pipe(duplex=False)
+                # Outbound stays a Queue: its feeder thread means the
+                # child never blocks on output, so a journal refeed
+                # cannot deadlock on a full pipe in each direction.
                 slot.out_q = self._ctx.Queue()
                 slot.produced = self._ctx.RawValue("Q", 0)
                 slot.consumed = 0
                 process = self._ctx.Process(
                     target=_shard_process_main,
                     args=(slot.index, slot.epoch, self._child_cfg(),
-                          slot.in_q, slot.out_q, slot.produced),
+                          inbox, slot.out_q, slot.produced),
                     name=f"repro-proc-shard-{slot.index}", daemon=True,
                 )
-                process.start()
+                try:
+                    process.start()
+                finally:
+                    # With only the child holding the read end, a dead
+                    # child surfaces as BrokenPipeError on the next send.
+                    inbox.close()
             except (OSError, RuntimeError):
                 self._spawn_failures.inc()
                 continue
@@ -300,21 +330,22 @@ class ProcessShardExecutor:
             slot.emitted.add(window_id)
         self._emit(report)
 
-    def _abandon_queues(self, slot: _ShardSlot) -> None:
-        # Never read from a dead child's queues: a SIGKILL mid-write can
-        # leave a partial pickle in the pipe.  Close and walk away.
-        for ipc in (slot.in_q, slot.out_q):
-            if ipc is not None:
-                ipc.close()
-                ipc.cancel_join_thread()
-        slot.in_q = None
+    def _abandon_ipc(self, slot: _ShardSlot) -> None:
+        # Never read from a dead child's channels: a SIGKILL mid-write
+        # can leave a partial pickle in the pipe.  Close and walk away.
+        if slot.inbox is not None:
+            slot.inbox.close()
+        if slot.out_q is not None:
+            slot.out_q.close()
+            slot.out_q.cancel_join_thread()
+        slot.inbox = None
         slot.out_q = None
 
     def _abandon(self, slot: _ShardSlot) -> None:
         """Give up on ``slot``'s process: serve it from a parent-side
         degraded shard (pattern-library fallback), refed from the
         journal so no admitted record is lost."""
-        self._abandon_queues(slot)
+        self._abandon_ipc(slot)
         slot.process = None
         self._refresh_live()
         options = dict(self._supervisor_options)
@@ -345,25 +376,31 @@ class ProcessShardExecutor:
 
     def _recover(self, slot: _ShardSlot) -> None:
         """A dead worker process: count it, respawn on a fresh epoch,
-        and refeed the journal through the warm-start path."""
-        self._deaths.inc()
-        if slot.process is not None:
-            slot.process.join(timeout=1.0)
-        self._abandon_queues(slot)
-        slot.process = None
-        slot.buffer = []
-        if slot.restarts >= self._policy.max_restarts:
-            self._abandon(slot)
-            return
-        slot.restarts += 1
-        self._spawn(slot)
-        if slot.fallback is not None:
-            return
-        self._restarts.inc()
-        if slot.journal:
-            for start in range(0, len(slot.journal), _CHUNK):
-                slot.in_q.put(("recs", slot.journal[start:start + _CHUNK]))
+        and refeed the journal through the warm-start path.  A respawn
+        that dies during the refeed is recovered the same way."""
+        while True:
+            self._deaths.inc()
+            if slot.process is not None:
+                slot.process.join(timeout=1.0)
+            self._abandon_ipc(slot)
+            slot.process = None
+            slot.buffer = []
+            if slot.restarts >= self._policy.max_restarts:
+                self._abandon(slot)
+                return
+            slot.restarts += 1
+            self._spawn(slot)
+            if slot.fallback is not None:
+                return
+            self._restarts.inc()
+            try:
+                for start in range(0, len(slot.journal), _CHUNK):
+                    slot.inbox.send(
+                        ("recs", slot.journal[start:start + _CHUNK]))
+            except OSError:
+                continue
             self._refed.inc(len(slot.journal))
+            return
 
     def swap_weights(self, model_state: dict) -> None:
         """Promote new model weights into every shard process.
@@ -419,7 +456,11 @@ class ProcessShardExecutor:
             if slot.process is None or not slot.process.is_alive():
                 self._recover(slot)
                 continue
-            slot.in_q.put(("swap", model_state))
+            try:
+                slot.inbox.send(("swap", model_state))
+            except OSError:
+                # The respawn warm-starts from the new broadcast.
+                self._recover(slot)
 
     def _kill(self, slot: _ShardSlot) -> None:
         if slot.process is not None and slot.process.pid is not None:
@@ -429,31 +470,62 @@ class ProcessShardExecutor:
 
     # ------------------------------------------------------------------
     def submit(self, index: int, record) -> None:
+        """Journal and buffer one record for shard ``index``.
+
+        The buffer ships when it holds ``_CHUNK`` records; under a
+        latency budget every shard's buffer also ships once its oldest
+        record has waited ``_SHIP_AGE_SHARE`` of ``max_latency``.  A
+        send blocks while the child's pipe is full.
+        """
         self.ensure_started()
         slot = self._slots[index]
         wire = WireRecord(record.timestamp, record.system, record.host,
                           record.message)
         slot.journal.append(wire)
+        now = None if self._ship_age is None else self._clock()
         if slot.fallback is not None:
             slot.fallback.ingest(wire)
             slot.fallback.flush_ready(self._clock())
-            return
-        # The death probe: a `corrupt -> True` fault here SIGKILLs this
-        # shard's process mid-stream (what the fuzz invariant exercises).
-        if fault_point("runtime.proc.death", False):
-            self._kill(slot)
-        slot.buffer.append(wire)
-        if len(slot.buffer) >= _CHUNK:
-            self._flush(slot)
-        self._poll_out(slot)
+        else:
+            # The death probe: a `corrupt -> True` fault here SIGKILLs
+            # this shard's process mid-stream (what the fuzz invariant
+            # exercises).
+            if fault_point("runtime.proc.death", False):
+                self._kill(slot)
+            slot.buffer.append(wire)
+            if len(slot.buffer) >= _CHUNK:
+                self._flush(slot)
+            elif now is not None and len(slot.buffer) == 1:
+                slot.buffered_at = now
+                if now < self._oldest:
+                    self._oldest = now
+            self._poll_out(slot)
+        if now is not None and now - self._oldest >= self._ship_age:
+            self._ship_aged(now)
+
+    def _ship_aged(self, now: float) -> None:
+        """Ship every buffer whose oldest record is due; reset
+        ``_oldest`` to the earliest buffer left waiting."""
+        oldest = float("inf")
+        for slot in self._slots:
+            if not slot.buffer:
+                continue
+            if now - slot.buffered_at >= self._ship_age:
+                self._flush(slot)
+            elif slot.buffered_at < oldest:
+                oldest = slot.buffered_at
+        self._oldest = oldest
 
     def _flush(self, slot: _ShardSlot) -> None:
         if not slot.buffer or slot.fallback is not None:
             return
-        if slot.process is None or not slot.process.is_alive():
+        try:
+            slot.inbox.send(("recs", slot.buffer))
+        except OSError:
+            # BrokenPipeError: the child is gone.  The buffer is in the
+            # journal, so the refeed delivers it.
             self._recover(slot)
             return
-        slot.in_q.put(("recs", slot.buffer))
         slot.buffer = []
 
     def _poll_out(self, slot: _ShardSlot) -> None:
@@ -541,7 +613,11 @@ class ProcessShardExecutor:
             if slot.process is None or not slot.process.is_alive():
                 self._recover(slot)
                 continue
-            slot.in_q.put(("drain", slot.epoch))
+            try:
+                slot.inbox.send(("drain", slot.epoch))
+            except OSError:
+                self._recover(slot)
+                continue
             acked = False
             failed = False
             while not acked and not failed:
@@ -590,13 +666,13 @@ class ProcessShardExecutor:
                 # A torn pipe just means the child is already gone; the
                 # join/terminate ladder below reaps it either way.
                 with contextlib.suppress(OSError, ValueError):
-                    slot.in_q.put(("stop",))
+                    slot.inbox.send(("stop",))
                 slot.process.join(timeout=join_timeout)
                 if slot.process.is_alive():
                     slot.process.terminate()
                     slot.process.join(timeout=join_timeout)
             slot.process = None
-            self._abandon_queues(slot)
+            self._abandon_ipc(slot)
         self._refresh_live()
         if self.spec.broadcast is not None:
             self.spec.broadcast.unlink()
@@ -646,7 +722,7 @@ def _registry_reset(registry) -> None:
 
 
 def _shard_process_main(index: int, epoch: int, cfg: dict,
-                        in_q, out_q, produced) -> None:
+                        inbox, out_q, produced) -> None:
     """One shard's whole life inside its worker process.
 
     Builds a warm worker from the spec (attaching the weight broadcast),
@@ -684,7 +760,7 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
                 prefix=cfg["prefix"], scope=scope, spans=False, gate=gate,
             )
             while True:
-                message = in_q.get()
+                message = inbox.recv()
                 kind = message[0]
                 if kind == "recs":
                     for record in message[1]:
@@ -713,7 +789,8 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
                 if reports:
                     send(("reports", epoch, list(reports)))
                     reports.clear()
-    except KeyboardInterrupt:  # pragma: no cover - interactive teardown
+    except (KeyboardInterrupt, EOFError):  # pragma: no cover - teardown
+        # EOFError: every write end of the inbound pipe is closed.
         return
     except Exception as exc:  # lint: disable=blanket-except
         # Last gasp: tell the parent this loop is dead so it can respawn

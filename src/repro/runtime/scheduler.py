@@ -54,13 +54,23 @@ class MicroBatchScheduler:
         self.max_batch = max_batch
         self.max_latency = max_latency
         self._lanes: dict[str, list[PendingWindow]] = {}
+        # What lets ready_batches answer "nothing due" without touching
+        # the lanes: whether some lane holds a full chunk, and a time no
+        # later than the earliest lane head's enqueue time.
+        self._full = False
+        self._oldest_head = float("inf")
 
     def __len__(self) -> int:
         return sum(len(lane) for lane in self._lanes.values())
 
     def add(self, pending: PendingWindow) -> None:
         """Queue one window in its system lane."""
-        self._lanes.setdefault(pending.system, []).append(pending)
+        lane = self._lanes.setdefault(pending.system, [])
+        lane.append(pending)
+        if len(lane) >= self.max_batch:
+            self._full = True
+        elif len(lane) == 1 and pending.enqueued_at < self._oldest_head:
+            self._oldest_head = pending.enqueued_at
 
     def _pop_chunks(self, lane: list[PendingWindow],
                     include_partial: bool) -> list[list[PendingWindow]]:
@@ -80,7 +90,12 @@ class MicroBatchScheduler:
         budget of a lane's oldest window has expired, the lane's
         remainder flushes too (as a final partial chunk).
         """
+        if not self._full and (self.max_latency is None
+                               or now - self._oldest_head < self.max_latency):
+            # No lane is full and even the earliest head is in budget.
+            return []
         batches: list[list[PendingWindow]] = []
+        oldest_head = float("inf")
         for system in sorted(self._lanes):
             lane = self._lanes[system]
             if not lane:
@@ -88,6 +103,10 @@ class MicroBatchScheduler:
             expired = (self.max_latency is not None
                        and now - lane[0].enqueued_at >= self.max_latency)
             batches.extend(self._pop_chunks(lane, include_partial=expired))
+            if lane and lane[0].enqueued_at < oldest_head:
+                oldest_head = lane[0].enqueued_at
+        self._full = False
+        self._oldest_head = oldest_head
         return batches
 
     def drain(self) -> list[list[PendingWindow]]:
@@ -96,6 +115,8 @@ class MicroBatchScheduler:
         for system in sorted(self._lanes):
             batches.extend(self._pop_chunks(self._lanes[system],
                                             include_partial=True))
+        self._full = False
+        self._oldest_head = float("inf")
         return batches
 
     def oldest_deadline(self) -> float | None:

@@ -61,6 +61,21 @@ class TestPrediction:
         model.predict(_batch())
         assert model.training
 
+    def test_predict_proba_same_bytes_from_either_mode(self):
+        """A served model sits in eval mode and skips the mode walks; the
+        probabilities are byte-identical to a call from training mode,
+        and a training model is fully back in training mode after."""
+        model = _model()
+        x = _batch(n=4)
+        model.train()
+        from_training = model.predict_proba(x)
+        assert all(module.training for _name, module in model.named_modules())
+        model.eval()
+        from_eval = model.predict_proba(x)
+        assert not any(module.training
+                       for _name, module in model.named_modules())
+        assert from_training.tobytes() == from_eval.tobytes()
+
     def test_predict_empty(self):
         assert _model().predict_proba(np.zeros((0, 10, 24), dtype=np.float32)).shape == (0,)
 

@@ -56,6 +56,44 @@ class TestFromEnsemble:
                          for library in shard.libraries.values())
         assert remembered == 0
 
+    def test_lof_shares_the_pipeline_encoder_without_moving_bytes(
+            self, fitted_logsynergy, tmp_path):
+        """The LOF member's lazy encoder is the pipeline's own (no second
+        corpus build mid-stream), and sharing it, OOV cache included,
+        renders the bytes a private encoder does."""
+        from repro.core import LogSynergy
+        from repro.embedding import pretrained
+
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = LogStreamFuzzer(
+            systems=("thunderbird",), dialects={"thunderbird": "thunderbird"},
+            lines_per_system=200, anomaly_bursts=3, burst_length=(3, 6),
+            parameter_noise=0.1,
+        ).generate(5).records
+
+        def replay(private_encoder: bool) -> str:
+            pipeline = LogSynergy.load_pipeline(tmp_path / "pipe")
+            ensemble = ensemble_from_spec("ewma,lof,rules,model:max",
+                                          pipeline=pipeline,
+                                          registry=MetricsRegistry())
+            lof = next(member for member in ensemble.members
+                       if member.name == "lof")
+            if private_encoder:
+                dim = pipeline.encoder.dim
+                lof._encoder = pretrained._trained_encoder.__wrapped__(dim, 0)
+            else:
+                assert lof.encoder is pipeline.encoder
+            runtime = InferenceRuntime.from_ensemble(
+                ensemble, shards=1, window=10, step=5, max_batch=8,
+                max_latency=None, registry=MetricsRegistry())
+            for record in records:
+                runtime.submit(record)
+            return render_reports(runtime.drain())
+
+        shared = replay(private_encoder=False)
+        assert shared
+        assert shared == replay(private_encoder=True)
+
     def test_day0_reports_carry_no_model(self):
         stream = day0_stream()
         reports, _, ensemble = run_replay(stream, shards=1)

@@ -26,6 +26,13 @@ class TestPretrainedEncoder:
         b = load_pretrained_encoder(32)
         assert a is b
 
+    def test_default_and_explicit_dim_share_one_encoder(self):
+        """However the call spells (dim, seed), one encoder is trained:
+        the LOF member's default call gets the pipeline's encoder."""
+        encoder = load_pretrained_encoder()
+        assert load_pretrained_encoder(64) is encoder
+        assert load_pretrained_encoder(dim=64, seed=0) is encoder
+
     def test_dim_honored(self):
         assert load_pretrained_encoder(32).dim == 32
 

@@ -4,6 +4,7 @@ import glob
 import os
 import queue
 import signal
+import threading
 import time
 
 import pytest
@@ -15,7 +16,9 @@ from repro.runtime import (
 )
 from repro.testing.plan import FaultInjector, FaultPlan, FaultSpec
 
-from .conftest import MODEL_SYSTEMS, multi_system_stream, six_system_model_stream
+from .conftest import (
+    MODEL_SYSTEMS, FakeClock, multi_system_stream, six_system_model_stream,
+)
 
 
 def sync_replay(records, shards: int = 1, **kwargs):
@@ -297,6 +300,153 @@ class TestCrashRecovery:
         assert rendered == golden
         assert registry.counter("runtime.proc.spawn_failures").value == 1
         assert registry.counter("runtime.proc.spawned").value == 2
+
+
+class TestShipping:
+    """When a shard's buffered records cross the pipe to its child."""
+
+    @staticmethod
+    def runtime(clock, max_latency):
+        return InferenceRuntime(
+            None, event_fn=message_event, executor="process",
+            process_spec=ProcessWorkerSpec.synthetic(threshold=0.5),
+            shards=2, max_batch=4, max_latency=max_latency,
+            registry=MetricsRegistry(clock=clock))
+
+    def test_partial_buffer_ships_at_a_quarter_of_the_budget(self):
+        # A budget whose quarter (0.125 s) is exact in binary, so the
+        # fake clock lands on the boundary without rounding.
+        clock = FakeClock()
+        runtime = self.runtime(clock, max_latency=0.5)
+        records = multi_system_stream(systems=6, lines=20)
+        by_shard = {}
+        for record in records:
+            by_shard.setdefault(runtime.router.shard_of(record.system),
+                                []).append(record)
+        first, second = by_shard[0], by_shard[1]
+        try:
+            runtime.start()
+            runtime.submit(first[0])
+            clock.advance(0.0625)
+            runtime.submit(first[1])
+            clock.advance(0.0625 - 1e-6)
+            runtime.submit(first[2])
+            assert runtime.queue_depths() == [3, 0]
+            clock.advance(1e-6)
+            # A record for the other shard: shard 0 is checked too, so a
+            # quiet shard still ships on time.
+            runtime.submit(second[0])
+            assert runtime.queue_depths() == [0, 1]
+            clock.advance(0.125)
+            runtime.submit(first[3])
+            assert runtime.queue_depths() == [1, 0]
+            for record in first[4:]:
+                runtime.submit(record)
+            runtime.drain()
+        finally:
+            runtime.stop()
+
+    def test_without_a_budget_only_a_full_chunk_ships(self):
+        clock = FakeClock()
+        runtime = self.runtime(clock, max_latency=None)
+        shard0 = [record for record in multi_system_stream(systems=2,
+                                                           lines=40)
+                  if runtime.router.shard_of(record.system) == 0]
+        try:
+            for record in shard0[:31]:
+                runtime.submit(record)
+                clock.advance(10.0)
+            assert runtime.queue_depths() == [31, 0]
+            runtime.submit(shard0[31])
+            assert runtime.queue_depths() == [0, 0]
+        finally:
+            runtime.stop()
+
+    def test_parent_runs_no_extra_thread(self):
+        """The inbound pipe is written on the caller's thread: no
+        queue feeder thread appears in the parent."""
+        before = set(threading.enumerate())
+        runtime = InferenceRuntime(
+            None, event_fn=message_event, executor="process",
+            process_spec=ProcessWorkerSpec.synthetic(threshold=0.5),
+            shards=2, max_batch=4, max_latency=0.05,
+            registry=MetricsRegistry())
+        try:
+            runtime.start()
+            for record in multi_system_stream(systems=3, lines=100):
+                runtime.submit(record)
+            assert set(threading.enumerate()) <= before
+            runtime.drain()
+            assert set(threading.enumerate()) <= before
+        finally:
+            runtime.stop()
+
+    def test_flush_into_a_dead_pipe_recovers(self):
+        """A child dies between flushes; the next chunk flush hits its
+        closed pipe (BrokenPipeError) and recovers right there, and the
+        output is still byte-identical to sync mode."""
+        records = multi_system_stream(systems=3, lines=100)
+        golden = sync_replay(records, shards=2)
+        registry = MetricsRegistry()
+        runtime = InferenceRuntime(
+            None, event_fn=message_event, executor="process",
+            process_spec=ProcessWorkerSpec.synthetic(threshold=0.5),
+            shards=2, max_batch=4, max_latency=None, registry=registry)
+        executor = runtime._process
+        victim = executor._slots[0]
+        half = len(records) // 2
+        try:
+            for record in records[:half]:
+                runtime.submit(record)
+            os.kill(victim.process.pid, signal.SIGKILL)
+            victim.process.join(timeout=10.0)
+            restarts = registry.counter("runtime.proc.restarts")
+            remaining = iter(records[half:])
+            while restarts.value == 0:
+                runtime.submit(next(remaining))
+            # Recovered at the flush, before any drain looked.
+            assert victim.buffer == []
+            for record in remaining:
+                runtime.submit(record)
+            reports = runtime.drain()
+        finally:
+            runtime.stop()
+        reports.sort(key=report_sort_key)
+        assert render_reports(reports) == golden
+        assert registry.counter("runtime.proc.deaths").value == 1
+        assert registry.counter("runtime.proc.restarts").value == 1
+
+    def test_paced_model_stream_flags_the_windows_sync_does(
+            self, fitted_logsynergy, tmp_path):
+        """Under a latency budget, batch composition follows timing, so
+        float32 scores may move in their last digits; which windows
+        alert must not."""
+        from repro.core import LogSynergy
+
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = six_system_model_stream()
+
+        def verdicts(executor: str, max_latency):
+            runtime = InferenceRuntime.from_model(
+                LogSynergy.load_pipeline(tmp_path / "pipe"),
+                executor=executor, shards=2, max_batch=4,
+                max_latency=max_latency, registry=MetricsRegistry())
+            try:
+                for position, record in enumerate(records):
+                    runtime.submit(record)
+                    if executor == "sync":
+                        runtime.pump()
+                    if position % 20 == 19:
+                        time.sleep(0.01)
+                reports = runtime.drain()
+            finally:
+                runtime.stop()
+            return {(report.metadata["window_id"], report.is_anomalous)
+                    for report in reports}
+
+        golden = verdicts("sync", None)
+        assert any(anomalous for _window, anomalous in golden)
+        assert verdicts("process", 0.05) == golden
 
 
 class TestOutputPoll:

@@ -1,5 +1,7 @@
 """Micro-batch scheduler: size trigger, latency trigger, chunk invariance."""
 
+import random
+
 import pytest
 
 from repro.runtime import MicroBatchScheduler, PendingWindow
@@ -73,6 +75,76 @@ class TestLatencyTrigger:
         scheduler = MicroBatchScheduler(max_batch=8)
         scheduler.add(pending("a", 0, enqueued_at=10.0))
         assert scheduler.oldest_deadline() is None
+
+
+class _ReferenceScheduler:
+    """The scheduler without its nothing-due shortcut: every
+    ``ready_batches`` call walks every lane in sorted order."""
+
+    def __init__(self, max_batch, max_latency):
+        self.max_batch = max_batch
+        self.max_latency = max_latency
+        self.lanes = {}
+
+    def add(self, window):
+        self.lanes.setdefault(window.system, []).append(window)
+
+    def _pop(self, lane, include_partial):
+        batches = []
+        while len(lane) >= self.max_batch:
+            batches.append(lane[:self.max_batch])
+            del lane[:self.max_batch]
+        if include_partial and lane:
+            batches.append(lane[:])
+            lane.clear()
+        return batches
+
+    def ready_batches(self, now):
+        batches = []
+        for system in sorted(self.lanes):
+            lane = self.lanes[system]
+            expired = (bool(lane) and self.max_latency is not None
+                       and now - lane[0].enqueued_at >= self.max_latency)
+            batches.extend(self._pop(lane, expired))
+        return batches
+
+    def drain(self):
+        batches = []
+        for system in sorted(self.lanes):
+            batches.extend(self._pop(self.lanes[system], True))
+        return batches
+
+
+class TestNothingDueShortcut:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_batches_match_the_full_walk(self, seed):
+        """Random adds, clock steps, polls and drains: the same batches,
+        in the same order, as walking every lane on every call."""
+        rng = random.Random(seed)
+        max_batch = rng.choice([1, 2, 3, 4, 16])
+        max_latency = rng.choice([None, 0.0, 0.05, 0.3])
+        fast = MicroBatchScheduler(max_batch, max_latency)
+        reference = _ReferenceScheduler(max_batch, max_latency)
+        systems = [f"svc-{index}" for index in range(rng.randint(1, 6))]
+        ordinals = dict.fromkeys(systems, 0)
+        now = 0.0
+        for _step in range(400):
+            action = rng.random()
+            if action < 0.6:
+                system = rng.choice(systems)
+                window = pending(system, ordinals[system], enqueued_at=now)
+                ordinals[system] += 1
+                fast.add(window)
+                reference.add(window)
+            elif action < 0.97:
+                now += rng.choice([0.0, 0.001, 0.01, 0.04, 0.2])
+                got = fast.ready_batches(now)
+                want = reference.ready_batches(now)
+                assert [[p.window_id for p in b] for b in got] == \
+                    [[p.window_id for p in b] for b in want]
+            else:
+                assert fast.drain() == reference.drain()
+            assert len(fast) == sum(map(len, reference.lanes.values()))
 
 
 class TestDrain:
