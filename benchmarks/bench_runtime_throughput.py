@@ -8,7 +8,7 @@ Two workload profiles bracket the deployment spectrum:
   extraction / model math).  Only extra cores can overlap it.
 
 Each profile runs both executors (``sync``: every shard scored inline
-on the caller's thread, pumped after each record as ``repro serve``
+on the caller's thread as each record is submitted, as ``repro serve``
 does; ``process``: one worker process per shard, warmed by the
 shared-memory weight broadcast) at shards in {1, 2, 4, 8}, on the same
 8-system interleaved stream.  Both executors resolve the identical cost
@@ -112,15 +112,12 @@ def _build(executor: str, cost_spec: tuple, shards: int,
 def _run(records, profile: str, executor: str, shards: int) -> dict:
     registry = MetricsRegistry()
     runtime = _build(executor, PROFILES[profile], shards, registry)
-    sync = executor == "sync"
     clock = registry.clock
-    if not sync:
+    if executor == "process":
         runtime.start()
     started = clock()
     for record in records:
         runtime.submit(record)
-        if sync:
-            runtime.pump()
     reports = runtime.stop()
     elapsed = clock() - started
     stats = runtime.stats

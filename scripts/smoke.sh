@@ -4,8 +4,8 @@
 # throughput sanity pass, a day-0 detector-portfolio floor check plus a
 # seeded detectors fuzz episode, a deterministic 2-shard runtime replay over
 # the bundled sample stream (must produce reports and non-empty
-# metrics, and the process executor must render identical bytes, in
-# replay and in serve under a latency budget), a
+# metrics, and sync serve under a latency budget plus the process
+# executor in replay and in serve must render identical bytes), a
 # seeded fault-injection fuzz pass (twice — the violation
 # report must be byte-identical, with the unarmed-hook overhead guard),
 # a checkpointed train/SIGKILL/resume byte-diff against an uninterrupted
@@ -24,7 +24,8 @@ bash scripts/lint.sh
 flow_a="$(mktemp)"
 flow_b="$(mktemp)"
 trap 'rm -f "$flow_a" "$flow_b" "${replay_out:-}" "${replay_metrics:-}" \
-    "${replay_proc:-}" "${serve_proc:-}" "${fuzz_a:-}" "${fuzz_b:-}"
+    "${replay_proc:-}" "${serve_sync:-}" "${serve_proc:-}" "${fuzz_a:-}" \
+    "${fuzz_b:-}"
 rm -rf "${ckpt_root:-}"' EXIT
 PYTHONPATH=src python -m repro.cli lint src --select 'flow/*' \
     --format json >"$flow_a"
@@ -63,6 +64,7 @@ PYTHONPATH=src python -m repro.cli fuzz --episodes 1 --seed 7 \
 replay_out="$(mktemp)"
 replay_metrics="$(mktemp)"
 replay_proc="$(mktemp)"
+serve_sync="$(mktemp)"
 serve_proc="$(mktemp)"
 fuzz_a="$(mktemp)"
 fuzz_b="$(mktemp)"
@@ -71,6 +73,14 @@ PYTHONPATH=src python -m repro.cli replay \
     --out "$replay_out" --metrics-out "$replay_metrics"
 test -s "$replay_out" || { echo "smoke: replay produced no reports" >&2; exit 1; }
 test -s "$replay_metrics" || { echo "smoke: replay produced no metrics" >&2; exit 1; }
+# Sync serve scores each record's due batches on submit and flushes
+# lanes past the 50 ms budget; the synthetic worker's scores do not
+# depend on batch composition, so the bytes must match the replay.
+PYTHONPATH=src python -m repro.cli serve \
+    --logs examples/data/replay_sample.jsonl --shards 2 \
+    --max-latency 0.05 --out "$serve_sync" >/dev/null
+cmp -s "$replay_out" "$serve_sync" \
+    || { echo "smoke: sync serve diverged from sync replay" >&2; exit 1; }
 
 # The process executor must render the exact bytes the synchronous
 # engine does, and its throughput floor must hold (bench --smoke:

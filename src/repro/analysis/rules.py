@@ -367,7 +367,7 @@ class ModuleSuperInitRule(LintRule):
 @register_rule
 class DirectThreadRule(ConfinedRule):
     """Concurrency is a subsystem, not a convenience: ad-hoc threads
-    bypass the runtime's queues, backpressure and supervision, and make
+    bypass the runtime's shard ownership and supervision, and make
     replay non-deterministic.  The project has no sanctioned thread
     construction site — in-process serving is the synchronous engine,
     and parallel serving is ``repro.runtime``'s process executor — so

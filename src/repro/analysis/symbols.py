@@ -9,8 +9,8 @@ queries against it.
 
 Module names are derived structurally: a file's dotted name is its path
 relative to the outermost ancestor directory that still carries an
-``__init__.py`` (so ``src/repro/runtime/queues.py`` →
-``repro.runtime.queues`` and a bare script keeps its stem).  Imports are
+``__init__.py`` (so ``src/repro/runtime/engine.py`` →
+``repro.runtime.engine`` and a bare script keeps its stem).  Imports are
 collected from the whole tree — this codebase deliberately defers many
 imports into function bodies to break cycles, and the call graph must
 see through those too.
@@ -53,7 +53,7 @@ def module_name_for(path: str | Path) -> str:
 class FunctionSymbol:
     """One function or method definition."""
 
-    qualname: str               # e.g. repro.runtime.queues.ShardQueue.offer
+    qualname: str               # e.g. repro.runtime.engine.InferenceRuntime.submit
     module: "ModuleSymbol"
     node: ast.FunctionDef | ast.AsyncFunctionDef
     class_name: str | None = None   # owning class qualname, None for free functions

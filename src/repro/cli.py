@@ -422,8 +422,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     with _observability(args):
         # Deterministic by construction: synchronous engine, no latency
         # trigger — output is byte-identical for any --shards value.
-        # --executor process keeps the same contract (seq-numbered
-        # journals + window-id dedup), just with worker processes.
+        # --executor process keeps the same contract (journal refeed +
+        # window-id dedup), just with worker processes.
         runtime = _build_runtime(args, max_latency=None)
         for record in records:
             runtime.submit(record)
@@ -451,17 +451,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"{args.logs}: no records")
     with _observability(args):
         runtime = _build_runtime(args, max_latency=args.max_latency)
-        sync = runtime.executor == "sync"
         clock = runtime.registry.clock
-        if not sync:
+        if runtime.executor == "process":
             runtime.start()
         started = clock()
+        # Under sync each submit scores full batches and flushes lanes
+        # past --max-latency as the stream arrives.
         for record in records:
             runtime.submit(record)
-            if sync:
-                # Inline pump: scores full batches and flushes lanes
-                # past --max-latency as the stream arrives.
-                runtime.pump()
         reports = runtime.stop()
         elapsed = clock() - started
         reports.sort(key=report_sort_key)
@@ -771,8 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runtime_flags(serve)
     serve.add_argument("--executor", default="sync",
                        choices=["sync", "process"],
-                       help="sync: shards scored inline, pumped after "
-                            "every record; process: one worker process "
+                       help="sync: shards scored inline on every "
+                            "submitted record; process: one worker process "
                             "per shard, overlapping CPU-bound scoring")
     serve.add_argument("--max-latency", type=float, default=0.05,
                        help="micro-batch latency budget in seconds")

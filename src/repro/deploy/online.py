@@ -6,13 +6,14 @@ collection (Filebeat) -> buffering (Kafka) -> formatting (LogStash)
 ``OnlineService`` is a thin facade over the ``repro.runtime`` sharded
 inference engine in synchronous mode (deterministic, shard-count
 invariant), which owns every stage up to the detector: ``process``
-submits records straight into the runtime, whose bounded shard queue is
-the transport buffer (``reject`` policy at ``buffer_capacity``; shed
-records count on ``service.records_rejected``), and whose shards
-normalize and parse each record once (in its own system's featurizer),
-window the stream, gate windows through per-system pattern libraries and
-score the rest in micro-batched ``score_event_windows`` calls.  The service adds alert routing and the stable public surface
-(``stats``, ``library``).  Statistics live in a ``repro.obs`` registry:
+admits the first ``buffer_capacity`` records of each call straight into
+the runtime (the rest are shed and count on
+``service.records_rejected``), whose shards normalize and parse each
+record once (in its own system's featurizer), window the stream, gate
+windows through per-system pattern libraries and score the rest in
+micro-batched ``score_event_windows`` calls.  The service adds load
+shedding, alert routing and the stable public surface (``stats``,
+``library``).  Statistics live in a ``repro.obs`` registry:
 the runtime joins the globally installed registry when observability is
 enabled and otherwise keeps a private one, so ``stats`` always reads live
 numbers.
@@ -67,11 +68,15 @@ class OnlineService:
         if ensemble is None and (model is None or model.model is None):
             raise ValueError("OnlineService requires a fitted LogSynergy model "
                              "(or an ensemble)")
+        if buffer_capacity <= 0:
+            raise ValueError(
+                f"buffer_capacity must be positive, got {buffer_capacity}")
         self.model = model
         self.ensemble = ensemble
         self.router = router or AlertRouter()
-        options = dict(queue_capacity=buffer_capacity, backpressure="reject",
-                       registry=registry, prefix="service")
+        self.buffer_capacity = buffer_capacity
+        prefix = "service"
+        options = dict(registry=registry, prefix=prefix)
         if ensemble is not None:
             self.runtime = InferenceRuntime.from_ensemble(ensemble, **options)
         else:
@@ -79,14 +84,17 @@ class OnlineService:
         self.registry = self.runtime.registry
         self.stats = self.runtime.stats
         self.library = _LibraryView(self.runtime)
+        self._rejected = self.registry.counter(f"{prefix}.records_rejected")
 
     def process(self, records: list[LogRecord]) -> list[AnomalyReport]:
         """Run a batch of raw records through the full pipeline.
 
-        Records beyond the buffer's free capacity are shed and counted.
+        Records past the first ``buffer_capacity`` are shed and counted.
         Anomalous reports are routed and returned in emission order.
         """
-        for record in records:
+        admitted = records[:self.buffer_capacity]
+        self._rejected.inc(len(records) - len(admitted))
+        for record in admitted:
             self.runtime.submit(record)
         reports = [report for report in self.runtime.drain()
                    if report.is_anomalous]

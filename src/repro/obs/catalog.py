@@ -105,9 +105,7 @@ METRIC_TEMPLATES = frozenset({
     "*.model_invocations*",
     "*.window_seconds*",
     "*.windows_seen*",
-    # repro.runtime.engine — per-runtime queue/drop accounting
-    "*.queue_depth.shard*",
-    "*.records_dropped",
+    # repro.deploy.online — records shed past buffer_capacity
     "*.records_rejected",
     # repro.runtime.engine — live weight promotion
     "*.weight_swaps",

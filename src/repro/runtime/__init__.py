@@ -9,9 +9,6 @@ the model's batch-first ``score_event_windows``/``predict_proba`` path:
 * :class:`ShardRouter` — stable system-id hashing over N shards; a
   system's records always land on the same shard, so each shard owns its
   windowing state and results are independent of the shard count.
-* :class:`ShardQueue` — the buffering stage: a bounded ingress queue per
-  shard with explicit backpressure policies (``block`` / ``reject`` /
-  ``drop-oldest``) and load-shedding counters.
 * :func:`normalize_record` / :class:`UnifiedLog` — the formatting stage:
   the one record normal form every shard window is built from.  Each
   record is parsed once here, by the per-record ``event_fn(system,
@@ -31,10 +28,10 @@ the model's batch-first ``score_event_windows``/``predict_proba`` path:
   unhealthy its traffic falls back to the :class:`PatternFallback`
   known-pattern fast path instead of dropping detections.
 * :class:`InferenceRuntime` — the engine tying it together, with two
-  executors: the deterministic synchronous one
-  (``submit``/``pump``/``drain`` on the caller's thread, used by
-  ``repro replay`` and, pumped after every submit, ``repro serve``) and
-  the process one below.
+  executors: the deterministic synchronous one (``submit``/``drain`` on
+  the caller's thread, used by ``repro replay`` and ``repro serve``;
+  ``submit`` ingests each record straight into its shard, with no
+  buffer in between) and the process one below.
 * :class:`ProcessShardExecutor` / :class:`ProcessWorkerSpec` — the
   ``executor="process"`` mode: one worker process per shard, warmed by a
   one-time shared-memory :class:`WeightBroadcast` of the model arrays,
@@ -43,9 +40,8 @@ the model's batch-first ``score_event_windows``/``predict_proba`` path:
   (with ``broadcast``) are the only ``multiprocessing`` constructions
   the project permits (see the ``direct-process`` lint rule).
 
-Every stage reports through ``repro.obs``: queue-depth gauges,
-batch-size/latency histograms, shed/degraded counters and per-shard
-flush spans.
+Every stage reports through ``repro.obs``: batch-size/latency
+histograms, degraded-window counters and per-shard flush spans.
 """
 
 from .broadcast import (
@@ -60,13 +56,6 @@ from .engine import InferenceRuntime, RuntimeStats
 from .fallback import PatternFallback
 from .pattern_library import PatternLibrary, PatternStats
 from .procexec import ProcessShardExecutor, ProcessWorkerSpec
-from .queues import (
-    OFFER_DROPPED,
-    OFFER_FULL,
-    OFFER_OK,
-    OFFER_REJECTED,
-    ShardQueue,
-)
 from .replay import render_reports, replay_records, report_sort_key
 from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingWindow
@@ -87,7 +76,6 @@ from .worker import (
 __all__ = [
     "InferenceRuntime", "RuntimeStats",
     "ShardRouter",
-    "ShardQueue", "OFFER_OK", "OFFER_REJECTED", "OFFER_DROPPED", "OFFER_FULL",
     "UnifiedLog", "normalize_record",
     "MicroBatchScheduler", "PendingWindow",
     "WorkerSupervisor", "RespawnPolicy", "WorkerError",

@@ -1,18 +1,18 @@
-"""The inference runtime engine: router + queues + shards + supervision.
+"""The inference runtime engine: router + shards + supervision.
 
 :class:`InferenceRuntime` runs under one of two executors:
 
 **Synchronous** (``executor="sync"``, the default) — ``submit`` /
-``pump`` / ``drain`` on the caller's thread.  Records are admitted to
-their shard's bounded queue and ``pump`` consumes them in *global
-submission order* (a k-way merge on the sequence number across shard
-queues).  That ordering — together with the scheduler's
+``drain`` on the caller's thread.  ``submit`` ingests the record into
+its shard and scores whatever batches are then due; nothing is queued
+in between, so records reach their shards in exactly the order the
+caller submitted them.  That ordering — together with the scheduler's
 exact-``max_batch`` lane chunking, per-system pattern libraries and a
 canonical end-of-stream drain order — makes the output a pure function
 of the input stream: ``repro replay --shards N`` is byte-identical for
 every N.  This mode backs :class:`~repro.deploy.online.OnlineService`,
-``repro replay`` and ``repro serve``, which pumps after every submit
-so the ``max_latency`` trigger flushes partial batches inline.
+``repro replay`` and ``repro serve``, where the ``max_latency`` trigger
+flushes partial batches on the submit that finds them overdue.
 
 **Process** (``executor="process"``) — ``start`` / ``stop``; each shard
 runs in its own worker process (:mod:`repro.runtime.procexec`), warmed
@@ -22,10 +22,10 @@ replay output is byte-identical to sync mode (see the procexec module
 docstring for the argument).  Live workers are constructed from a
 picklable :class:`ProcessWorkerSpec` rather than ``worker_factory``.
 
-Backpressure is explicit: the queue's ``block`` policy never sheds (the
-synchronous engine pumps inline to make room), while ``reject`` /
-``drop-oldest`` shed and count through ``<prefix>.records_rejected`` /
-``<prefix>.records_dropped``.
+Admission never sheds under either executor: ``block`` is the only
+``backpressure`` policy.  A caller that wants to shed load does so
+before ``submit`` (:class:`~repro.deploy.online.OnlineService` caps each
+``process`` call at its ``buffer_capacity``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable
 
 from ..core.report import AnomalyReport
 from ..obs import MetricsRegistry, get_registry
-from .queues import OFFER_DROPPED, OFFER_FULL, OFFER_OK, OFFER_REJECTED, ShardQueue
+from ..testing.faultpoints import DROPPED, fault_point
 from .router import ShardRouter
 from .shard import ShardState
 from .supervisor import WorkerSupervisor
@@ -90,10 +90,14 @@ class RuntimeStats:
 
     @property
     def records_rejected(self) -> int:
+        """Records an :class:`~repro.deploy.online.OnlineService` shed
+        past its ``buffer_capacity`` (the runtime itself never sheds)."""
         return int(self._sum("records_rejected"))
 
     @property
     def records_dropped(self) -> int:
+        """Always 0: nothing evicts admitted records.  Kept for readers
+        that sum it with :attr:`records_rejected`."""
         return int(self._sum("records_dropped"))
 
     @property
@@ -130,7 +134,7 @@ class InferenceRuntime:
                  event_fn: Callable[[str, str], int],
                  shards: int = 1, window: int = 10, step: int = 5,
                  max_batch: int = 16, max_latency: float | None = None,
-                 queue_capacity: int = 10_000, backpressure: str = "block",
+                 backpressure: str = "block",
                  poll_interval: float = 0.05,
                  executor: str = "sync", process_spec=None,
                  respawn_policy=None,
@@ -144,15 +148,15 @@ class InferenceRuntime:
         if executor not in ("sync", "process"):
             raise ValueError(f"unknown executor {executor!r}; "
                              "expected sync|process")
+        if backpressure != "block":
+            raise ValueError(
+                f"unsupported backpressure policy {backpressure!r}: "
+                "admission never sheds, so 'block' is the only one")
         if executor == "process":
             if process_spec is None:
                 raise ValueError(
                     "executor='process' requires a process_spec "
                     "(see ProcessWorkerSpec / from_model)")
-            if backpressure != "block":
-                raise ValueError(
-                    "the process executor supports only the 'block' "
-                    f"backpressure policy, got {backpressure!r}")
         elif worker_factory is None:
             raise ValueError(f"executor={executor!r} requires worker_factory")
         if registry is None:
@@ -168,7 +172,6 @@ class InferenceRuntime:
         self._clock = registry.clock
         self._on_report = on_report
         self._reports: list[AnomalyReport] = []
-        self._seq = 0
         # The pipeline in-process weight swaps load into; wired by
         # from_model for the sync path (process mode swaps through the
         # executor's re-broadcast instead).
@@ -176,11 +179,7 @@ class InferenceRuntime:
         # Always empty: no executor runs shard code on a thread of its
         # own.  Kept because benchmark harnesses count its entries.
         self.shard_errors: list[BaseException] = []
-        options = dict(supervisor_options or {})
-        options.setdefault("clock", registry.clock)
-        self.queues: list[ShardQueue] = []
         self.shards: list[ShardState] = []
-        self._depth_gauges = []
         self._process = None
         if executor == "process":
             # Submodule import keeps multiprocessing machinery out of the
@@ -199,30 +198,21 @@ class InferenceRuntime:
                 poll_interval=poll_interval,
                 respawn_policy=respawn_policy,
             )
-            self._rejected = registry.counter(f"{prefix}.records_rejected")
-            self._dropped = registry.counter(f"{prefix}.records_dropped")
             return
         for index in range(shards):
             supervisor = WorkerSupervisor(
                 worker_factory(index), registry=registry,
-                prefix=prefix, **options,
+                prefix=prefix, **(supervisor_options or {}),
             )
-            self.queues.append(ShardQueue(queue_capacity, policy=backpressure))
             self.shards.append(ShardState(
                 index, supervisor,
-                event_fn=event_fn, emit=self._emit,
-                registry=registry, clock=registry.clock,
+                event_fn=event_fn, emit=self._emit, registry=registry,
                 window=window, step=step,
                 max_batch=max_batch, max_latency=max_latency,
                 fallback_threshold=fallback_threshold,
                 max_patterns=max_patterns,
                 prefix=prefix, spans=True, gate=gate,
             ))
-            self._depth_gauges.append(
-                registry.gauge(f"{prefix}.queue_depth.shard{index}")
-            )
-        self._rejected = registry.counter(f"{prefix}.records_rejected")
-        self._dropped = registry.counter(f"{prefix}.records_dropped")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -321,9 +311,11 @@ class InferenceRuntime:
         return reports
 
     def queue_depths(self) -> list[int]:
+        """Records admitted but not yet handed to their shard: the
+        process executor's unshipped buffers; always 0 under sync."""
         if self._process is not None:
             return self._process.queue_depths()
-        return [len(queue) for queue in self.queues]
+        return [0] * len(self.shards)
 
     def pending_windows(self) -> int:
         """Windows awaiting a batch flush, summed over the shards."""
@@ -341,64 +333,40 @@ class InferenceRuntime:
         return reports
 
     # ------------------------------------------------------------------
-    def submit(self, record) -> str:
-        """Route one record to its shard queue; returns the admission
-        outcome (one of the ``OFFER_*`` constants)."""
+    def submit(self, record) -> None:
+        """Admit one record to its shard.
+
+        Sync ingests it there and scores whatever batches are then due
+        (full lanes, and partial ones past ``max_latency``); process
+        hands it to the shard's worker process.
+        """
+        if fault_point("runtime.admit", record) is DROPPED:
+            # Injected silent ingress loss: the caller sees a normal
+            # return but the record never lands (what the invariants
+            # must catch).
+            return
         index = self.router.shard_of(record.system)
         if self._process is not None:
             # The process executor journals every record (its crash
-            # recovery refeeds it), so admission never sheds: block is
-            # the only supported policy and blocking happens at the
-            # bounded IPC flush, not here.
+            # recovery refeeds it); a lagging child blocks the caller at
+            # the bounded IPC flush, so nothing is shed here either.
             self._process.submit(index, record)
-            return OFFER_OK
-        queue = self.queues[index]
-        self._seq += 1
-        item = (self._seq, record)
-        outcome = queue.try_offer(item)
-        if outcome == OFFER_FULL:
-            # block policy, queue full: the producer *is* the consumer
-            # here, so make room by pumping inline.
-            self.pump()
-            outcome = queue.try_offer(item)
-        if outcome == OFFER_REJECTED:
-            self._rejected.inc()
-        elif outcome == OFFER_DROPPED:
-            self._dropped.inc()
-        self._depth_gauges[index].set(len(queue))
-        return outcome
+            return
+        shard = self.shards[index]
+        shard.ingest(record)
+        shard.flush_ready(self._clock())
 
     def pump(self) -> None:
-        """Consume every queued record in global submission order.
-
-        The k-way merge on sequence numbers reproduces exactly the order
-        ``submit`` saw, whatever the shard count — the keystone of
-        deterministic replay.  Full batches flush inline as lanes fill,
-        and so do partial ones past their ``max_latency``.
-        """
+        """A no-op under sync, kept for callers that pump after every
+        submit: ``submit`` already scores each record's due batches."""
         if self._process is not None:
             raise RuntimeError("pump() is for the sync executor; process "
                                "runtimes consume via start()/stop() or "
                                "drain()")
-        while True:
-            best_index = -1
-            best_seq = None
-            for index, queue in enumerate(self.queues):
-                head = queue.peek()
-                if head is not None and (best_seq is None or head[0] < best_seq):
-                    best_seq = head[0]
-                    best_index = index
-            if best_index < 0:
-                return
-            (_seq, record), = self.queues[best_index].poll(1)
-            shard = self.shards[best_index]
-            shard.ingest(record)
-            shard.flush_ready(self._clock())
-            self._depth_gauges[best_index].set(len(self.queues[best_index]))
 
     def drain(self) -> list[AnomalyReport]:
-        """Pump what is queued, flush every residual batch, and return
-        the reports emitted since the last ``take_reports``.
+        """Flush every residual batch and return the reports emitted
+        since the last ``take_reports``.
 
         Residual (partial) batches flush in one canonical order — lanes
         sorted by system name across all shards — so end-of-stream
@@ -409,7 +377,6 @@ class InferenceRuntime:
             # replay order so callers see a deterministic sequence.
             self._process.drain()
             return self._sorted_reports()
-        self.pump()
         residual: list[tuple[str, int, list]] = []
         for shard in self.shards:
             for system, batch in shard.drain_batches():
@@ -424,14 +391,14 @@ class InferenceRuntime:
         """Spawn the shard worker processes (process executor only)."""
         if self._process is None:
             raise RuntimeError("start() requires executor='process'; sync "
-                               "runtimes consume via pump()/drain()")
+                               "runtimes score on submit() and drain()")
         self._process.ensure_started()
 
     def stop(self, timeout: float | None = 30.0) -> list[AnomalyReport]:
         """Finish the stream and return its reports.
 
         Process mode drains and reaps the shard processes; sync mode
-        scores everything queued or pending, exactly like :meth:`drain`.
+        scores everything pending, exactly like :meth:`drain`.
         """
         if self._process is None:
             return self.drain()

@@ -226,15 +226,16 @@ class ProcessShardExecutor:
         # The injected clock/sleep hooks tests wire into supervisors are
         # closures — not reliably picklable, and meaningless in a child
         # that keeps its own time.  Children get the sanitized rest.
-        child_options = {key: value
-                         for key, value in (supervisor_options or {}).items()
-                         if key not in ("clock", "sleep")}
+        self._child_options = {
+            key: value for key, value in (supervisor_options or {}).items()
+            if key not in ("clock", "sleep")}
+        # ShardState keyword arguments, shared by the child and the
+        # parent-side fallback.
         self._shard_params = {
             "window": window, "step": step, "max_batch": max_batch,
             "max_latency": max_latency,
             "fallback_threshold": fallback_threshold,
             "max_patterns": max_patterns, "prefix": prefix,
-            "supervisor_options": child_options,
         }
         self._supervisor_options = dict(supervisor_options or {})
         # Fork keeps the broadcast attach cheap (the arena is already
@@ -263,10 +264,11 @@ class ProcessShardExecutor:
             "cost": self.spec.cost, "detectors": self.spec.detectors,
             "seed": self.spec.seed, "llm_spec": self.spec.llm_spec,
             "gate": self.spec.gate, "handle": None,
+            "supervisor_options": self._child_options,
+            "shard": self._shard_params,
         }
         if self.spec.broadcast is not None:
             cfg["handle"] = self.spec.broadcast.handle()
-        cfg.update(self._shard_params)
         return cfg
 
     def ensure_started(self) -> None:
@@ -349,25 +351,18 @@ class ProcessShardExecutor:
         slot.process = None
         self._refresh_live()
         options = dict(self._supervisor_options)
-        options.setdefault("clock", self._registry.clock)
         options.update(max_retries=0, unhealthy_after=1,
                        cooldown=float("inf"))
         scope = f".shard{slot.index}"
         supervisor = WorkerSupervisor(
             _AbandonedWorker(), registry=self._registry,
             prefix=self._prefix, scope=scope, **options)
-        params = self._shard_params
         slot.fallback = ShardState(
             slot.index, supervisor,
             event_fn=self._event_fn,
             emit=lambda report, _slot=slot: self._accept(_slot, report),
-            registry=self._registry, clock=self._registry.clock,
-            window=params["window"], step=params["step"],
-            max_batch=params["max_batch"], max_latency=params["max_latency"],
-            fallback_threshold=params["fallback_threshold"],
-            max_patterns=params["max_patterns"],
-            prefix=self._prefix, scope=scope, spans=False,
-            gate=self.spec.gate,
+            registry=self._registry, scope=scope, spans=False,
+            gate=self.spec.gate, **self._shard_params,
         )
         slot.buffer = []
         for record in slot.journal:
@@ -742,22 +737,16 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
         registry = MetricsRegistry()
         with use_registry(registry):
             worker, event_fn, gate = build_worker_from_spec(cfg)
-            options = dict(cfg.get("supervisor_options") or {})
-            options.setdefault("clock", registry.clock)
+            params = cfg["shard"]
             scope = f".shard{index}"
             supervisor = WorkerSupervisor(
-                worker, registry=registry, prefix=cfg["prefix"],
-                scope=scope, **options)
+                worker, registry=registry, prefix=params["prefix"],
+                scope=scope, **cfg["supervisor_options"])
             reports: list = []
             shard = ShardState(
                 index, supervisor,
-                event_fn=event_fn, emit=reports.append,
-                registry=registry, clock=registry.clock,
-                window=cfg["window"], step=cfg["step"],
-                max_batch=cfg["max_batch"], max_latency=cfg["max_latency"],
-                fallback_threshold=cfg["fallback_threshold"],
-                max_patterns=cfg["max_patterns"],
-                prefix=cfg["prefix"], scope=scope, spans=False, gate=gate,
+                event_fn=event_fn, emit=reports.append, registry=registry,
+                scope=scope, spans=False, gate=gate, **params,
             )
             while True:
                 message = inbox.recv()

@@ -3,7 +3,7 @@
 ``repro replay`` exists to make the sharding claim falsifiable: the same
 records through ``--shards 1`` and ``--shards 4`` must render to the same
 bytes.  The pieces that guarantee it are the synchronous engine's
-global-order pump, exact-``max_batch`` lane chunking, per-system pattern
+submit-order admission, exact-``max_batch`` lane chunking, per-system pattern
 libraries, and — here — disabling the latency trigger (wall-clock flush
 times are the one thing that cannot be reproduced) plus a canonical
 report ordering by window id.
@@ -58,8 +58,7 @@ def replay_records(model, records: list, *, shards: int = 1,
     """
     runtime = InferenceRuntime.from_model(
         model, shards=shards, window=window, step=step,
-        max_batch=max_batch, max_latency=None,
-        backpressure="block", registry=registry,
+        max_batch=max_batch, max_latency=None, registry=registry,
     )
     for record in records:
         runtime.submit(record)

@@ -84,7 +84,7 @@ class ShardState:
     def __init__(self, index: int, supervisor: WorkerSupervisor, *,
                  event_fn: Callable[[str, str], int],
                  emit: Callable[[AnomalyReport], None],
-                 registry, clock: Callable[[], float],
+                 registry,
                  window: int = 10, step: int = 5,
                  max_batch: int = 16, max_latency: float | None = None,
                  fallback_threshold: float = 0.5,
@@ -105,7 +105,7 @@ class ShardState:
         self.step = step
         self._event_fn = event_fn
         self._emit = emit
-        self._clock = clock
+        self._clock = registry.clock
         self._spans = spans
         self._prefix = prefix
         self._tracer = registry.tracer

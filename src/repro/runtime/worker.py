@@ -105,8 +105,8 @@ class EnsembleWorker:
     stamped at admission (one forward per batch, no second parse).  The
     ensemble keeps rolling per-system state (EWMA baselines, LOF
     reference buffers), so windows of one system must reach it in
-    stream order — the engine's deterministic pump already guarantees
-    that for every shard count.
+    stream order — submit-order admission into system-sticky shards
+    already guarantees that for every shard count.
     """
 
     def __init__(self, ensemble):

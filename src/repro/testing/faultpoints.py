@@ -17,7 +17,7 @@ code: planting a new one means registering it here (or via
 :func:`register_fault_point`) where the diff is visible.
 
 This module is deliberately dependency-free (stdlib only): fault points
-are planted in low-level modules (queues, cache, trainer) that must not
+are planted in low-level modules (runtime, cache, trainer) that must not
 acquire import cycles through the testing package.
 """
 
@@ -51,8 +51,9 @@ FAULT_POINTS: dict[str, str] = {
     # Supervisor attempt boundary: raise before the worker runs, or skew
     # the injected clock so the attempt overruns its timeout budget.
     "runtime.supervisor.attempt": "repro/runtime/supervisor.py",
-    # Queue admission: a drop here is silent ingress data loss.
-    "runtime.queues.admit": "repro/runtime/queues.py",
+    # Runtime admission, under either executor: a drop here is silent
+    # ingress data loss.
+    "runtime.admit": "repro/runtime/engine.py",
     # Process executor: fail a worker-process launch (raise), or flip the
     # per-submit death probe (corrupt True) to SIGKILL a live shard.
     "runtime.proc.spawn": "repro/runtime/procexec.py",

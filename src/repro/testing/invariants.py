@@ -171,8 +171,7 @@ def _run_replay(context: CheckContext, *, shards: int,
     common = dict(
         event_fn=message_event,
         shards=shards, window=context.window, step=context.step,
-        max_batch=context.max_batch, max_latency=None,
-        backpressure="block", registry=registry,
+        max_batch=context.max_batch, max_latency=None, registry=registry,
         supervisor_options=supervisor_options,
     )
     if executor == "process":
@@ -653,7 +652,7 @@ def check_degraded_model_fallback(context: CheckContext) -> InvariantResult:
         runtime = InferenceRuntime.from_ensemble(
             ensemble, shards=shards, window=context.window,
             step=context.step, max_batch=context.max_batch,
-            max_latency=None, backpressure="block", registry=registry,
+            max_latency=None, registry=registry,
         )
         for record in stream.records:
             runtime.submit(record)

@@ -6,10 +6,8 @@ from repro.deploy import OnlineService
 from repro.logs.generator import LogGenerator
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    OFFER_DROPPED, InferenceRuntime, RuntimeStats, SyntheticWorker,
-    message_event,
+    InferenceRuntime, RuntimeStats, SyntheticWorker, message_event,
 )
-from repro.runtime.queues import BACKPRESSURE_POLICIES
 
 
 def _runtime(**kwargs) -> InferenceRuntime:
@@ -33,35 +31,19 @@ class TestOverflow:
 
 
 class TestOverflowPolicies:
-    def test_policy_registry_is_complete(self):
-        assert BACKPRESSURE_POLICIES == ("block", "reject", "drop-oldest")
-
     def test_reject_counts_through_the_registry(self, fitted_logsynergy):
         registry = MetricsRegistry()
         service = OnlineService(fitted_logsynergy, buffer_capacity=2,
                                 registry=registry)
         service.process(LogGenerator("thunderbird", seed=31).generate(3))
         assert registry.counter("service.records_rejected").value == 1
-        assert len(service.runtime.queues[0]) == 0  # the two admitted drained
-
-    def test_drop_oldest_evicts_the_head_and_counts(self):
-        registry = MetricsRegistry()
-        runtime = _runtime(queue_capacity=2, backpressure="drop-oldest",
-                           registry=registry)
-        records = LogGenerator("thunderbird", seed=31).generate(3)
-        runtime.submit(records[0])
-        runtime.submit(records[1])
-        # Admitted: the cost falls on the oldest record.
-        assert runtime.submit(records[2]) == OFFER_DROPPED
-        assert runtime.stats.records_dropped == 1
-        assert runtime.stats.records_rejected == 0
-        assert registry.counter("runtime.records_dropped").value == 1
-        queued = [record for _seq, record in runtime.queues[0].poll(10)]
-        assert queued == records[1:]
+        assert service.runtime.pending_windows() == 0  # the two admitted drained
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown backpressure policy"):
-            _runtime(backpressure="spill")
+        # Admission never sheds: every policy but "block" is refused.
+        for policy in ("spill", "reject", "drop-oldest"):
+            with pytest.raises(ValueError, match="backpressure"):
+                _runtime(backpressure=policy)
 
 
 class TestServiceStats:

@@ -13,7 +13,7 @@ from repro.logs import generate_logs
 from repro.obs import MetricsRegistry
 from repro.runtime import (
     InferenceRuntime, PatternLibrary, SyntheticWorker, message_event,
-    normalize_record,
+    normalize_record, render_reports,
 )
 
 
@@ -33,35 +33,46 @@ def _runtime(**kwargs) -> InferenceRuntime:
 
 
 class TestBoundedBuffer:
-    """Buffering: the runtime's bounded shard queue under ``reject``."""
+    """Buffering: ``process`` admits the first ``buffer_capacity`` records
+    of each call and sheds the rest."""
 
-    def test_fifo(self):
-        service = _service(10)
-        records = generate_logs("bgl", 5, seed=0)
-        for record in records:
-            service.runtime.submit(record)
-        buffer = service.runtime.queues[0]
-        assert [record for _seq, record in buffer.poll(3)] == records[:3]
-        assert [record for _seq, record in buffer.poll(10)] == records[3:]
+    def test_fifo(self, fitted_logsynergy, tmp_path):
+        from repro.core import LogSynergy
+
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = generate_logs("thunderbird", 600, seed=3)
+        capacity = 400
+
+        def rendered(service, batch):
+            return render_reports(service.process(batch))
+
+        # Each service parses through its own copy of the pipeline, so
+        # neither run sees templates the other one learned.
+        capped = OnlineService(LogSynergy.load_pipeline(tmp_path / "pipe"),
+                               buffer_capacity=capacity,
+                               registry=MetricsRegistry())
+        ample = OnlineService(LogSynergy.load_pipeline(tmp_path / "pipe"),
+                              registry=MetricsRegistry())
+        expected = rendered(ample, records[:capacity])
+        assert expected  # the admitted head does raise alerts
+        assert rendered(capped, records) == expected
+        assert capped.stats.records_rejected == len(records) - capacity
+        assert ample.stats.records_rejected == 0
 
     def test_rejects_when_full(self):
         service = _service(2)
         service.process(generate_logs("bgl", 3, seed=0))
         assert service.stats.records_rejected == 1
-        assert service.runtime.queues[0].total_offered == 3
+        assert service.stats.windows_seen == 0
 
     def test_drain(self):
         service = _service(5)
         service.process(generate_logs("bgl", 3, seed=0))
-        assert len(service.runtime.queues[0]) == 0
+        assert service.runtime.pending_windows() == 0
 
     def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="buffer_capacity"):
             _service(0)
-
-    def test_invalid_poll(self):
-        with pytest.raises(ValueError):
-            _service(5).runtime.queues[0].poll(0)
 
 
 class TestCollector:
@@ -96,11 +107,9 @@ class TestFormatter:
         records = generate_logs("bgl", 40, seed=0)
         for record in records[:8]:
             runtime.submit(record)
-        runtime.pump()
         assert runtime.stats.windows_seen == 0  # not enough yet
         for record in records[8:]:
             runtime.submit(record)
-        runtime.pump()
         assert runtime.stats.windows_seen == 7
 
     def test_normalization(self):

@@ -1,5 +1,7 @@
 """Engine integration: shard invariance, backpressure, degradation."""
 
+import hashlib
+
 import pytest
 
 from repro.logs.generator import LogGenerator
@@ -60,57 +62,58 @@ class TestShardInvariance:
 
 
 class TestBackpressure:
-    """Tiny queues under each policy, with the consumer pumping only
-    every 20 records: 8 of each 20 fit, so the shed counts are exact."""
-
-    def _run_paced(self, policy: str):
-        records = multi_system_stream(systems=1, lines=400)
-        runtime = sync_runtime(1, max_batch=4, queue_capacity=8,
-                               backpressure=policy)
-        for index, record in enumerate(records):
-            runtime.submit(record)
-            if index % 20 == 19:
-                runtime.pump()
-        runtime.drain()
-        return runtime, len(records)
+    # sha256 of the rendered reports below: how records are admitted
+    # must never move these bytes.
+    GOLDEN_SHA256 = (
+        "e538ec5ae9a15f17148a199d19bb5bfe7b774a3437dbf35b9898b287ff8b1449")
 
     def test_block_policy_loses_nothing(self):
-        runtime, total = self._run_paced("block")
-        queue = runtime.queues[0]
-        assert queue.total_offered == total
-        assert queue.total_rejected == 0
-        assert queue.total_dropped == 0
+        """Sync admission never sheds: every record is windowed, and the
+        rendered bytes match the pinned digest."""
+        records = multi_system_stream(systems=1, lines=400)
+        runtime = sync_runtime(1, max_batch=4, backpressure="block")
+        for index, record in enumerate(records):
+            runtime.submit(record)
+            assert runtime.queue_depths() == [0]
+            if index % 20 == 19:
+                runtime.pump()  # a documented no-op under sync
+        reports = runtime.drain()
+        reports.sort(key=report_sort_key)
         assert runtime.stats.records_rejected == 0
         assert runtime.stats.records_dropped == 0
         # Every record was windowed: (400 - 10) // 5 + 1 windows.
         assert runtime.stats.windows_seen == 79
-
-    def test_reject_policy_sheds_and_counts(self):
-        runtime, _total = self._run_paced("reject")
-        # 20 blocks of 20 records, 12 past capacity in each.
-        assert runtime.stats.records_rejected == 240
-        assert runtime.queues[0].total_rejected == 240
-        assert runtime.stats.records_dropped == 0
-        # The 160 survivors are still judged: (160 - 10) // 5 + 1.
-        assert runtime.stats.windows_seen == 31
-
-    def test_drop_oldest_policy_sheds_and_counts(self):
-        runtime, _total = self._run_paced("drop-oldest")
-        assert runtime.stats.records_dropped == 240
-        assert runtime.queues[0].total_dropped == 240
-        assert runtime.stats.records_rejected == 0
-        assert runtime.stats.windows_seen == 31
+        rendered = render_reports(reports)
+        assert hashlib.sha256(rendered.encode()).hexdigest() == self.GOLDEN_SHA256
+        assert rendered == render_reports(
+            run_sync(sync_runtime(1, max_batch=4), records))
 
     def test_sync_block_pumps_inline_instead_of_shedding(self):
+        """With no queue between submit and the shard, sync admission
+        does its work inline: nothing is shed and the output matches a
+        default runtime byte for byte."""
         records = multi_system_stream(systems=1, lines=200)
-        runtime = sync_runtime(1, max_batch=4, queue_capacity=4,
-                               backpressure="block")
+        runtime = sync_runtime(1, max_batch=4, backpressure="block")
         reports = run_sync(runtime, records)
         assert runtime.stats.records_rejected == 0
         assert runtime.stats.records_dropped == 0
         assert runtime.stats.windows_seen == 39
         assert render_reports(reports) == render_reports(
             run_sync(sync_runtime(1, max_batch=4), records))
+
+    def test_submit_scores_due_batches_inline(self):
+        """No buffer sits between submit and the shard: a full lane is
+        scored by the submit that completes it, with no pump or drain."""
+        records = multi_system_stream(systems=1, lines=25)
+        runtime = sync_runtime(1, max_batch=4)
+        for record in records[:-1]:
+            runtime.submit(record)
+        assert runtime.stats.batches == 0
+        runtime.submit(records[-1])
+        # Window offsets 0, 5, 10 and 15 are complete: one full batch.
+        assert runtime.stats.windows_seen == 4
+        assert runtime.stats.batches == 1
+        assert runtime.pending_windows() == 0
 
 
 class TestGracefulDegradation:

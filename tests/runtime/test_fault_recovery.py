@@ -9,8 +9,8 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    InferenceRuntime, SyntheticWorker, message_event, render_reports,
-    report_sort_key,
+    InferenceRuntime, ProcessWorkerSpec, SyntheticWorker, message_event,
+    render_reports, report_sort_key,
 )
 from repro.testing import FaultInjector, FaultPlan, FaultSpec
 
@@ -23,16 +23,21 @@ def _no_sleep(seconds: float) -> None:
     return None
 
 
-def _run(records, *, supervisor_options=None, shards=2, max_batch=4):
+def _run(records, *, supervisor_options=None, shards=2, max_batch=4,
+         executor="sync"):
     registry = MetricsRegistry()
     runtime = InferenceRuntime(
         lambda index: SyntheticWorker(), event_fn=message_event,
         shards=shards, max_batch=max_batch, registry=registry,
-        supervisor_options=supervisor_options,
+        supervisor_options=supervisor_options, executor=executor,
+        process_spec=ProcessWorkerSpec.synthetic(),
     )
-    for record in records:
-        runtime.submit(record)
-    reports = runtime.drain()
+    try:
+        for record in records:
+            runtime.submit(record)
+        reports = runtime.drain()
+    finally:
+        runtime.stop()
     reports.sort(key=report_sort_key)
     return reports, runtime
 
@@ -116,14 +121,18 @@ class TestDropFaults:
         assert runtime.stats.degraded_windows > 0
 
     def test_dropped_admission_is_silent_ingress_loss(self):
-        _, golden_runtime = _run(RECORDS)
-        plan = FaultPlan((
-            FaultSpec("runtime.queues.admit", "drop", start=0, count=30),
-        ))
-        with FaultInjector(plan) as injector:
-            _, runtime = _run(RECORDS)
-        assert injector.total_fired == 30
-        # The queue lies politely: nothing rejected, nothing counted as
-        # dropped — the windows simply never form.
-        assert runtime.stats.records_rejected == 0
-        assert runtime.stats.windows_seen < golden_runtime.stats.windows_seen
+        # One fault point ahead of the executor split covers both.
+        for executor in ("sync", "process"):
+            _, golden_runtime = _run(RECORDS, executor=executor)
+            plan = FaultPlan((
+                FaultSpec("runtime.admit", "drop", start=0, count=30),
+            ))
+            with FaultInjector(plan) as injector:
+                _, runtime = _run(RECORDS, executor=executor)
+            assert injector.total_fired == 30, executor
+            # Admission lies politely: nothing rejected, nothing counted
+            # as dropped — the windows simply never form.
+            assert runtime.stats.records_rejected == 0
+            assert runtime.stats.records_dropped == 0
+            assert (runtime.stats.windows_seen
+                    < golden_runtime.stats.windows_seen), executor

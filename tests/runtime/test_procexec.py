@@ -434,8 +434,6 @@ class TestShipping:
             try:
                 for position, record in enumerate(records):
                     runtime.submit(record)
-                    if executor == "sync":
-                        runtime.pump()
                     if position % 20 == 19:
                         time.sleep(0.01)
                 reports = runtime.drain()
@@ -491,11 +489,14 @@ class TestValidationAndCleanup:
                              executor="process")
 
     def test_process_requires_block_backpressure(self):
-        with pytest.raises(ValueError, match="block"):
-            InferenceRuntime(
-                None, event_fn=message_event, executor="process",
-                process_spec=ProcessWorkerSpec.synthetic(),
-                backpressure="reject")
+        # One check for both executors: admission never sheds.
+        for executor in ("sync", "process"):
+            with pytest.raises(ValueError, match="backpressure.*block"):
+                InferenceRuntime(
+                    lambda index: SyntheticWorker(), event_fn=message_event,
+                    executor=executor,
+                    process_spec=ProcessWorkerSpec.synthetic(),
+                    backpressure="reject")
 
     def test_from_ensemble_refuses_process_executor(self):
         from repro.detectors import ensemble_from_spec

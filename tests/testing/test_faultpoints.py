@@ -35,6 +35,8 @@ class TestRegistry:
     def test_known_points_cover_the_planted_modules(self):
         assert FAULT_POINTS["runtime.worker.score"] == "repro/runtime/worker.py"
         assert FAULT_POINTS["core.trainer.loss"] == "repro/core/trainer.py"
+        # Admission is one point for both executors, ahead of the split.
+        assert FAULT_POINTS["runtime.admit"] == "repro/runtime/engine.py"
 
     def test_register_rejects_conflicting_module(self):
         register_fault_point("tests.extension.point", "repro/x.py")
@@ -105,13 +107,13 @@ class TestInjectorFiring:
         plan = FaultPlan((
             FaultSpec("llm.cache.load", "corrupt", start=0, count=1,
                       mutate=str.upper),
-            FaultSpec("runtime.queues.admit", "drop", start=0, count=1),
+            FaultSpec("runtime.admit", "drop", start=0, count=1),
         ))
         with FaultInjector(plan):
             assert fault_point("llm.cache.load", "abc") == "ABC"
             assert fault_point("llm.cache.load", "abc") == "abc"
-            assert fault_point("runtime.queues.admit", "x") is DROPPED
-            assert fault_point("runtime.queues.admit", "x") == "x"
+            assert fault_point("runtime.admit", "x") is DROPPED
+            assert fault_point("runtime.admit", "x") == "x"
 
     def test_timeout_skews_only_the_injector_clock(self):
         plan = FaultPlan((
