@@ -24,13 +24,21 @@ def _hash_vector(token: str, dim: int) -> np.ndarray:
     """Deterministic pseudo-random unit vector for an OOV token."""
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     seed = int.from_bytes(digest[:8], "little")
-    rng = np.random.default_rng(seed)
+    # Exactly what ``default_rng(seed)`` and ``np.linalg.norm`` compute
+    # for a 1-D array, without their argument dispatch.
+    rng = np.random.Generator(np.random.PCG64(seed))
     vec = rng.standard_normal(dim).astype(np.float32)
-    return vec / (np.linalg.norm(vec) + 1e-12)
+    return vec / (np.sqrt(vec.dot(vec)) + 1e-12)
 
 
 class SentenceEncoder:
     """Fixed-dimension sentence embeddings from word vectors.
+
+    A token is out of vocabulary when the word vectors have no row for
+    it, which includes tokens seen in the corpus fewer than ``min_count``
+    times.  Those get a hash vector, yet keep the SIF weight of their
+    raw corpus count, so their weight can be below 1.  Each token's
+    weighted row is cached; a sentence is the mean of its rows.
 
     Parameters
     ----------
@@ -41,7 +49,7 @@ class SentenceEncoder:
     oov_scale:
         Magnitude of hash vectors for out-of-vocabulary tokens.
     oov_cache_size:
-        Capacity of the OOV hash-vector cache.  A stream of novel tokens
+        Capacity of the OOV weighted-row cache.  A stream of novel tokens
         under ``repro serve`` previously grew it without bound; now the
         oldest entry is evicted (FIFO — hash vectors are cheap to rebuild,
         so recency tracking isn't worth the bookkeeping) and counted on
@@ -61,35 +69,49 @@ class SentenceEncoder:
         self._probabilities = {
             token: count / total for token, count in word_vectors.vocabulary.counts.items()
         }
+        self._vocab_rows: dict[str, np.ndarray] = {}
         self._oov_cache: dict[str, np.ndarray] = {}
         registry = get_registry()
         self._oov_evictions = registry.counter("embedding.encoder.oov_evictions")
         self._dedup_hits = registry.counter("embedding.encoder.batch_dedup_hits")
 
-    def _token_vector(self, token: str) -> np.ndarray:
+    def _token_row(self, token: str) -> np.ndarray:
+        """The token's SIF-weighted vector, cached: in-vocabulary rows
+        for the encoder's lifetime (bounded by the vocabulary), hash rows
+        in the bounded OOV FIFO."""
+        probability = self._probabilities.get(token, 0.0)
+        weight = self.sif_a / (self.sif_a + probability)
         if token in self.word_vectors.vocabulary:
-            return self.word_vectors.vector(token)
-        cached = self._oov_cache.get(token)
-        if cached is None:
-            cached = _hash_vector(token, self.dim) * self.oov_scale
-            while len(self._oov_cache) >= self.oov_cache_size:
-                self._oov_cache.pop(next(iter(self._oov_cache)))
-                self._oov_evictions.inc()
-            self._oov_cache[token] = cached
-        return cached
+            row = weight * self.word_vectors.vector(token)
+            self._vocab_rows[token] = row
+            return row
+        row = weight * (_hash_vector(token, self.dim) * self.oov_scale)
+        while len(self._oov_cache) >= self.oov_cache_size:
+            self._oov_cache.pop(next(iter(self._oov_cache)))
+            self._oov_evictions.inc()
+        self._oov_cache[token] = row
+        return row
 
     def encode(self, sentence: str) -> np.ndarray:
         """Encode one sentence to a ``dim``-vector (zero vector if empty)."""
         tokens = tokenize(sentence)
         if not tokens:
             return np.zeros(self.dim, dtype=np.float32)
-        accum = np.zeros(self.dim, dtype=np.float64)
+        vocab_rows = self._vocab_rows
+        oov_rows = self._oov_cache
+        rows = []
         for token in tokens:
-            probability = self._probabilities.get(token, 0.0)
-            weight = self.sif_a / (self.sif_a + probability)
-            accum += weight * self._token_vector(token)
+            row = vocab_rows.get(token)
+            if row is None:
+                row = oov_rows.get(token)
+                if row is None:
+                    row = self._token_row(token)
+            rows.append(row)
+        # Summing the rows along axis 0 adds them one after another in
+        # float64, the same order and precision as a running accumulator.
+        accum = np.array(rows).sum(axis=0, dtype=np.float64)
         vec = (accum / len(tokens)).astype(np.float32)
-        norm = np.linalg.norm(vec)
+        norm = np.sqrt(vec.dot(vec))
         if norm > 0:
             vec = vec / norm
         return vec
