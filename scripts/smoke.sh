@@ -6,6 +6,8 @@
 # the bundled sample stream (must produce reports and non-empty
 # metrics, and sync serve under a latency budget plus the process
 # executor in replay and in serve must render identical bytes), a
+# detector-ensemble replay that must render identical bytes at 1 and 2
+# shards, a
 # seeded fault-injection fuzz pass (twice — the violation
 # report must be byte-identical, with the unarmed-hook overhead guard),
 # a checkpointed train/SIGKILL/resume byte-diff against an uninterrupted
@@ -25,7 +27,7 @@ flow_a="$(mktemp)"
 flow_b="$(mktemp)"
 trap 'rm -f "$flow_a" "$flow_b" "${replay_out:-}" "${replay_metrics:-}" \
     "${replay_proc:-}" "${serve_sync:-}" "${serve_proc:-}" "${fuzz_a:-}" \
-    "${fuzz_b:-}"
+    "${fuzz_b:-}" "${ensemble_1:-}" "${ensemble_2:-}"
 rm -rf "${ckpt_root:-}"' EXIT
 PYTHONPATH=src python -m repro.cli lint src --select 'flow/*' \
     --format json >"$flow_a"
@@ -81,6 +83,22 @@ PYTHONPATH=src python -m repro.cli serve \
     --max-latency 0.05 --out "$serve_sync" >/dev/null
 cmp -s "$replay_out" "$serve_sync" \
     || { echo "smoke: sync serve diverged from sync replay" >&2; exit 1; }
+
+# Every detector member keeps its state per system, so the shard count
+# must not move a byte of the ensemble's reports.
+ensemble_1="$(mktemp)"
+ensemble_2="$(mktemp)"
+PYTHONPATH=src python -m repro.cli replay \
+    --logs examples/data/replay_sample.jsonl \
+    --detectors ewma,lof,rules,model:max --shards 1 --out "$ensemble_1" >/dev/null
+PYTHONPATH=src python -m repro.cli replay \
+    --logs examples/data/replay_sample.jsonl \
+    --detectors ewma,lof,rules,model:max --shards 2 --out "$ensemble_2" >/dev/null
+test -s "$ensemble_1" \
+    || { echo "smoke: ensemble replay produced no reports" >&2; exit 1; }
+cmp -s "$ensemble_1" "$ensemble_2" \
+    || { echo "smoke: ensemble replay diverged between 1 and 2 shards" >&2
+         exit 1; }
 
 # The process executor must render the exact bytes the synchronous
 # engine does, and its throughput floor must hold (bench --smoke:

@@ -4,6 +4,12 @@ Each window is summarized as the normalized mean of its message
 embeddings from the cached pre-trained domain encoder
 (:func:`repro.embedding.load_pretrained_encoder` — no per-system
 training, which is what makes this member usable on a day-0 system).
+A message is embedded after :func:`repro.parsing.masking.mask_message`
+replaces its parameter values (numbers, hex, IPs, paths, UUIDs) with
+``<*>``, the same masks the admission parse applies, so the vector
+carries the event's words rather than hash noise from one-off values.
+One bounded FIFO memo, shared by all systems, maps each masked text to
+its vector, so a template is encoded once however its values vary.
 Per system it keeps a bounded FIFO of recent window vectors and scores
 a new window by a local-outlier-factor ratio: the distance to its k-th
 nearest reference vector, divided by the typical k-th-neighbor distance
@@ -24,11 +30,16 @@ import statistics
 
 import numpy as np
 
+from repro.parsing.masking import mask_message
+
 from .base import Detector, calibrate
 
 __all__ = ["LofLiteDetector"]
 
 _EPS = 1e-9
+# Masked texts whose vectors the detector keeps, oldest evicted first:
+# about 1 MB at dim 64.
+_MEMO_CAPACITY = 4096
 
 
 class _ReferenceSet:
@@ -70,6 +81,7 @@ class LofLiteDetector(Detector):
         self.scale = scale
         self._encoder = encoder
         self._references: dict[str, _ReferenceSet] = {}
+        self._memo: dict[str, np.ndarray] = {}
 
     @property
     def encoder(self):
@@ -79,19 +91,31 @@ class LofLiteDetector(Detector):
             self._encoder = load_pretrained_encoder()
         return self._encoder
 
+    def _message_vector(self, message: str) -> np.ndarray:
+        # Encoding is a pure function of the masked text, so the memo is
+        # shared by every system and cannot change a score.
+        masked = mask_message(message)
+        memo = self._memo
+        vector = memo.get(masked)
+        if vector is None:
+            vector = self.encoder.encode(masked)
+            while len(memo) >= _MEMO_CAPACITY:
+                memo.pop(next(iter(memo)))
+            memo[masked] = vector
+        return vector
+
     def _window_vector(self, state: _ReferenceSet, window: list) -> np.ndarray:
         # Consecutive windows overlap (step < window), so most messages
-        # were embedded for the previous window already; encode only the
-        # rest.  Keeping just the previous window's map bounds it by the
-        # window size, and encoding is a pure function of the message,
-        # so the vector is exactly what encoding every message gives.
+        # were embedded for the previous window already; mask and look up
+        # only the rest.  Keeping just the previous window's map bounds it
+        # by the window size.
         previous = state.embedded
         embedded: dict[str, np.ndarray] = {}
         for entry in window:
             message = entry.message
             if message not in embedded:
                 vector = previous.get(message)
-                embedded[message] = (self.encoder.encode(message)
+                embedded[message] = (self._message_vector(message)
                                      if vector is None else vector)
         state.embedded = embedded
         if not window:

@@ -16,7 +16,9 @@ from repro.detectors import (
     calibrate,
     window_span_seconds,
 )
+from repro.detectors import lof as lof_module
 from repro.logs.generator import LogRecord
+from repro.parsing.masking import mask_message
 from repro.runtime import UnifiedLog
 
 
@@ -118,9 +120,9 @@ class TestLofLiteDetector:
 
 
     def test_overlapping_windows_encode_only_new_messages(self):
-        """Reusing the previous window's vectors gives window vectors
-        byte-identical to encoding every message, with a step's worth of
-        encodes per window."""
+        """Reusing the previous window's vectors and the masked-text memo
+        gives window vectors byte-identical to encoding every masked
+        message, with one encode per distinct masked text."""
         from repro.embedding import load_pretrained_encoder
 
         class CountingEncoder:
@@ -144,13 +146,55 @@ class TestLofLiteDetector:
             detector.score_window("sys", window)
         state = detector._references["sys"]
         for window, vector in zip(windows, state.vectors):
-            matrix = encoder.encode_batch([entry.message for entry in window])
+            matrix = encoder.encode_batch(
+                [mask_message(entry.message) for entry in window])
             expected = matrix.mean(axis=0)
             expected = (expected / float(np.linalg.norm(expected))).astype(np.float32)
             assert vector.tobytes() == expected.tobytes()
         assert len(state.vectors) == len(windows)
-        assert counting.encoded == 10 + 5 * (len(windows) - 1)
+        # "node <*> link up after <*> retries" and its "down" twin.
+        assert counting.encoded == 2
         assert len(state.embedded) == 10
+
+    def test_windows_differing_only_in_parameters_embed_identically(self):
+        first = make_window([
+            "node 3 link up after 7 retries",
+            "dma 0x1f00 mapped from 10.0.0.1:8080 to /var/run/a.sock",
+            "job 1b4e28ba-2fa1-11d2-883f-0016d3cca427 took 12.5 s",
+        ] * 3)
+        second = make_window([
+            "node 11 link up after 42 retries",
+            "dma 0xbeef mapped from 192.168.7.20:443 to /tmp/b",
+            "job 9f0c1a2b-3c4d-5e6f-7a8b-9c0d1e2f3a4b took 3 s",
+        ] * 3)
+        other = make_window(["node 3 link down after 7 retries"] * 9)
+        vectors = []
+        for window in (first, second, other):
+            detector = LofLiteDetector(k=2)
+            detector.score_window("sys", window)
+            vectors.append(detector._references["sys"].vectors[0])
+        assert vectors[0].tobytes() == vectors[1].tobytes()
+        assert vectors[0].tobytes() != vectors[2].tobytes()
+
+    def test_memo_is_bounded_and_evicts_oldest_first(self):
+        capacity = lof_module._MEMO_CAPACITY
+        detector = LofLiteDetector(k=2)
+        masked = []
+        for start in range(0, capacity + 100, 10):
+            messages = [f"event k{index}x seen on node {index}"
+                        for index in range(start, start + 10)]
+            masked.extend(mask_message(message) for message in messages)
+            detector.score_window("sys", make_window(messages))
+            assert len(detector._memo) <= capacity
+        assert list(detector._memo) == masked[-capacity:]
+        # An evicted text is encoded again to the same vector.
+        evicted = make_window([f"event k0x seen on node {index}" for index in range(10)])
+        fresh = LofLiteDetector(k=2)
+        fresh.score_window("sys", evicted)
+        detector.score_window("other", evicted)
+        assert (detector._references["other"].vectors[0].tobytes()
+                == fresh._references["sys"].vectors[0].tobytes())
+
 
 class TestRuleDetector:
     def test_failure_language_fires(self):
