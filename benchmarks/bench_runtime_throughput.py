@@ -57,8 +57,9 @@ SMOKE_SINGLE_CORE_BAR = 0.3
 
 
 def _workload(lines_per_system: int):
-    """An interleaved multi-system stream; svc-NN names hash evenly onto
-    2, 4 and 8 shards, so the comparison measures overlap, not skew."""
+    """An interleaved multi-system stream; the router deals its svc-NN
+    systems round-robin, evenly onto 2, 4 and 8 shards, so the
+    comparison measures overlap, not skew."""
     streams = []
     for index in range(SYSTEMS):
         records = LogGenerator("thunderbird", seed=100 + index,

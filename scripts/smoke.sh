@@ -6,8 +6,8 @@
 # the bundled sample stream (must produce reports and non-empty
 # metrics, and sync serve under a latency budget plus the process
 # executor in replay and in serve must render identical bytes), a
-# detector-ensemble replay that must render identical bytes at 1 and 2
-# shards, a
+# detector-ensemble replay whose verdicts must render identical bytes at
+# 1 and 2 shards and under sync serve with a latency budget, a
 # seeded fault-injection fuzz pass (twice — the violation
 # report must be byte-identical, with the unarmed-hook overhead guard),
 # a checkpointed train/SIGKILL/resume byte-diff against an uninterrupted
@@ -27,7 +27,8 @@ flow_a="$(mktemp)"
 flow_b="$(mktemp)"
 trap 'rm -f "$flow_a" "$flow_b" "${replay_out:-}" "${replay_metrics:-}" \
     "${replay_proc:-}" "${serve_sync:-}" "${serve_proc:-}" "${fuzz_a:-}" \
-    "${fuzz_b:-}" "${ensemble_1:-}" "${ensemble_2:-}"
+    "${fuzz_b:-}" "${ensemble_1:-}" "${ensemble_2:-}" "${members_replay:-}" \
+    "${members_serve:-}"
 rm -rf "${ckpt_root:-}"' EXIT
 PYTHONPATH=src python -m repro.cli lint src --select 'flow/*' \
     --format json >"$flow_a"
@@ -85,7 +86,9 @@ cmp -s "$replay_out" "$serve_sync" \
     || { echo "smoke: sync serve diverged from sync replay" >&2; exit 1; }
 
 # Every detector member keeps its state per system, so the shard count
-# must not move a byte of the ensemble's reports.
+# must not move a verdict.  The output holds only the anomalous windows;
+# tests/detectors/test_runtime.py compares every window's member scores
+# at 1, 2 and 3 shards.
 ensemble_1="$(mktemp)"
 ensemble_2="$(mktemp)"
 PYTHONPATH=src python -m repro.cli replay \
@@ -98,6 +101,25 @@ test -s "$ensemble_1" \
     || { echo "smoke: ensemble replay produced no reports" >&2; exit 1; }
 cmp -s "$ensemble_1" "$ensemble_2" \
     || { echo "smoke: ensemble replay diverged between 1 and 2 shards" >&2
+         exit 1; }
+# Under a latency budget a sync shard flushes every lane, oldest head
+# first, at its oldest head's deadline.  These members' scores do not
+# depend on batch composition, so serve must render the replay's bytes.  The sample admits in about
+# 10 ms, so a 50 ms budget would never fire: the budget is 2 ms, and
+# lanes of up to 64 windows leave the flushing to the deadline.
+members_replay="$(mktemp)"
+members_serve="$(mktemp)"
+PYTHONPATH=src python -m repro.cli replay \
+    --logs examples/data/replay_sample.jsonl \
+    --detectors ewma,lof,rules --shards 2 --out "$members_replay" >/dev/null
+PYTHONPATH=src python -m repro.cli serve \
+    --logs examples/data/replay_sample.jsonl \
+    --detectors ewma,lof,rules --shards 2 --max-batch 64 \
+    --max-latency 0.002 --out "$members_serve" >/dev/null
+test -s "$members_replay" \
+    || { echo "smoke: member ensemble replay produced no reports" >&2; exit 1; }
+cmp -s "$members_replay" "$members_serve" \
+    || { echo "smoke: ensemble serve diverged from ensemble replay" >&2
          exit 1; }
 
 # The process executor must render the exact bytes the synchronous

@@ -348,15 +348,19 @@ class LogSynergy:
         return self._featurizer(system).event_id_of(message)
 
     def score_event_windows(
-        self, system: str, grid: list[list[int]], windows: list[list[str]],
+        self, system: str | Sequence[str], grid: list[list[int]],
+        windows: list[list[str]],
         timestamps: list[list[datetime] | None] | None = None,
     ) -> list[AnomalyReport]:
-        """Score windows already parsed by ``system``'s featurizer.
+        """Score windows already parsed by their system's featurizer.
 
-        ``grid`` holds each window's event ids (from :meth:`event_id_of`),
-        parallel to its raw ``windows``; nothing is parsed again.  One
-        model call per window-length group.  Returns one report per
-        window, in input order, labelled with ``system``.
+        ``system`` names the system of every window, or gives one name
+        per window for a batch that mixes systems.  ``grid`` holds each
+        window's event ids (from :meth:`event_id_of`), parallel to its
+        raw ``windows``; nothing is parsed again.  Each row is gathered
+        through its own system's featurizer, then one model call scores
+        each window-length group.  Returns one report per window, in
+        input order, labelled with that window's system.
         """
         model = self._require_fitted()
         if len(grid) != len(windows):
@@ -367,9 +371,12 @@ class LogSynergy:
                 f"timestamps batch has {len(timestamps)} entries for "
                 f"{len(windows)} windows"
             )
+        systems = [system] * len(grid) if isinstance(system, str) else list(system)
+        if len(systems) != len(grid):
+            raise ValueError(
+                f"{len(systems)} systems given for {len(grid)} windows")
         if not windows:
             return []
-        featurizer = self._featurizer(system)
         with trace("detect.batch", windows=len(windows)):
             scores = np.zeros(len(grid), dtype=np.float64)
             by_length: dict[int, list[int]] = {}
@@ -377,14 +384,15 @@ class LogSynergy:
                 by_length.setdefault(len(ids), []).append(index)
             for indices in by_length.values():
                 probabilities = model.predict_proba(
-                    featurizer.gather([grid[i] for i in indices]))
+                    self._gather_rows(systems, grid, indices))
                 for i, probability in zip(indices, probabilities):
                     scores[i] = float(probability)
 
             reports: list[AnomalyReport] = []
             for index, messages in enumerate(windows):
+                featurizer = self._featurizer(systems[index])
                 reports.append(build_report(
-                    system=system,
+                    system=systems[index],
                     score=float(scores[index]),
                     threshold=self.config.threshold,
                     messages=messages,
@@ -393,3 +401,17 @@ class LogSynergy:
                     timestamps=timestamps[index] if timestamps is not None else None,
                 ))
         return reports
+
+    def _gather_rows(self, systems: list[str], grid: list[list[int]],
+                     indices: list[int]) -> np.ndarray:
+        """Embed the ``indices`` rows of ``grid`` (one window length),
+        each row through its own system's featurizer."""
+        rows_of: dict[str, list[int]] = {}
+        for position, index in enumerate(indices):
+            rows_of.setdefault(systems[index], []).append(position)
+        out = np.empty((len(indices), len(grid[indices[0]]),
+                        self.encoder.dim), dtype=np.float32)
+        for name, positions in rows_of.items():
+            out[positions] = self._featurizer(name).gather(
+                [grid[indices[position]] for position in positions])
+        return out

@@ -6,9 +6,10 @@ alerting, §VI-A); this package implements every stage between the
 ``repro.deploy`` front door (:class:`~repro.deploy.OnlineService`) and
 the model's batch-first ``score_event_windows``/``predict_proba`` path:
 
-* :class:`ShardRouter` — stable system-id hashing over N shards; a
-  system's records always land on the same shard, so each shard owns its
-  windowing state and results are independent of the shard count.
+* :class:`ShardRouter` — sticky round-robin assignment of systems to N
+  shards, in first-seen order; a system's records always land on the
+  same shard, so each shard owns its windowing state and results are
+  independent of the shard count.
 * :func:`normalize_record` / :class:`UnifiedLog` — the formatting stage:
   the one record normal form every shard window is built from.  Each
   record is parsed once here, by the per-record ``event_fn(system,
@@ -20,9 +21,11 @@ the model's batch-first ``score_event_windows``/``predict_proba`` path:
   verdict cache, keyed by window event-id patterns.
 * :class:`MicroBatchScheduler` — accumulates windows per system lane and
   flushes them under a max-batch-size / max-latency budget (injectable
-  clock).  Lanes are chunked at exactly ``max_batch`` so batch
-  boundaries — and therefore model outputs — are byte-identical for any
-  shard count.
+  clock).  The size trigger chunks lanes at exactly ``max_batch`` so
+  replay batch boundaries — and therefore model outputs — are
+  byte-identical for any shard count; the latency budget is one deadline
+  per shard, at which every lane flushes (as one mixed batch for a
+  worker that scores it in one call).
 * :class:`WorkerSupervisor` — timeout accounting, bounded retry with
   backoff, and a health state machine.  While a shard's model worker is
   unhealthy its traffic falls back to the :class:`PatternFallback`

@@ -12,7 +12,8 @@ canonical end-of-stream drain order — makes the output a pure function
 of the input stream: ``repro replay --shards N`` is byte-identical for
 every N.  This mode backs :class:`~repro.deploy.online.OnlineService`,
 ``repro replay`` and ``repro serve``, where the ``max_latency`` trigger
-flushes partial batches on the submit that finds them overdue.
+flushes every lane of a shard on the submit that finds the shard's
+oldest window overdue.
 
 **Process** (``executor="process"``) — ``start`` / ``stop``; each shard
 runs in its own worker process (:mod:`repro.runtime.procexec`), warmed
@@ -337,8 +338,9 @@ class InferenceRuntime:
         """Admit one record to its shard.
 
         Sync ingests it there and scores whatever batches are then due
-        (full lanes, and partial ones past ``max_latency``); process
-        hands it to the shard's worker process.
+        (full lanes, and every lane once the shard's oldest window is
+        past ``max_latency``); process hands it to the shard's worker
+        process.
         """
         if fault_point("runtime.admit", record) is DROPPED:
             # Injected silent ingress loss: the caller sees a normal

@@ -20,15 +20,21 @@ This module runs each shard in its own **worker process**:
 * **A cheap output poll** — each spawn epoch shares a ``produced``
   counter that only the child writes, bumped after every message it
   puts on its output queue.  The parent counts what it reads
-  (``consumed``) and touches the queue only while it is behind, so a
-  record whose shard has nothing new to report costs no pipe syscall.
-* **Shipping within the latency budget** — records reach a child over
-  a one-way pipe written from the caller's thread (no feeder thread, and
-  ``submit`` blocks while a lagging child's pipe is full).  A shard's
-  buffer ships when it holds ``_CHUNK`` records or, under a
+  (``consumed``) and, on every submit, reads each shard's queue only
+  while it is behind, so a shard with nothing new costs no pipe
+  syscall, and a report a child emits at its deadline surfaces on the
+  next submit to any shard.
+* **One latency deadline per shard, from admission** — records reach a
+  child over a one-way pipe written from the caller's thread (no feeder
+  thread, and ``submit`` blocks while a lagging child's pipe is full).
+  A shard's buffer ships when it holds ``_CHUNK`` records or, under a
   ``max_latency`` budget, once its oldest record has waited
-  ``_SHIP_AGE_SHARE`` of that budget, so a quiet shard still reaches
-  its child's latency trigger in time.
+  ``_SHIP_AGE_SHARE`` of that budget.  Each shipment carries that
+  record's age, a duration, so no clock is shared across processes: the
+  child counts the budget of the windows it completes from its receive
+  time minus that age, sleeps on its inbox until the shard's oldest
+  deadline, and then scores every waiting lane (one batch for a model
+  worker) without waiting for more input.
 * **Crash supervision with exactly-once output** — the parent keeps a
   per-shard journal of every record it ever sent.  A dead child
   (detected on flush/drain, or killed by the ``runtime.proc.death``
@@ -69,9 +75,10 @@ __all__ = ["ProcessWorkerSpec", "ProcessShardExecutor", "WireRecord"]
 # letting the parent run far ahead of a crashed child.
 _CHUNK = 32
 # Under a latency budget, a partial buffer ships once its oldest record
-# has waited this share of ``max_latency``: the child's latency trigger
-# only runs when a message arrives, so a record must not sit in the
-# parent for most of its budget.
+# has waited this share of ``max_latency``.  The budget counts from
+# admission and the child wakes on its own at the deadline, but a record
+# still in the parent cannot be scored: its window must reach the child
+# with most of the budget left.
 _SHIP_AGE_SHARE = 0.25
 
 
@@ -391,7 +398,7 @@ class ProcessShardExecutor:
             try:
                 for start in range(0, len(slot.journal), _CHUNK):
                     slot.inbox.send(
-                        ("recs", slot.journal[start:start + _CHUNK]))
+                        ("recs", slot.journal[start:start + _CHUNK], 0.0))
             except OSError:
                 continue
             self._refed.inc(len(slot.journal))
@@ -470,7 +477,8 @@ class ProcessShardExecutor:
         The buffer ships when it holds ``_CHUNK`` records; under a
         latency budget every shard's buffer also ships once its oldest
         record has waited ``_SHIP_AGE_SHARE`` of ``max_latency``.  A
-        send blocks while the child's pipe is full.
+        send blocks while the child's pipe is full.  Every shard's
+        finished reports are collected on the way out.
         """
         self.ensure_started()
         slot = self._slots[index]
@@ -494,9 +502,10 @@ class ProcessShardExecutor:
                 slot.buffered_at = now
                 if now < self._oldest:
                     self._oldest = now
-            self._poll_out(slot)
         if now is not None and now - self._oldest >= self._ship_age:
             self._ship_aged(now)
+        for other in self._slots:
+            self._poll_out(other)
 
     def _ship_aged(self, now: float) -> None:
         """Ship every buffer whose oldest record is due; reset
@@ -514,8 +523,12 @@ class ProcessShardExecutor:
     def _flush(self, slot: _ShardSlot) -> None:
         if not slot.buffer or slot.fallback is not None:
             return
+        # How long the oldest buffered record has been admitted: the
+        # child's latency budget for these records counts from there.
+        age = (0.0 if self._ship_age is None
+               else self._clock() - slot.buffered_at)
         try:
-            slot.inbox.send(("recs", slot.buffer))
+            slot.inbox.send(("recs", slot.buffer, age))
         except OSError:
             # BrokenPipeError: the child is gone.  The buffer is in the
             # journal, so the refeed delivers it.
@@ -721,7 +734,10 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
     """One shard's whole life inside its worker process.
 
     Builds a warm worker from the spec (attaching the weight broadcast),
-    then serves ``recs`` / ``drain`` / ``stop`` messages.  Reports flow
+    then serves ``recs`` / ``drain`` / ``stop`` messages.  While windows
+    wait under a latency budget it waits for input only until the
+    shard's oldest deadline, and at the deadline scores every waiting
+    lane with no further message.  Reports flow
     up tagged with the spawn epoch; the parent ignores stale acks and
     deduplicates reports, so this function never needs to know whether
     it is a first launch or a post-crash respawn over a refed journal.
@@ -748,13 +764,23 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
                 event_fn=event_fn, emit=reports.append, registry=registry,
                 scope=scope, spans=False, gate=gate, **params,
             )
+            clock = registry.clock
             while True:
-                message = inbox.recv()
+                deadline = shard.scheduler.oldest_deadline()
+                if deadline is None or inbox.poll(max(0.0, deadline - clock())):
+                    message = inbox.recv()
+                else:
+                    # The oldest window's budget is spent and no input
+                    # came: score every waiting lane now.
+                    message = ("deadline",)
                 kind = message[0]
-                if kind == "recs":
+                if kind == "deadline":
+                    shard.flush_ready(clock())
+                elif kind == "recs":
+                    admitted_at = clock() - message[2]
                     for record in message[1]:
-                        shard.ingest(record)
-                    shard.flush_ready(registry.clock())
+                        shard.ingest(record, admitted_at)
+                    shard.flush_ready(clock())
                 elif kind == "drain":
                     # Residual lanes flush in the same canonical order
                     # the synchronous engine uses (sorted by system).

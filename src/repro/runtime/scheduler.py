@@ -1,17 +1,26 @@
 """Per-shard micro-batch scheduling under a size / latency budget.
 
-Windows wait in per-system *lanes*.  A lane flushes when it holds
-``max_batch`` windows, when its oldest window has waited ``max_latency``
-seconds (injectable clock — the scheduler never reads wall time itself),
-or unconditionally on ``drain``.
+Windows wait in per-system *lanes*.  Two triggers flush them (the clock
+is injected — the scheduler never reads wall time itself):
 
-Batches are always consecutive ``max_batch``-sized chunks of one lane.
-Because a lane's arrival order depends only on that system's stream —
-never on which shard it runs on or when triggers fire — the sequence of
-batches handed to the model is identical for any shard count.  That
-chunk-boundary invariant is what makes ``repro replay --shards N``
-byte-identical for every N (a lane flushed early by the latency trigger
-still emits the same prefix chunks it would have emitted later).
+* **size** — a lane holding ``max_batch`` windows flushes its full
+  chunks, lanes in sorted system order;
+* **latency** — once the oldest lane head of the whole shard has waited
+  ``max_latency`` seconds, *every* lane flushes its remainder, lanes
+  ordered oldest head first.  One deadline per shard is what lets the
+  owner sleep until :meth:`MicroBatchScheduler.oldest_deadline` and then
+  score everything waiting, in one call where the worker can.
+
+``drain`` flushes everything, in sorted system order.
+
+The size trigger and ``drain`` emit consecutive ``max_batch``-sized
+chunks of one lane, one chunk per batch.  Because a lane's arrival
+order depends only on that system's stream — never on which shard it
+runs on — the sequence of batches handed to the model without a
+latency budget is identical for any shard count.  That chunk-boundary
+invariant is what makes ``repro replay --shards N`` byte-identical for
+every N; the latency trigger, whose flush times follow the wall clock,
+is off in replay.
 """
 
 from __future__ import annotations
@@ -55,8 +64,8 @@ class MicroBatchScheduler:
         self.max_latency = max_latency
         self._lanes: dict[str, list[PendingWindow]] = {}
         # What lets ready_batches answer "nothing due" without touching
-        # the lanes: whether some lane holds a full chunk, and a time no
-        # later than the earliest lane head's enqueue time.
+        # the lanes: whether some lane holds a full chunk, and the
+        # earliest lane head's enqueue time (the shard's one deadline).
         self._full = False
         self._oldest_head = float("inf")
 
@@ -67,10 +76,10 @@ class MicroBatchScheduler:
         """Queue one window in its system lane."""
         lane = self._lanes.setdefault(pending.system, [])
         lane.append(pending)
+        if len(lane) == 1 and pending.enqueued_at < self._oldest_head:
+            self._oldest_head = pending.enqueued_at
         if len(lane) >= self.max_batch:
             self._full = True
-        elif len(lane) == 1 and pending.enqueued_at < self._oldest_head:
-            self._oldest_head = pending.enqueued_at
 
     def _pop_chunks(self, lane: list[PendingWindow],
                     include_partial: bool) -> list[list[PendingWindow]]:
@@ -83,26 +92,35 @@ class MicroBatchScheduler:
             lane.clear()
         return batches
 
+    def expired(self, now: float) -> bool:
+        """Whether the shard's oldest lane head has used up its budget."""
+        return (self.max_latency is not None
+                and now - self._oldest_head >= self.max_latency)
+
     def ready_batches(self, now: float) -> list[list[PendingWindow]]:
         """Batches due under the size or latency trigger.
 
-        Full ``max_batch`` chunks are always due.  When the latency
-        budget of a lane's oldest window has expired, the lane's
-        remainder flushes too (as a final partial chunk).
+        Full ``max_batch`` chunks are always due.  Once the oldest head
+        in any lane has waited ``max_latency``, every lane flushes its
+        remainder too (full chunks, then a final partial one), lanes
+        ordered by head enqueue time.
         """
-        if not self._full and (self.max_latency is None
-                               or now - self._oldest_head < self.max_latency):
-            # No lane is full and even the earliest head is in budget.
+        if self.expired(now):
+            lanes = sorted((lane for lane in self._lanes.values() if lane),
+                           key=lambda lane: (lane[0].enqueued_at,
+                                             lane[0].system))
+            batches = [chunk for lane in lanes
+                       for chunk in self._pop_chunks(lane, include_partial=True)]
+            self._full = False
+            self._oldest_head = float("inf")
+            return batches
+        if not self._full:
             return []
         batches: list[list[PendingWindow]] = []
         oldest_head = float("inf")
         for system in sorted(self._lanes):
             lane = self._lanes[system]
-            if not lane:
-                continue
-            expired = (self.max_latency is not None
-                       and now - lane[0].enqueued_at >= self.max_latency)
-            batches.extend(self._pop_chunks(lane, include_partial=expired))
+            batches.extend(self._pop_chunks(lane, include_partial=False))
             if lane and lane[0].enqueued_at < oldest_head:
                 oldest_head = lane[0].enqueued_at
         self._full = False
@@ -120,10 +138,9 @@ class MicroBatchScheduler:
         return batches
 
     def oldest_deadline(self) -> float | None:
-        """Earliest instant any lane's latency budget expires (or None)."""
-        if self.max_latency is None:
+        """When the latency trigger fires next: the oldest lane head's
+        enqueue time plus ``max_latency`` (None when nothing waits or
+        there is no budget)."""
+        if self.max_latency is None or self._oldest_head == float("inf"):
             return None
-        heads = [lane[0].enqueued_at for lane in self._lanes.values() if lane]
-        if not heads:
-            return None
-        return min(heads) + self.max_latency
+        return self._oldest_head + self.max_latency

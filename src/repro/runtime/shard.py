@@ -20,7 +20,11 @@ A shard owns every stage of its systems' traffic after routing:
    batch lands, exactly like the duplicate-dedup of the original online
    service); novel patterns join the micro-batch scheduler.
 4. **Scoring** — due batches go through the
-   :class:`~repro.runtime.supervisor.WorkerSupervisor`.  A healthy worker
+   :class:`~repro.runtime.supervisor.WorkerSupervisor`: size-triggered
+   chunks one lane at a time; a latency-triggered flush (every lane's
+   remainder, oldest head first) as one batch that mixes systems when
+   the worker scores that in one call (``fuse_lanes``, e.g. one model
+   forward), else lane by lane.  A healthy worker
    returns model reports: verdicts are remembered, anomalous windows are
    emitted.  A degraded worker returns ``None``: every window in the
    batch is answered by the :class:`~repro.runtime.fallback.PatternFallback`
@@ -101,6 +105,7 @@ class ShardState:
         # not memoized.
         self.gate = gate
         self.scheduler = MicroBatchScheduler(max_batch, max_latency)
+        self._fuse_lanes = getattr(supervisor.worker, "fuse_lanes", False)
         self.window = window
         self.step = step
         self._event_fn = event_fn
@@ -144,17 +149,23 @@ class ShardState:
             )
         return library
 
-    def ingest(self, record) -> None:
-        """Parse and window one record; gate any windows it completes."""
+    def ingest(self, record, admitted_at: float | None = None) -> None:
+        """Parse and window one record; gate any windows it completes.
+
+        ``admitted_at`` is when the record entered the runtime, on this
+        shard's clock; the latency budget of the windows it completes
+        counts from there (default: now).
+        """
         entry = normalize_record(record, self._event_fn)
         lane = self._assembly.setdefault(record.system, [])
         lane.append(entry)
         while len(lane) >= self.window:
             completed = lane[: self.window]
             del lane[: self.step]
-            self._gate(record.system, completed)
+            self._gate(record.system, completed, admitted_at)
 
-    def _gate(self, system: str, window_entries: list) -> None:
+    def _gate(self, system: str, window_entries: list,
+              admitted_at: float | None) -> None:
         start = self._clock()
         self._windows.inc()
         index = self._window_index.get(system, 0)
@@ -168,10 +179,11 @@ class ShardState:
             self._latency.observe(gate_seconds)
             return
         key = (system, pattern)
+        enqueued_at = self._clock() if admitted_at is None else admitted_at
         if not self.gate:
             self.scheduler.add(PendingWindow(
                 system=system, index=index, window=window_entries,
-                pattern=pattern, enqueued_at=self._clock(),
+                pattern=pattern, enqueued_at=enqueued_at,
                 gate_seconds=gate_seconds,
             ))
             return
@@ -184,14 +196,23 @@ class ShardState:
         self._awaiting[key] = []
         self.scheduler.add(PendingWindow(
             system=system, index=index, window=window_entries,
-            pattern=pattern, enqueued_at=self._clock(),
+            pattern=pattern, enqueued_at=enqueued_at,
             gate_seconds=gate_seconds,
         ))
 
     # ------------------------------------------------------------------
     def flush_ready(self, now: float) -> None:
-        """Score every batch due under the size / latency triggers."""
-        for batch in self.scheduler.ready_batches(now):
+        """Score every batch due under the size / latency triggers.
+
+        Size-triggered chunks score one lane at a time; a latency flush
+        (every lane's remainder, oldest head first) scores as one batch
+        for a worker that fuses lanes.
+        """
+        fuse = self._fuse_lanes and self.scheduler.expired(now)
+        batches = self.scheduler.ready_batches(now)
+        if fuse and len(batches) > 1:
+            batches = [[pending for batch in batches for pending in batch]]
+        for batch in batches:
             self.score_batch(batch)
 
     def drain_batches(self) -> list[tuple[str, list[PendingWindow]]]:

@@ -7,7 +7,9 @@ Three implementations:
 * :class:`ModelWorker` — the production path over a fitted
   :class:`~repro.core.pipeline.LogSynergy`: the event ids parsed at
   admission go straight to ``score_event_windows`` (gather + one
-  forward per window-length group), with no second parse.
+  forward per window-length group), with no second parse.  A batch may
+  mix systems (a shard's latency flush); each row is gathered through
+  its own system's featurizer, still in one forward.
 * :class:`SyntheticWorker` — deterministic content-hash scoring with an
   injectable per-batch cost, for tests and the runtime benchmark (the
   cost stands in for LLM/accelerator inference latency, which LogLLM and
@@ -38,7 +40,14 @@ class WorkerError(RuntimeError):
 
 
 class InferenceWorker(Protocol):
-    """One report per pending window, in batch order."""
+    """One report per pending window, in batch order.
+
+    A batch may mix systems.  A worker whose class sets ``fuse_lanes``
+    scores such a batch in one call (one forward), so a shard hands it
+    a latency flush as one batch; other workers get that flush lane by
+    lane, oldest head first, so the oldest windows' reports do not wait
+    on the younger lanes' scoring.
+    """
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
         ...  # pragma: no cover - protocol
@@ -69,6 +78,8 @@ def admission_event_fn(pipeline) -> Callable[[str, str], int]:
 class ModelWorker:
     """Scores batches through LogSynergy's batch-first detection path."""
 
+    fuse_lanes = True
+
     def __init__(self, model):
         if model.model is None:
             raise ValueError("ModelWorker requires a fitted LogSynergy model")
@@ -79,13 +90,12 @@ class ModelWorker:
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
         fault_point("runtime.worker.score")
-        # A batch is one system lane's chunk (MicroBatchScheduler).
-        system = batch[0].system
+        systems = [p.system for p in batch]
         grid = [[entry.event_id for entry in p.window] for p in batch]
         messages = [[entry.message for entry in p.window] for p in batch]
         timestamps = [[entry.timestamp for entry in p.window] for p in batch]
         reports = self.model.score_event_windows(
-            system, grid, messages, timestamps)
+            systems, grid, messages, timestamps)
         reports = fault_point("runtime.worker.result", reports)
         # A dropped result degrades the batch (the supervisor treats a
         # missing result like an exhausted retry budget).
@@ -99,14 +109,16 @@ class ModelWorker:
 class EnsembleWorker:
     """Scores batches through a :class:`repro.detectors.Ensemble`.
 
-    A batch is one system lane's chunk, handed to
-    :meth:`~repro.detectors.Ensemble.score_windows` whole: each member
-    scores it in one call, and a live model member reads the event ids
-    stamped at admission (one forward per batch, no second parse).  The
-    ensemble keeps rolling per-system state (EWMA baselines, LOF
-    reference buffers), so windows of one system must reach it in
-    stream order — submit-order admission into system-sticky shards
-    already guarantees that for every shard count.
+    A batch is split by system, in order of first appearance, and each
+    system's windows go to :meth:`~repro.detectors.Ensemble.score_windows`
+    in one call, in batch order: each member scores them together, and a
+    live model member reads the event ids stamped at admission (one
+    forward per system, no second parse).  A mixed batch therefore costs
+    one call per system, so shards do not fuse lanes for this worker.  The ensemble keeps rolling
+    per-system state (EWMA baselines, LOF reference buffers), so windows
+    of one system must reach it in stream order — submit-order admission
+    into system-sticky shards, and lanes that keep arrival order, already
+    guarantee that for every shard count.
     """
 
     def __init__(self, ensemble):
@@ -114,12 +126,18 @@ class EnsembleWorker:
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
         fault_point("runtime.worker.score")
-        system = batch[0].system
-        scores = self.ensemble.score_windows(
-            system, [pending.window for pending in batch])
+        positions_of: dict[str, list[int]] = {}
+        for position, pending in enumerate(batch):
+            positions_of.setdefault(pending.system, []).append(position)
+        scores = [0.0] * len(batch)
+        for system, positions in positions_of.items():
+            column = self.ensemble.score_windows(
+                system, [batch[position].window for position in positions])
+            for position, score in zip(positions, column):
+                scores[position] = score
         reports = [
             build_report(
-                system=system,
+                system=pending.system,
                 score=score,
                 threshold=self.ensemble.threshold,
                 messages=[entry.message for entry in pending.window],
@@ -141,6 +159,8 @@ class SyntheticWorker:
     function of window content, so results are reproducible and
     shard-count independent.
     """
+
+    fuse_lanes = True
 
     def __init__(self, threshold: float = 0.5,
                  cost: Callable[[int], None] | None = None):

@@ -116,6 +116,78 @@ class TestFromEnsemble:
         assert all(report.is_anomalous for report in reports)
 
 
+def sample_member_rows(shards, max_latency=None, step=0.0):
+    """Serve the bundled sample through ``ewma,lof,rules,model:max`` (as
+    ``repro replay/serve --detectors`` does) and return every window's
+    member-score row by system, the rendered reports, and how many
+    systems each scored batch held.  ``step`` advances the runtime's
+    clock by that much per submitted record."""
+    from pathlib import Path
+
+    from repro.logs import load_records
+
+    records = load_records(Path(__file__).resolve().parents[2]
+                           / "examples" / "data" / "replay_sample.jsonl")
+    now = [0.0]
+    registry = MetricsRegistry(clock=lambda: now[0])
+    ensemble = ensemble_from_spec("ewma,lof,rules,model:max",
+                                  registry=registry)
+    rows = {}
+    score_rows = ensemble._score_rows
+
+    def recording(system, windows):
+        got = score_rows(system, windows)
+        rows.setdefault(system, []).extend(got)
+        return got
+
+    ensemble._score_rows = recording
+    runtime = InferenceRuntime.from_ensemble(
+        ensemble, shards=shards, max_latency=max_latency,
+        backpressure="block", registry=registry)
+    mixes = []
+    for shard in runtime.shards:
+        def counting(batch, _score=shard.score_batch):
+            mixes.append(len({pending.system for pending in batch}))
+            return _score(batch)
+        shard.score_batch = counting
+    for record in records:
+        runtime.submit(record)
+        now[0] += step
+    return rows, render_reports(runtime.drain()), mixes
+
+
+class TestMemberScoresAcrossShards:
+    def test_every_member_row_is_shard_invariant(self):
+        """``repro replay --out`` renders only anomalous windows, so
+        equal bytes say nothing about the scores below threshold: every
+        window's member-score row must match at 1, 2 and 3 shards."""
+        golden, _, _ = sample_member_rows(1)
+        assert sorted(golden) == ["auth-service", "billing-api",
+                                  "web-frontend"]
+        windows = sum(len(rows) for rows in golden.values())
+        assert windows == 3 * ((220 - 10) // 5 + 1)
+        live = [score for rows in golden.values() for row in rows
+                for score in row if score is not None]
+        assert any(score < 0.5 for score in live)
+        for shards in (2, 3):
+            assert sample_member_rows(shards)[0] == golden, f"shards={shards}"
+
+    def test_latency_flushes_score_like_the_replay(self):
+        """A 10 ms budget on a clock that ticks 1 ms per record: each
+        shard flushes every lane at its oldest head's deadline, lane by
+        lane (the ensemble worker scores one system per call, so lanes
+        are not fused), and every member row still matches the
+        replay's."""
+        golden, rendered, replay_mixes = sample_member_rows(1)
+        for shards in (1, 2):
+            rows, served, mixes = sample_member_rows(
+                shards, max_latency=0.01, step=0.001)
+            assert len(mixes) > 3 * len(replay_mixes)
+            assert max(mixes) == 1
+            assert rows == golden, f"shards={shards}"
+            assert served == rendered
+
+
 class TestOnlineServiceEnsemble:
     def test_day0_service_without_model(self):
         stream = day0_stream()

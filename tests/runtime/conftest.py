@@ -38,8 +38,8 @@ def multi_system_stream(systems: int = 6, lines: int = 120,
                         seed: int = 0) -> list:
     """Interleaved records across ``systems`` synthetic services.
 
-    Service names follow ``svc-NN``, which hash evenly onto 2 and 4
-    shards under the CRC32 router.
+    Service names follow ``svc-NN``; the router deals them round-robin
+    in first-seen order, so they spread evenly over any shard count.
     """
     streams = []
     for index in range(systems):
@@ -57,8 +57,9 @@ def six_system_model_stream(lines: int = 150, seed: int = 30) -> list:
     """Six real system dialects interleaved in timestamp order, dense
     enough in repeats that the model path's pattern gate emits reports.
 
-    The names spread over shards 0/1 at 2 shards and 0/1/3 at 4, so a
-    multi-shard replay really splits the systems.
+    The router deals the six systems round-robin, three per shard at 2
+    shards and one or two per shard at 4, so a multi-shard replay
+    really splits the systems.
     """
     import heapq
 

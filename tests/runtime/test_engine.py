@@ -116,9 +116,51 @@ class TestBackpressure:
         assert runtime.pending_windows() == 0
 
 
+class TestLatencyFlush:
+    """Once a shard's oldest window is past ``max_latency``, every lane
+    flushes; a worker that fuses lanes gets them as one batch."""
+
+    @staticmethod
+    def flushed(worker_class):
+        class Recording(worker_class):
+            def score_batch(self, batch):
+                batches.append([p.window_id for p in batch])
+                return super().score_batch(batch)
+
+        batches = []
+        clock = FakeClock()
+        runtime = sync_runtime(1, worker_factory=lambda index: Recording(),
+                               max_batch=16, max_latency=0.5,
+                               gate=False, registry=MetricsRegistry(clock=clock))
+        records = multi_system_stream(systems=3, lines=20)
+        # svc-00 completes its first window alone and waits 250 ms;
+        # then svc-01 and svc-02 complete theirs, and 250 ms later the
+        # budget of svc-00's window runs out.
+        for record in [r for r in records if r.system == "svc-00"][:10]:
+            runtime.submit(record)
+        clock.advance(0.25)
+        for record in [r for r in records if r.system != "svc-00"][:20]:
+            runtime.submit(record)
+        assert batches == []
+        clock.advance(0.25)
+        runtime.submit(records[-1])
+        return batches
+
+    def test_fusing_worker_scores_every_lane_in_one_batch(self):
+        assert self.flushed(SyntheticWorker) == \
+            [["svc-00:0", "svc-01:0", "svc-02:0"]]
+
+    def test_other_workers_score_lane_by_lane_oldest_head_first(self):
+        class OneCallPerSystem(SyntheticWorker):
+            fuse_lanes = False
+
+        assert self.flushed(OneCallPerSystem) == \
+            [["svc-00:0"], ["svc-01:0"], ["svc-02:0"]]
+
+
 class TestGracefulDegradation:
     def test_unhealthy_shard_keeps_emitting_via_fallback(self):
-        # svc-00..05 split onto both shards under the CRC32 router.
+        # svc-00..05 are dealt round-robin onto both shards.
         records = multi_system_stream(systems=6, lines=120)
         runtime = sync_runtime(2, max_batch=4)
         runtime.shards[0].supervisor.force_unhealthy(cooldown=1e9)

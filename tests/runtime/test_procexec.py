@@ -482,6 +482,79 @@ class TestOutputPoll:
         assert (slot.out_q.reads, slot.consumed) == (3, 2)
 
 
+class TestDeadlineWake:
+    """A shard process keeps its own clock: windows past their budget
+    are scored and reported with no further input."""
+
+    def test_child_reports_at_the_deadline_without_more_input(self):
+        from repro.runtime.procexec import WireRecord, _shard_process_main
+
+        executor = ProcessShardExecutor(
+            ProcessWorkerSpec.synthetic(threshold=-1.0), shards=1,
+            event_fn=message_event, emit=lambda report: None,
+            max_latency=0.5, registry=MetricsRegistry())
+        ctx = executor._ctx
+        inbox, send_end = ctx.Pipe(duplex=False)
+        out_q = ctx.Queue()
+        produced = ctx.RawValue("Q", 0)
+        process = ctx.Process(
+            target=_shard_process_main,
+            args=(0, 1, executor._child_cfg(), inbox, out_q, produced),
+            daemon=True)
+        process.start()
+        try:
+            # An empty drain round trip: the child is up and looping.
+            send_end.send(("drain", 1))
+            assert out_q.get(timeout=30.0)[0] == "drained"
+            # Ten records complete one window; the message says they were
+            # admitted 400 ms ago, so 100 ms of the budget is left.
+            records = [WireRecord(r.timestamp, r.system, r.host, r.message)
+                       for r in multi_system_stream(systems=1, lines=10)]
+            sent = time.perf_counter()
+            send_end.send(("recs", records, 0.4))
+            kind, epoch, reports = out_q.get(timeout=5.0)
+            waited = time.perf_counter() - sent
+            assert (kind, epoch) == ("reports", 1)
+            assert [r.metadata["window_id"] for r in reports] == ["svc-00:0"]
+            assert produced.value == 2
+            # The budget counted from admission, not from receipt.
+            assert 0.05 <= waited < 0.4
+        finally:
+            send_end.send(("stop",))
+            process.join(timeout=10.0)
+            if process.is_alive():
+                process.kill()
+
+    def test_a_deadline_report_surfaces_on_another_shards_submit(self):
+        """Shard A gets one window's records, then only shard B's system
+        is fed: A's report must arrive well before drain, through the
+        poll that B's submits run on every shard."""
+        arrived = []
+        runtime = InferenceRuntime(
+            None, event_fn=message_event, executor="process",
+            process_spec=ProcessWorkerSpec.synthetic(threshold=-1.0),
+            shards=2, max_batch=16, max_latency=0.1,
+            registry=MetricsRegistry(),
+            on_report=lambda r: arrived.append(r.metadata["window_id"]))
+        records = multi_system_stream(systems=2, lines=400)
+        quiet = [r for r in records if r.system == "svc-00"][:10]
+        busy = [r for r in records if r.system == "svc-01"]
+        try:
+            runtime.start()
+            for record in quiet:
+                runtime.submit(record)
+            assert runtime.router.shard_of("svc-01") != \
+                runtime.router.shard_of("svc-00")
+            for record in busy:
+                if "svc-00:0" in arrived:
+                    break
+                runtime.submit(record)
+                time.sleep(0.01)
+            assert "svc-00:0" in arrived
+        finally:
+            runtime.stop()
+
+
 class TestValidationAndCleanup:
     def test_process_requires_spec(self):
         with pytest.raises(ValueError, match="process_spec"):

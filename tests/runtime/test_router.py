@@ -1,6 +1,6 @@
-"""Shard router: stable hashing, full coverage, validation."""
+"""Shard router: sticky balanced assignment, full coverage, validation."""
 
-import zlib
+from collections import Counter
 
 import pytest
 
@@ -15,10 +15,19 @@ class TestShardRouter:
         assert [first.shard_of(s) for s in systems] == \
             [second.shard_of(s) for s in systems]
 
-    def test_matches_crc32(self):
-        router = ShardRouter(8)
-        assert router.shard_of("web-frontend") == \
-            zlib.crc32(b"web-frontend") % 8
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_balances_six_systems(self, shards):
+        systems = ["bgl", "spirit", "thunderbird", "system_a", "system_b",
+                   "system_c"]
+        router = ShardRouter(shards)
+        load = Counter(router.shard_of(system) for system in systems)
+        assert set(load) == set(range(shards))
+        assert max(load.values()) - min(load.values()) <= 1
+
+    def test_deals_shards_in_first_seen_order(self):
+        router = ShardRouter(3)
+        assert [router.shard_of(s) for s in "dcbadcba"] == \
+            [0, 1, 2, 0, 0, 1, 2, 0]
 
     def test_all_records_of_a_system_land_on_one_shard(self):
         router = ShardRouter(3)

@@ -64,6 +64,39 @@ class TestLatencyTrigger:
         assert [[p.index for p in batch] for batch in batches] == \
             [[0, 1], [2, 3], [4]]
 
+    def test_one_expired_head_flushes_every_lane_oldest_first(self, fake_clock):
+        scheduler = MicroBatchScheduler(max_batch=2, max_latency=0.5)
+        scheduler.add(pending("b", 0, enqueued_at=fake_clock()))
+        fake_clock.advance(0.1)
+        scheduler.add(pending("c", 0, enqueued_at=fake_clock()))
+        scheduler.add(pending("a", 0, enqueued_at=fake_clock()))
+        scheduler.add(pending("c", 1, enqueued_at=fake_clock()))
+        scheduler.add(pending("c", 2, enqueued_at=fake_clock()))
+        # c's full chunk goes on size alone; b and a keep waiting.
+        assert [[p.window_id for p in batch]
+                for batch in scheduler.ready_batches(now=fake_clock())] == \
+            [["c:0", "c:1"]]
+        fake_clock.advance(0.4)
+        # Only b's head is due, yet every lane's remainder goes with it:
+        # b (oldest head) first, then a and c, whose heads tie and
+        # break by system name.
+        batches = scheduler.ready_batches(now=fake_clock())
+        assert [[p.window_id for p in batch] for batch in batches] == \
+            [["b:0"], ["a:0"], ["c:2"]]
+        assert len(scheduler) == 0
+        assert scheduler.oldest_deadline() is None
+
+    def test_expiry_keeps_full_chunks_whole(self, fake_clock):
+        scheduler = MicroBatchScheduler(max_batch=2, max_latency=0.5)
+        scheduler.add(pending("z", 0, enqueued_at=fake_clock()))
+        fake_clock.advance(0.1)
+        for index in range(3):
+            scheduler.add(pending("y", index, enqueued_at=fake_clock()))
+        fake_clock.advance(0.4)
+        assert [[p.window_id for p in batch]
+                for batch in scheduler.ready_batches(now=fake_clock())] == \
+            [["z:0"], ["y:0", "y:1"], ["y:2"]]
+
     def test_oldest_deadline_tracks_earliest_head(self, fake_clock):
         scheduler = MicroBatchScheduler(max_batch=8, max_latency=0.25)
         assert scheduler.oldest_deadline() is None
@@ -79,7 +112,9 @@ class TestLatencyTrigger:
 
 class _ReferenceScheduler:
     """The scheduler without its nothing-due shortcut: every
-    ``ready_batches`` call walks every lane in sorted order."""
+    ``ready_batches`` call walks every lane.  Once the oldest head has
+    waited ``max_latency`` every lane flushes its remainder, oldest
+    head first; otherwise full chunks flush in sorted lane order."""
 
     def __init__(self, max_batch, max_latency):
         self.max_batch = max_batch
@@ -100,12 +135,17 @@ class _ReferenceScheduler:
         return batches
 
     def ready_batches(self, now):
+        waiting = [system for system in sorted(self.lanes)
+                   if self.lanes[system]]
+        heads = [self.lanes[system][0].enqueued_at for system in waiting]
+        if (self.max_latency is not None and heads
+                and now - min(heads) >= self.max_latency):
+            waiting.sort(key=lambda system: self.lanes[system][0].enqueued_at)
+            return [chunk for system in waiting
+                    for chunk in self._pop(self.lanes[system], True)]
         batches = []
-        for system in sorted(self.lanes):
-            lane = self.lanes[system]
-            expired = (bool(lane) and self.max_latency is not None
-                       and now - lane[0].enqueued_at >= self.max_latency)
-            batches.extend(self._pop(lane, expired))
+        for system in waiting:
+            batches.extend(self._pop(self.lanes[system], False))
         return batches
 
     def drain(self):
