@@ -4,8 +4,8 @@
 # throughput sanity pass, a day-0 detector-portfolio floor check plus a
 # seeded detectors fuzz episode, a deterministic 2-shard runtime replay over
 # the bundled sample stream (must produce reports and non-empty
-# metrics, and sync serve under a latency budget plus the process
-# executor in replay and in serve must render identical bytes), a
+# metrics, and sync serve under a latency budget that fires plus the
+# process executor in replay and in serve must render identical bytes), a
 # detector-ensemble replay whose verdicts must render identical bytes at
 # 1 and 2 shards and under sync serve with a latency budget, a
 # seeded fault-injection fuzz pass (twice — the violation
@@ -26,7 +26,8 @@ bash scripts/lint.sh
 flow_a="$(mktemp)"
 flow_b="$(mktemp)"
 trap 'rm -f "$flow_a" "$flow_b" "${replay_out:-}" "${replay_metrics:-}" \
-    "${replay_proc:-}" "${serve_sync:-}" "${serve_proc:-}" "${fuzz_a:-}" \
+    "${replay_proc:-}" "${serve_sync:-}" "${serve_proc:-}" \
+    "${drain_metrics:-}" "${sync_metrics:-}" "${proc_metrics:-}" "${fuzz_a:-}" \
     "${fuzz_b:-}" "${ensemble_1:-}" "${ensemble_2:-}" "${members_replay:-}" \
     "${members_serve:-}"
 rm -rf "${ckpt_root:-}"' EXIT
@@ -76,14 +77,46 @@ PYTHONPATH=src python -m repro.cli replay \
     --out "$replay_out" --metrics-out "$replay_metrics"
 test -s "$replay_out" || { echo "smoke: replay produced no reports" >&2; exit 1; }
 test -s "$replay_metrics" || { echo "smoke: replay produced no metrics" >&2; exit 1; }
+# Sum of the runtime.batches counters (flat, or one per shard process)
+# in a --metrics-out file.
+batches() {
+    python - "$1" <<'PY'
+import json
+import sys
+
+total = 0.0
+with open(sys.argv[1], encoding="utf-8") as handle:
+    for line in handle:
+        metric = json.loads(line)
+        name = metric.get("name", "")
+        if name == "runtime.batches" or name.startswith("runtime.batches.shard"):
+            total += metric["value"]
+print(int(total))
+PY
+}
+# The serve checks below run lanes of up to 64 windows under a 2 ms
+# budget.  The sample admits in about 10 ms, so a 50 ms budget would
+# never fire; with 64-window lanes a replay flushes only at drain, and
+# a serve that scored more batches than that replay flushed on the
+# deadline.
+drain_metrics="$(mktemp)"
+PYTHONPATH=src python -m repro.cli replay \
+    --logs examples/data/replay_sample.jsonl --shards 2 --max-batch 64 \
+    --out /dev/null --metrics-out "$drain_metrics" >/dev/null
+drain_batches="$(batches "$drain_metrics")"
 # Sync serve scores each record's due batches on submit and flushes
-# lanes past the 50 ms budget; the synthetic worker's scores do not
-# depend on batch composition, so the bytes must match the replay.
+# every lane at its shard's oldest deadline; the synthetic worker's
+# scores do not depend on batch composition, so the bytes must match
+# the replay.
+sync_metrics="$(mktemp)"
 PYTHONPATH=src python -m repro.cli serve \
-    --logs examples/data/replay_sample.jsonl --shards 2 \
-    --max-latency 0.05 --out "$serve_sync" >/dev/null
+    --logs examples/data/replay_sample.jsonl --shards 2 --max-batch 64 \
+    --max-latency 0.002 --out "$serve_sync" \
+    --metrics-out "$sync_metrics" >/dev/null
 cmp -s "$replay_out" "$serve_sync" \
     || { echo "smoke: sync serve diverged from sync replay" >&2; exit 1; }
+[ "$(batches "$sync_metrics")" -gt "$drain_batches" ] \
+    || { echo "smoke: sync serve never fired its latency trigger" >&2; exit 1; }
 
 # Every detector member keeps its state per system, so the shard count
 # must not move a verdict.  The output holds only the anomalous windows;
@@ -134,15 +167,20 @@ PYTHONPATH=src python -m repro.cli replay \
 cmp -s "$replay_out" "$replay_proc" \
     || { echo "smoke: process-executor replay diverged from sync replay" >&2
          exit 1; }
-# Serving under a 50 ms budget ships partial chunks early; the
-# synthetic worker's scores do not depend on batch composition, so the
-# bytes must still match the replay.
+# Serving under the 2 ms budget flushes partial lanes at each shard
+# process's deadline; the synthetic worker's scores do not depend on
+# batch composition, so the bytes must still match the replay.
+proc_metrics="$(mktemp)"
 PYTHONPATH=src python -m repro.cli serve \
     --logs examples/data/replay_sample.jsonl --shards 2 \
-    --executor process --max-latency 0.05 --out "$serve_proc" >/dev/null
+    --executor process --max-batch 64 --max-latency 0.002 \
+    --out "$serve_proc" --metrics-out "$proc_metrics" >/dev/null
 cmp -s "$replay_out" "$serve_proc" \
     || { echo "smoke: process-executor serve diverged from sync replay" >&2
          exit 1; }
+[ "$(batches "$proc_metrics")" -gt "$drain_batches" ] \
+    || { echo "smoke: process-executor serve never fired its latency" \
+         "trigger" >&2; exit 1; }
 PYTHONPATH=src python benchmarks/bench_runtime_throughput.py --smoke
 PYTHONPATH=src python -m repro.cli fuzz --episodes 1 --seed 7 \
     --suite process >/dev/null

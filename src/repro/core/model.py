@@ -7,6 +7,13 @@ pooled feature vector that SUFE splits into system-unified features
 predicts which system produced the sequence from ``F_s``.  The CLUB and
 DAAN modules attach during training only; online detection uses just
 ``F`` and ``C_anomaly`` (§III-E).
+
+Training runs the module tree over autograd :class:`~repro.nn.Tensor`\ s.
+Scoring does not: :meth:`LogSynergyModel.predict_proba` runs an inference
+plan, a straight-line numpy forward over the live parameter arrays that
+calls the same array-level kernels as the autograd nodes
+(:mod:`repro.nn.kernels`), so its probabilities are bit-identical to the
+eval-mode module forward at a fraction of the per-call overhead.
 """
 
 from __future__ import annotations
@@ -15,6 +22,12 @@ import numpy as np
 
 from .. import nn
 from ..config import LogSynergyConfig
+from ..nn.kernels import (
+    attention_weights,
+    gelu_forward,
+    layer_norm_forward,
+    linear_forward,
+)
 from ..nn.tensor import Tensor
 
 __all__ = ["LogSynergyModel"]
@@ -86,24 +99,78 @@ class LogSynergyModel(nn.Module):
         return (self.predict_proba(sequences, batch_size=batch_size) > threshold).astype(np.int64)
 
     def predict_proba(self, sequences: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Anomaly probabilities, batched, in eval mode with grads disabled.
+        """Anomaly probabilities, batched, through the inference plan.
 
-        A model already in eval mode (the served one) skips the two
-        mode walks over its module tree; a training model is switched
-        to eval for the call and back afterwards.
+        The plan (:meth:`_infer`) builds no graph and never applies
+        dropout, so it neither reads nor changes the training flag.  With
+        ``nn.use_fused_kernels(False)`` the call runs the seed composition
+        instead: the module forward in eval mode with grads disabled.
         """
-        was_training = self.training
-        if was_training:
-            self.eval()
-        probabilities = []
-        try:
-            with nn.no_grad():
-                for start in range(0, len(sequences), batch_size):
-                    batch = sequences[start : start + batch_size]
-                    probabilities.append(self.forward(batch).data)
-        finally:
-            if was_training:
-                self.train()
+        if nn.fused_kernels_enabled():
+            forward = self._infer
+        else:
+            forward = self._module_forward
+        probabilities = [forward(sequences[start : start + batch_size])
+                         for start in range(0, len(sequences), batch_size)]
         if not probabilities:
             return np.zeros(0, dtype=np.float32)
         return np.concatenate(probabilities)
+
+    def _module_forward(self, batch: np.ndarray) -> np.ndarray:
+        was_training = self.training
+        if was_training:
+            self.eval()
+        try:
+            with nn.no_grad():
+                return self.forward(batch).data
+        finally:
+            if was_training:
+                self.train()
+
+    def _infer(self, batch: np.ndarray) -> np.ndarray:
+        """The eval-mode forward on plain arrays, step for step.
+
+        Reads every parameter's ``.data`` at call time, so a
+        ``load_state_dict`` takes effect on the next call.  Each step
+        keeps the autograd path's dtypes and shapes: attention scores in
+        float64 (the ``np.float64`` scale), the context rounded to float32
+        before ``w_out``, the mean as ``sum * float32(1/n)``, ReLU as
+        ``np.where(x > 0, x, 0.0)``, and the heads as 2-D matmuls.
+        """
+        x = _dense(self.input_projection, np.ascontiguousarray(batch, dtype=np.float32))
+        encoder = self.encoder
+        seq = x.shape[1]
+        x = x + encoder.positional.table(seq)
+        for layer in encoder.layers:
+            x = x + _attend(layer.attention, _norm(layer.norm1, x))
+            hidden = gelu_forward(_dense(layer.ff1, _norm(layer.norm2, x)))[0]
+            x = x + _dense(layer.ff2, hidden)
+        pooled = _norm(encoder.final_norm, x).sum(axis=1) * np.float32(1.0 / seq)
+        unified = _dense(self.feature_head, pooled)[:, : self.config.feature_dim]
+        first, _, last = self.anomaly_classifier
+        hidden = _dense(first, unified)
+        logits = _dense(last, np.where(hidden > 0, hidden, 0.0)).reshape(-1)
+        return 1.0 / (1.0 + np.exp(-logits))
+
+
+def _dense(layer: nn.Linear, x: np.ndarray) -> np.ndarray:
+    return linear_forward(x, layer.weight.data,
+                          None if layer.bias is None else layer.bias.data)
+
+
+def _norm(layer: nn.LayerNorm, x: np.ndarray) -> np.ndarray:
+    return layer_norm_forward(x, layer.gamma.data, layer.beta.data, layer.eps)[0]
+
+
+def _attend(attention: nn.MultiHeadAttention, x: np.ndarray) -> np.ndarray:
+    batch, seq, d_model = x.shape
+    heads, d_head = attention.num_heads, attention.d_head
+
+    def split(layer):
+        return _dense(layer, x).reshape(batch, seq, heads, d_head).transpose((0, 2, 1, 3))
+
+    q, k, v = split(attention.w_query), split(attention.w_key), split(attention.w_value)
+    weights = attention_weights(q, k, 1.0 / np.sqrt(d_head))
+    context = (weights @ v).astype(np.float32)
+    merged = context.transpose((0, 2, 1, 3)).reshape(batch, seq, d_model)
+    return _dense(attention.w_out, merged)

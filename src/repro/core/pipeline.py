@@ -308,6 +308,9 @@ class LogSynergy:
             rng=np.random.default_rng(config.seed),
         )
         pipeline.model.load(str(root / "model.npz"))
+        # A restored model only scores and explains, as after ``fit``:
+        # dropout must not touch its features.
+        pipeline.model.eval()
         for name, meta in manifest["featurizers"].items():
             arrays: dict[str, np.ndarray] = {}
             npz_path = root / f"embeddings_{name}.npz"

@@ -79,17 +79,16 @@ class LofLiteDetector(Detector):
         self.scale_window = scale_window
         self.center = center
         self.scale = scale
-        self._encoder = encoder
-        self._references: dict[str, _ReferenceSet] = {}
-        self._memo: dict[str, np.ndarray] = {}
-
-    @property
-    def encoder(self):
-        if self._encoder is None:
+        if encoder is None:
             from repro.embedding import load_pretrained_encoder
 
-            self._encoder = load_pretrained_encoder()
-        return self._encoder
+            # Resolved here, in set-up, not inside the first scored batch:
+            # a cold load trains the encoder (about a second), and the
+            # loader returns one cached object per process.
+            encoder = load_pretrained_encoder()
+        self.encoder = encoder
+        self._references: dict[str, _ReferenceSet] = {}
+        self._memo: dict[str, np.ndarray] = {}
 
     def _message_vector(self, message: str) -> np.ndarray:
         # Encoding is a pure function of the masked text, so the memo is

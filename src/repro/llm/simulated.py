@@ -10,7 +10,11 @@ The simulator carries a knowledge base of phrase skeletons (constant
 tokens of every dialect rendering of every concept in
 :mod:`repro.logs.events`) mapped to that concept's canonical
 interpretation.  Given a log message, it scores the message's tokens
-against every skeleton and returns the best concept's canonical sentence.
+against the skeletons (the overlap share of each skeleton's tokens) and
+returns the best concept's canonical sentence.  A token → skeleton index
+built once per simulator limits the scoring to the skeletons that share
+a token with the message; the earliest skeleton in knowledge order wins
+a tie, and a message sharing no token with any skeleton matches nothing.
 Messages that match nothing (templates outside the catalog, e.g. from real
 log files) fall back to a normalizing rewrite — lowercased, de-numbered,
 abbreviation-expanded — which is what a real LLM does for unseen events.
@@ -108,16 +112,25 @@ class SimulatedLLM(LLMProvider):
                 skeleton = frozenset(normalize_tokens(phrase.replace("<*>", " ")))
                 if skeleton:
                     self._knowledge.append((skeleton, concept))
+        # token -> positions in ``_knowledge`` of the skeletons holding it.
+        self._index: dict[str, list[int]] = {}
+        for position, (skeleton, _) in enumerate(self._knowledge):
+            for token in skeleton:
+                self._index.setdefault(token, []).append(position)
         self.call_count = 0
 
     # ------------------------------------------------------------------
     def _best_match(self, tokens: set[str]) -> tuple[EventConcept | None, float]:
+        shared: dict[int, int] = {}
+        for token in tokens:
+            for position in self._index.get(token, ()):
+                shared[position] = shared.get(position, 0) + 1
         best: EventConcept | None = None
         best_score = 0.0
-        for skeleton, concept in self._knowledge:
-            if not skeleton:
-                continue
-            overlap = len(tokens & skeleton) / len(skeleton)
+        # Knowledge order with a strict ``>``: the earliest skeleton wins ties.
+        for position in sorted(shared):
+            skeleton, concept = self._knowledge[position]
+            overlap = shared[position] / len(skeleton)
             if overlap > best_score:
                 best, best_score = concept, overlap
         return best, best_score

@@ -19,6 +19,13 @@ backward:
 * :func:`bce_with_logits` / :func:`cross_entropy` — single-node losses with
   closed-form logit gradients.
 
+The forward arithmetic of :func:`linear`, :func:`layer_norm`, :func:`gelu`
+and :func:`attention` lives in array-level helpers (:func:`linear_forward`,
+:func:`layer_norm_forward`, :func:`gelu_forward`, :func:`attention_weights`).
+The autograd nodes call them, and so does the tape-free inference plan of
+:meth:`repro.core.model.LogSynergyModel.predict_proba`, so both run one copy
+of the math and score bit-identically.
+
 Each kernel dispatches on the module-level fused switch so callers (the
 ``LSTM``/``GRU``/``BiLSTM``/``MultiHeadAttention`` modules and
 :mod:`repro.nn.loss`) keep their public APIs: ``use_fused_kernels(False)``
@@ -50,6 +57,10 @@ __all__ = [
     "layer_norm",
     "gelu",
     "dropout",
+    "linear_forward",
+    "layer_norm_forward",
+    "gelu_forward",
+    "attention_weights",
     "gaussian_log_likelihood",
     "bce_with_logits",
     "cross_entropy",
@@ -327,6 +338,23 @@ def gru_layer(x: Tensor, cell) -> Tensor:
 # ----------------------------------------------------------------------
 # Fused scaled-dot-product attention
 # ----------------------------------------------------------------------
+def attention_weights(q: np.ndarray, k: np.ndarray, scale: float,
+                      additive_mask: np.ndarray | None = None) -> np.ndarray:
+    """``softmax(q kᵀ · scale + mask)`` on arrays: the forward arithmetic of
+    :func:`attention` before dropout.
+
+    ``scale`` is the ``np.float64`` that
+    :class:`~repro.nn.attention.MultiHeadAttention` passes, so under
+    NumPy ≥ 2 the scores and the softmax run in float64.
+    """
+    scores = q @ np.swapaxes(k, -1, -2) * scale
+    if additive_mask is not None:
+        scores = scores + additive_mask
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
 @profiled_op
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               additive_mask: np.ndarray | None = None,
@@ -334,17 +362,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               dropout_rng: np.random.Generator | None = None) -> Tensor:
     """``softmax(q kᵀ · scale + mask) v`` as one autograd node.
 
-    Replicates the seed composition bit-for-bit, including the inverted
-    dropout draw (same RNG stream as :class:`~repro.nn.layers.Dropout`),
-    so toggling fusion never changes model behaviour.  ``dropout_p`` of 0
-    means no dropout (pass 0 in eval mode).
+    The inverted dropout draw replicates the seed composition (same RNG
+    stream as :class:`~repro.nn.layers.Dropout`), so toggling fusion never
+    changes which weights are dropped.  The arithmetic is not bit-for-bit
+    the seed's: with the ``np.float64`` ``scale`` the attention modules
+    pass, the scores, softmax and ``weights @ v`` here run in float64
+    under NumPy ≥ 2 and the context is rounded to float32 once, where the
+    seed's ``Tensor * scale`` keeps every step in float32.  The two paths
+    agree to about 1e-6, not exactly: ``MultiHeadAttention`` outputs on
+    random ``(8, 10, 32)`` inputs differ by up to 1.4e-6.  ``dropout_p``
+    of 0 means no dropout (pass 0 in eval mode).
     """
-    scores = q.data @ np.swapaxes(k.data, -1, -2) * scale
-    if additive_mask is not None:
-        scores = scores + additive_mask
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    weights = exp / exp.sum(axis=-1, keepdims=True)
+    weights = attention_weights(q.data, k.data, scale, additive_mask)
     if dropout_p > 0.0:
         keep = 1.0 - dropout_p
         drop_mask = (dropout_rng.random(weights.shape) < keep).astype(np.float32) / keep
@@ -378,14 +407,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 # ----------------------------------------------------------------------
 # Fused feed-forward layers
 # ----------------------------------------------------------------------
+def linear_forward(x: np.ndarray, weight: np.ndarray,
+                   bias: np.ndarray | None = None) -> np.ndarray:
+    """``x W^T (+ b)`` on arrays: the forward arithmetic of :func:`linear`."""
+    value = x @ weight.T
+    if bias is not None:
+        value = value + bias
+    return value
+
+
 @profiled_op
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """``y = x W^T (+ b)`` over the last axis as one node; ``weight`` is
     ``(out_features, in_features)`` as in :class:`~repro.nn.layers.Linear`."""
     data = x.data
-    value = data @ weight.data.T
-    if bias is not None:
-        value = value + bias.data
+    value = linear_forward(data, weight.data, None if bias is None else bias.data)
 
     tensors = (x, weight) if bias is None else (x, weight, bias)
     needs = _needs_grad(*tensors)
@@ -410,13 +446,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 _GELU_COEFF = float(np.sqrt(2.0 / np.pi))
 
 
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximation GELU on arrays: ``(value, tanh(inner))``, the
+    forward arithmetic of :func:`gelu` plus the term its backward reuses."""
+    inner = (x + x * x * x * 0.044715) * _GELU_COEFF
+    t = np.tanh(inner)
+    return x * (t + 1.0) * 0.5, t
+
+
 @profiled_op
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximation GELU as one node (seed: a 9-op mul/add/tanh chain)."""
     data = x.data
-    inner = (data + data * data * data * 0.044715) * _GELU_COEFF
-    t = np.tanh(inner)
-    value = data * (t + 1.0) * 0.5
+    value, t = gelu_forward(data)
 
     needs = _needs_grad(x)
     out = Tensor(value, requires_grad=needs, _parents=(x,) if needs else (),
@@ -455,16 +497,23 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     return out
 
 
-@profiled_op
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Last-axis layer normalization with affine, as one node."""
-    data = x.data
-    mean = data.mean(axis=-1, keepdims=True)
-    centered = data - mean
+def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                       eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Last-axis layer normalization on arrays: ``(value, normalized,
+    inv_std)``, the forward arithmetic of :func:`layer_norm` plus the
+    terms its backward reuses."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     normalized = centered * inv_std
-    value = normalized * gamma.data + beta.data
+    return normalized * gamma + beta, normalized, inv_std
+
+
+@profiled_op
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Last-axis layer normalization with affine, as one node."""
+    value, normalized, inv_std = layer_norm_forward(x.data, gamma.data, beta.data, eps)
 
     needs = _needs_grad(x, gamma, beta)
     out = Tensor(value, requires_grad=needs,

@@ -25,12 +25,15 @@ class PositionalEncoding(Module):
         self._table = table
         self.max_len = max_len
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Run the module's forward computation."""
-        seq = x.shape[1]
+    def table(self, seq: int) -> np.ndarray:
+        """The ``(1, seq, d_model)`` slice added to a length-``seq`` input."""
         if seq > self.max_len:
             raise ValueError(f"sequence length {seq} exceeds max_len {self.max_len}")
-        return x + Tensor(self._table[None, :seq, :])
+        return self._table[None, :seq, :]
+
+    def forward(self, x: Tensor) -> Tensor:
+        """Run the module's forward computation."""
+        return x + Tensor(self.table(x.shape[1]))
 
 
 class TransformerEncoderLayer(Module):

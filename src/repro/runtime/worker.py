@@ -84,9 +84,6 @@ class ModelWorker:
         if model.model is None:
             raise ValueError("ModelWorker requires a fitted LogSynergy model")
         self.model = model
-        # Served weights only ever score: switch the module tree to eval
-        # once, so every batched forward skips the per-call mode walks.
-        model.model.eval()
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
         fault_point("runtime.worker.score")

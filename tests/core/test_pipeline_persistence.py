@@ -52,6 +52,24 @@ class TestPipelinePersistence:
         assert report.system == "thunderbird"
         assert 0.0 <= report.score <= 1.0
 
+    def test_restored_model_is_in_eval_mode(self, fitted_logsynergy,
+                                            tiny_experiment_data, tmp_path):
+        """A loaded pipeline, like a fitted one, only scores and explains:
+        dropout stays off, so two explanations of one window agree."""
+        from repro.core.explain import nearest_training_sequences
+
+        directory = str(tmp_path / "pipeline")
+        fitted_logsynergy.save_pipeline(directory)
+        restored = LogSynergy.load_pipeline(directory)
+        assert not any(module.training
+                       for _name, module in restored.model.named_modules())
+
+        featurizer = restored._featurizer("thunderbird")
+        bank = featurizer.embed_sequences(tiny_experiment_data["target_test"][:60])
+        first = nearest_training_sequences(restored.model, bank[0], bank, k=3)
+        second = nearest_training_sequences(restored.model, bank[0], bank, k=3)
+        assert first == second
+
     def test_save_requires_fitted(self, tmp_path):
         from repro.config import LogSynergyConfig
         with pytest.raises(RuntimeError):

@@ -102,6 +102,27 @@ class TestEwmaRateDetector:
 
 
 class TestLofLiteDetector:
+    def test_the_encoder_is_resolved_at_build_not_in_the_first_batch(
+            self, monkeypatch):
+        import repro.embedding
+
+        loaded = []
+        loader = repro.embedding.load_pretrained_encoder
+
+        def counting_loader(*args, **kwargs):
+            loaded.append(1)
+            return loader(*args, **kwargs)
+
+        monkeypatch.setattr(repro.embedding, "load_pretrained_encoder", counting_loader)
+        detector = LofLiteDetector(k=2)
+        assert loaded == [1]
+        assert detector.encoder is loader()
+        loaded.clear()
+        for start in range(0, 40, 5):
+            detector.score_window("sys", make_window(
+                [f"node {index} link up" for index in range(start, start + 10)]))
+        assert loaded == []
+
     def test_novel_content_scores_above_repeats(self):
         detector = LofLiteDetector(k=2)
         repeated = make_window(["connection from 10.0.0.1 established"] * 10)

@@ -58,7 +58,7 @@ class TestFromEnsemble:
 
     def test_lof_shares_the_pipeline_encoder_without_moving_bytes(
             self, fitted_logsynergy, tmp_path):
-        """The LOF member's lazy encoder is the pipeline's own (no second
+        """The LOF member's encoder is the pipeline's own (no second
         corpus build mid-stream), and sharing it, OOV cache included,
         renders the bytes a private encoder does."""
         from repro.core import LogSynergy
@@ -80,7 +80,7 @@ class TestFromEnsemble:
                        if member.name == "lof")
             if private_encoder:
                 dim = pipeline.encoder.dim
-                lof._encoder = pretrained._trained_encoder.__wrapped__(dim, 0)
+                lof.encoder = pretrained._trained_encoder.__wrapped__(dim, 0)
             else:
                 assert lof.encoder is pipeline.encoder
             runtime = InferenceRuntime.from_ensemble(

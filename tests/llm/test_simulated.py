@@ -99,3 +99,56 @@ class TestHallucination:
         _interpret(llm, "bgl", "anything")
         _interpret(llm, "bgl", "anything else")
         assert llm.call_count == 2
+
+
+def _linear_scan(knowledge, tokens):
+    """The matcher before the token index: every skeleton, in order."""
+    best = None
+    best_score = 0.0
+    for skeleton, concept in knowledge:
+        if not skeleton:
+            continue
+        overlap = len(tokens & skeleton) / len(skeleton)
+        if overlap > best_score:
+            best, best_score = concept, overlap
+    return best, best_score
+
+
+class TestIndexedMatcher:
+    def test_equals_the_linear_scan_on_generated_streams(self):
+        from repro.logs.generator import LogGenerator
+        from repro.logs.systems import ISP_SYSTEMS, PUBLIC_SYSTEMS
+
+        llm = SimulatedLLM()
+        messages = sorted({record.message
+                           for system in PUBLIC_SYSTEMS + ISP_SYSTEMS
+                           for record in LogGenerator(system, seed=11).generate(1500)})
+        assert len(messages) > 1000
+        for message in messages:
+            tokens = set(normalize_tokens(message))
+            assert llm._best_match(tokens) == _linear_scan(llm._knowledge, tokens), message
+
+    def test_equals_the_linear_scan_where_the_rewrite_takes_over(self):
+        llm = SimulatedLLM()
+        weak = 0
+        for message in ["", "0x1f 42", "zebra quokka 12", "kernel panic quokka",
+                        "custom vendor widget exploded", "disk quokka zebra gamma"]:
+            tokens = set(normalize_tokens(message))
+            concept, score = llm._best_match(tokens)
+            assert (concept, score) == _linear_scan(llm._knowledge, tokens)
+            weak += score < llm.match_threshold
+        assert weak >= 4
+        assert llm._best_match({"quokka", "zebra"}) == (None, 0.0)
+
+    def test_the_earliest_skeleton_wins_a_tie(self):
+        llm = SimulatedLLM()
+        knowledge = llm._knowledge
+        first, first_concept = knowledge[0]
+        second, second_concept = next(
+            (skeleton, concept) for skeleton, concept in knowledge
+            if concept is not first_concept)
+        tokens = set(first | second)
+        full = [concept for skeleton, concept in knowledge if skeleton <= tokens]
+        assert first_concept in full and second_concept in full
+        assert llm._best_match(tokens) == (first_concept, 1.0)
+        assert llm._best_match(tokens) == _linear_scan(knowledge, tokens)
