@@ -212,6 +212,31 @@ train_args=(--sources "$ckpt_root/bgl.jsonl" "$ckpt_root/spirit.jsonl"
     --n-source 150 --n-target 50 --epochs 2 --num-layers 1 --quiet)
 PYTHONPATH=src python -m repro.cli train "${train_args[@]}" \
     --model-dir "$ckpt_root/ref" >/dev/null
+# The model directory carries the sentence encoder the pipeline was
+# fitted with, so serving from it trains no word vectors: neither the
+# loading process nor a shard process (whose counters come home in the
+# metrics) may count a word-vector cache hit or miss, and both executors
+# must render the same bytes.
+test -s "$ckpt_root/ref/encoder.npz" \
+    && grep -q '"encoder": {' "$ckpt_root/ref/pipeline.json" \
+    || { echo "smoke: the model directory lacks the sentence encoder" >&2
+         exit 1; }
+PYTHONPATH=src python -m repro.cli replay \
+    --logs examples/data/replay_sample.jsonl --model-dir "$ckpt_root/ref" \
+    --out "$ckpt_root/serve_sync.txt" \
+    --metrics-out "$ckpt_root/serve_sync.jsonl" >/dev/null
+PYTHONPATH=src python -m repro.cli replay \
+    --logs examples/data/replay_sample.jsonl --model-dir "$ckpt_root/ref" \
+    --executor process --shards 2 --out "$ckpt_root/serve_proc.txt" \
+    --metrics-out "$ckpt_root/serve_proc.jsonl" >/dev/null
+if grep -q '"embedding\.wordvectors\.cache_' \
+        "$ckpt_root/serve_sync.jsonl" "$ckpt_root/serve_proc.jsonl"; then
+    echo "smoke: serving from a model directory trained word vectors" >&2
+    exit 1
+fi
+cmp -s "$ckpt_root/serve_sync.txt" "$ckpt_root/serve_proc.txt" \
+    || { echo "smoke: model-directory replay diverged between executors" >&2
+         exit 1; }
 set +e
 PYTHONPATH=src python -m repro.cli train "${train_args[@]}" \
     --model-dir "$ckpt_root/resumed" --checkpoint-dir "$ckpt_root/ckpt" \

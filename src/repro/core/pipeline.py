@@ -20,7 +20,10 @@ when an observability registry is installed.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from datetime import datetime
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -239,59 +242,55 @@ class LogSynergy:
         return (probabilities > self.config.threshold).astype(np.int64)
 
     # ------------------------------------------------------------------
-    # Pipeline persistence: weights + Drain trees + interpretations +
-    # event embeddings, so a restarted service keeps stable event ids and
-    # needs no LLM re-interpretation.
+    # Pipeline persistence: weights + sentence encoder + Drain trees +
+    # interpretations + event embeddings, so a restarted service keeps
+    # stable event ids, trains no word vectors and needs no LLM
+    # re-interpretation.  One state format serves both the model
+    # directory and the process executor's weight broadcast.
     # ------------------------------------------------------------------
-    def save_pipeline(self, directory: str) -> None:
-        """Persist the fitted pipeline to ``directory``."""
-        import dataclasses
-        import json
-        from pathlib import Path
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """The fitted pipeline as ``(manifest, arrays)``.
 
+        ``manifest`` is JSON-able (config, target system, system index,
+        encoder vocabulary and scalars, per-featurizer metadata).
+        ``arrays`` are keyed ``model/<param>``, ``encoder/matrix`` and
+        ``feat/<system>/<event_id>``.  :meth:`from_state` is the inverse.
+        """
         model = self._require_fitted()
-        root = Path(directory)
-        root.mkdir(parents=True, exist_ok=True)
-        model.save(str(root / "model.npz"))
-
+        encoder_meta, matrix = self.encoder.state()
+        arrays = {f"model/{key}": value for key, value in model.state_dict().items()}
+        arrays["encoder/matrix"] = matrix
         featurizer_meta = {}
         for name, featurizer in self._featurizers.items():
-            meta, arrays = featurizer.state()
+            meta, feat_arrays = featurizer.state()
             featurizer_meta[name] = meta
-            if arrays:
-                np.savez(root / f"embeddings_{name}.npz", **arrays)
-
+            for key, value in feat_arrays.items():
+                arrays[f"feat/{name}/{key}"] = value
         manifest = {
             "config": dataclasses.asdict(self.config),
             "target_system": self.target_system,
-            "system_index": self._system_index,
+            "system_index": dict(self._system_index),
             "num_systems": model.num_systems,
             # Redundant with config.*, kept so older readers still work.
             "use_lei": self.use_lei,
             "use_sufe": self.use_sufe,
             "use_da": self.use_da,
+            "encoder": encoder_meta,
             "featurizers": featurizer_meta,
         }
-        (root / "pipeline.json").write_text(json.dumps(manifest), encoding="utf-8")
+        return manifest, arrays
 
     @classmethod
-    def load_pipeline(cls, directory: str, llm: LLMProvider | None = None,
-                      encoder: SentenceEncoder | None = None) -> "LogSynergy":
-        """Restore a pipeline saved with :meth:`save_pipeline`.
+    def from_state(cls, manifest: dict, arrays: dict[str, np.ndarray],
+                   llm: LLMProvider | None = None,
+                   encoder: SentenceEncoder | None = None) -> "LogSynergy":
+        """Rebuild a fitted pipeline from :meth:`state` output.
 
-        ``llm``/``encoder`` default to the same choices the constructor
-        makes; pass the production client to keep interpreting new events
-        online.
+        The sentence encoder is the one the manifest carries unless
+        ``encoder`` is given; a manifest written before encoders were
+        saved has none, and the constructor's default applies.  Model
+        weights are copied; event embeddings are kept as given.
         """
-        import json
-        from pathlib import Path
-
-        from ..config import LogSynergyConfig
-        from .features import SystemFeaturizer
-        from .model import LogSynergyModel
-
-        root = Path(directory)
-        manifest = json.loads((root / "pipeline.json").read_text(encoding="utf-8"))
         config = LogSynergyConfig(**manifest["config"])
         # Manifests written before the switches moved into the config carry
         # them only at the top level; fold those in.
@@ -300,6 +299,9 @@ class LogSynergy:
             use_sufe=manifest.get("use_sufe", config.use_sufe),
             use_da=manifest.get("use_da", config.use_da),
         )
+        if encoder is None and "encoder" in manifest:
+            encoder = SentenceEncoder.from_state(manifest["encoder"],
+                                                 arrays["encoder/matrix"])
         pipeline = cls(config, llm=llm, encoder=encoder)
         pipeline.target_system = manifest["target_system"]
         pipeline._system_index = dict(manifest["system_index"])
@@ -307,20 +309,54 @@ class LogSynergy:
             config, num_systems=manifest["num_systems"],
             rng=np.random.default_rng(config.seed),
         )
-        pipeline.model.load(str(root / "model.npz"))
+        pipeline.model.load_state_dict(_group(arrays, "model/"))
         # A restored model only scores and explains, as after ``fit``:
         # dropout must not touch its features.
         pipeline.model.eval()
         for name, meta in manifest["featurizers"].items():
-            arrays: dict[str, np.ndarray] = {}
-            npz_path = root / f"embeddings_{name}.npz"
-            if npz_path.exists():
-                with np.load(npz_path) as archive:
-                    arrays = {k: archive[k] for k in archive.files}
             pipeline._featurizers[name] = SystemFeaturizer.from_state(
-                meta, arrays, pipeline.encoder, pipeline.llm
-            )
+                meta, _group(arrays, f"feat/{name}/"), pipeline.encoder,
+                pipeline.llm)
         return pipeline
+
+    def save_pipeline(self, directory: str) -> None:
+        """Persist the fitted pipeline to ``directory``: ``pipeline.json``
+        holds the manifest, and one npz archive per array group
+        (``model.npz``, ``encoder.npz``, ``embeddings_<system>.npz``)
+        holds the arrays."""
+        manifest, arrays = self.state()
+        root = Path(directory)
+        root.mkdir(parents=True, exist_ok=True)
+        for filename, prefix in _archives(manifest):
+            # npz member names keep the parameter names' dots as "__".
+            group = {key.replace(".", "__"): value
+                     for key, value in _group(arrays, prefix).items()}
+            if group:
+                np.savez(root / filename, **group)
+        (root / "pipeline.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+    @classmethod
+    def load_pipeline(cls, directory: str, llm: LLMProvider | None = None,
+                      encoder: SentenceEncoder | None = None) -> "LogSynergy":
+        """Restore a pipeline saved with :meth:`save_pipeline`.
+
+        The sentence encoder is the one the pipeline was fitted with,
+        read from the directory, so loading trains no word vectors; an
+        explicit ``encoder`` wins, and a directory saved before encoders
+        were persisted falls back to the constructor's default.  ``llm``
+        defaults as in the constructor; pass the production client to
+        keep interpreting new events online.
+        """
+        root = Path(directory)
+        manifest = json.loads((root / "pipeline.json").read_text(encoding="utf-8"))
+        arrays: dict[str, np.ndarray] = {}
+        for filename, prefix in _archives(manifest):
+            path = root / filename
+            if path.exists():
+                with np.load(path) as archive:
+                    for key in archive.files:
+                        arrays[prefix + key.replace("__", ".")] = archive[key]
+        return cls.from_state(manifest, arrays, llm=llm, encoder=encoder)
 
     # ------------------------------------------------------------------
     def detect_stream(self, messages: list[str],
@@ -418,3 +454,17 @@ class LogSynergy:
             out[positions] = self._featurizer(name).gather(
                 [grid[indices[position]] for position in positions])
         return out
+
+
+def _group(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The ``prefix`` entries of a pipeline state's arrays, unprefixed."""
+    return {key[len(prefix):]: value for key, value in arrays.items()
+            if key.startswith(prefix)}
+
+
+def _archives(manifest: dict) -> list[tuple[str, str]]:
+    """``(file name, array-key prefix)`` of each npz archive in a model
+    directory."""
+    return ([("model.npz", "model/"), ("encoder.npz", "encoder/")]
+            + [(f"embeddings_{name}.npz", f"feat/{name}/")
+               for name in manifest["featurizers"]])

@@ -1,9 +1,12 @@
 """LOF-lite kNN-distance detector over ``repro.embedding`` vectors.
 
 Each window is summarized as the normalized mean of its message
-embeddings from the cached pre-trained domain encoder
-(:func:`repro.embedding.load_pretrained_encoder` — no per-system
-training, which is what makes this member usable on a day-0 system).
+embeddings.  Next to a fitted pipeline the member embeds through the
+pipeline's own sentence encoder (the registry passes it in); without
+one it loads the cached pre-trained domain encoder
+(:func:`repro.embedding.load_pretrained_encoder`).  Neither needs
+per-system training, which is what makes this member usable on a day-0
+system.
 A message is embedded after :func:`repro.parsing.masking.mask_message`
 replaces its parameter values (numbers, hex, IPs, paths, UUIDs) with
 ``<*>``, the same masks the admission parse applies, so the vector

@@ -58,9 +58,16 @@ def _build_model(pipeline, seed: int) -> Detector:
     return ModelDetector(pipeline)
 
 
+def _build_lof(pipeline, seed: int) -> Detector:
+    # With a pipeline, LOF embeds through the pipeline's own encoder
+    # (restored with it, never retrained); a day-0 ensemble loads the
+    # default one.
+    return LofLiteDetector(encoder=None if pipeline is None else pipeline.encoder)
+
+
 DETECTOR_BUILDERS: dict[str, Callable[[Any, int], Detector]] = {
     "ewma": lambda pipeline, seed: EwmaRateDetector(),
-    "lof": lambda pipeline, seed: LofLiteDetector(),
+    "lof": _build_lof,
     "rules": lambda pipeline, seed: RuleDetector(),
     "model": _build_model,
 }

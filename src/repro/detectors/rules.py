@@ -1,14 +1,12 @@
-"""Rule/pattern detector: operational failure vocabulary, memoized.
+"""Rule/pattern detector: operational failure vocabulary.
 
 The cheapest member of the portfolio and the strongest one on a day-0
 system: a fixed vocabulary of operational failure tokens (the language
 ops teams grep for — ``failed``, ``panic``, ``exceeded``, ...) scored
-per line and memoized through the existing
-:class:`~repro.runtime.PatternLibrary`.  Each distinct
-normalized line is evaluated once per system; repeats are served from
-the library (its hit/miss stats make the memoization observable), which
-is the same escalation-avoidance trick the runtime gate plays for the
-learned model.
+per line.  Almost every line of a real stream is distinct, so the only
+repeats worth remembering are the lines consecutive windows share
+(step < window): per system the detector keeps the previous window's
+line verdicts and evaluates only the lines that are new.
 
 The vocabulary deliberately includes the ``repro.logs.drift`` synonym
 targets (``unsuccessful``, ``fault``, ``surpassed``, ``lapsed``) so a
@@ -20,9 +18,6 @@ tokens.
 from __future__ import annotations
 
 import re
-import zlib
-
-from repro.runtime.pattern_library import PatternLibrary
 
 from .base import Detector
 
@@ -46,38 +41,32 @@ _TOKEN_RE = re.compile(r"[a-z]+")
 
 
 class RuleDetector(Detector):
-    """Keyword-rule member memoized through a per-system PatternLibrary."""
+    """Keyword-rule member; reuses the previous window's line verdicts."""
 
     name = "rules"
     warmup_windows = 0
 
-    def __init__(self, *, tokens: frozenset[str] | None = None,
-                 max_patterns: int = 100_000) -> None:
+    def __init__(self, *, tokens: frozenset[str] | None = None) -> None:
         self.tokens = FAILURE_TOKENS if tokens is None else frozenset(tokens)
-        self.max_patterns = max_patterns
-        self._libraries: dict[str, PatternLibrary] = {}
+        # Per system: the line verdicts of the last scored window, so the
+        # map is bounded by the window size.
+        self._verdicts: dict[str, dict[str, bool]] = {}
 
-    def library_of(self, system: str) -> PatternLibrary:
-        library = self._libraries.get(system)
-        if library is None:
-            library = PatternLibrary(max_patterns=self.max_patterns)
-            self._libraries[system] = library
-        return library
-
-    def _line_flagged(self, library: PatternLibrary, message: str) -> bool:
-        pattern = (zlib.crc32(message.lower().encode("utf-8")),)
-        known = library.lookup(pattern)
-        if known is not None:
-            return known
-        flagged = any(token in self.tokens
-                      for token in _TOKEN_RE.findall(message.lower()))
-        library.remember(pattern, flagged)
-        return flagged
+    def _line_flagged(self, message: str) -> bool:
+        return any(token in self.tokens
+                   for token in _TOKEN_RE.findall(message.lower()))
 
     def score_window(self, system: str, window: list) -> float:
-        library = self.library_of(system)
-        flagged = sum(1 for entry in window
-                      if self._line_flagged(library, entry.message))
+        previous = self._verdicts.get(system, {})
+        verdicts: dict[str, bool] = {}
+        for entry in window:
+            message = entry.message
+            if message not in verdicts:
+                verdict = previous.get(message)
+                verdicts[message] = (self._line_flagged(message)
+                                     if verdict is None else verdict)
+        self._verdicts[system] = verdicts
+        flagged = sum(verdicts[entry.message] for entry in window)
         if flagged == 0:
             return 0.0
         # One failure line is already a confident verdict; additional

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..obs import get_registry
 from .cooccurrence import WordVectors
-from .vocab import tokenize
+from .vocab import Vocabulary, tokenize
 
 __all__ = ["SentenceEncoder"]
 
@@ -74,6 +74,26 @@ class SentenceEncoder:
         registry = get_registry()
         self._oov_evictions = registry.counter("embedding.encoder.oov_evictions")
         self._dedup_hits = registry.counter("embedding.encoder.batch_dedup_hits")
+
+    def state(self) -> tuple[dict, np.ndarray]:
+        """``(meta, matrix)``: the JSON-able vocabulary and scalars, and
+        the float32 word-vector matrix.  :meth:`from_state` rebuilds an
+        encoder that encodes every sentence to the same bytes, without
+        training word vectors."""
+        meta = {
+            "vocabulary": self.word_vectors.vocabulary.state(),
+            "sif_a": self.sif_a,
+            "oov_scale": self.oov_scale,
+            "oov_cache_size": self.oov_cache_size,
+        }
+        return meta, self.word_vectors.matrix
+
+    @classmethod
+    def from_state(cls, meta: dict, matrix: np.ndarray) -> "SentenceEncoder":
+        """Rebuild an encoder from :meth:`state` output."""
+        vectors = WordVectors(Vocabulary.from_state(meta["vocabulary"]), matrix)
+        return cls(vectors, sif_a=meta["sif_a"], oov_scale=meta["oov_scale"],
+                   oov_cache_size=meta["oov_cache_size"])
 
     def _token_row(self, token: str) -> np.ndarray:
         """The token's SIF-weighted vector, cached: in-vocabulary rows

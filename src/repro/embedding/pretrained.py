@@ -6,6 +6,12 @@ corpus and cached per (dim, seed).  The paper notes the choice of
 pre-trained model is not a contribution — what matters is that
 semantically similar interpretations land nearby, which this encoder
 provides (validated in the test suite).
+
+Only a fit, or a detector without a fitted pipeline, calls the loader.
+A fitted pipeline saves the encoder it was fitted with
+(:meth:`SentenceEncoder.state`) in its model directory and its weight
+broadcast, so loading a model or starting a shard process restores that
+encoder and trains nothing.
 """
 
 from __future__ import annotations

@@ -69,3 +69,19 @@ class Vocabulary:
     def tokens(self) -> list[str]:
         """All tokens in id order."""
         return list(self._id_to_token)
+
+    def state(self) -> dict:
+        """JSON-able state of a built vocabulary.  ``counts`` keeps every
+        counted token, those below ``min_count`` included."""
+        return {"tokens": self.tokens, "counts": dict(self.counts),
+                "min_count": self.min_count, "max_size": self.max_size}
+
+    @classmethod
+    def from_state(cls, state: dict) -> "Vocabulary":
+        """Rebuild the frozen vocabulary :meth:`state` describes."""
+        vocabulary = cls(min_count=state["min_count"], max_size=state["max_size"])
+        vocabulary.counts.update(state["counts"])
+        vocabulary._id_to_token = list(state["tokens"])
+        vocabulary._token_to_id = {t: i for i, t in enumerate(vocabulary._id_to_token)}
+        vocabulary._frozen = True
+        return vocabulary

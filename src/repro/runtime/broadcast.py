@@ -230,71 +230,33 @@ def attach(handle: BroadcastHandle) -> AttachedBroadcast:
 def pipeline_state(pipeline) -> tuple[dict[str, np.ndarray], dict]:
     """Flatten a fitted LogSynergy pipeline into (arrays, meta).
 
-    Arrays are keyed ``model/<param>`` and ``feat/<system>/<event_id>``;
-    meta mirrors the ``pipeline.json`` manifest of
-    :meth:`~repro.core.pipeline.LogSynergy.save_pipeline` plus the
-    per-featurizer metadata, so :func:`restore_pipeline` can rebuild a
-    byte-equivalent replica without touching disk.
+    Both halves are :meth:`~repro.core.pipeline.LogSynergy.state`'s: the
+    arrays keyed ``model/<param>``, ``encoder/matrix`` and
+    ``feat/<system>/<event_id>``, the meta the ``pipeline.json``
+    manifest, so :func:`restore_pipeline` rebuilds a byte-equivalent
+    replica, sentence encoder included, without touching disk.
     """
-    import dataclasses
-
     if pipeline.model is None:
         raise ValueError("weight broadcast requires a fitted LogSynergy model")
-    arrays: dict[str, np.ndarray] = {}
-    for key, value in pipeline.model.state_dict().items():
-        arrays[f"model/{key}"] = value
-    featurizer_meta: dict[str, dict] = {}
-    for name, featurizer in pipeline._featurizers.items():
-        meta, feat_arrays = featurizer.state()
-        featurizer_meta[name] = meta
-        for key, value in feat_arrays.items():
-            arrays[f"feat/{name}/{key}"] = value
-    meta = {
-        "config": dataclasses.asdict(pipeline.config),
-        "target_system": pipeline.target_system,
-        "system_index": dict(pipeline._system_index),
-        "num_systems": pipeline.model.num_systems,
-        "featurizers": featurizer_meta,
-    }
+    meta, arrays = pipeline.state()
     return arrays, meta
 
 
 def restore_pipeline(attached: AttachedBroadcast, llm=None):
     """Rebuild a warm LogSynergy replica from an attached broadcast.
 
-    The inverse of :func:`pipeline_state`; mirrors
-    :meth:`~repro.core.pipeline.LogSynergy.load_pipeline` but reads the
-    arena instead of a directory.  Model weights are copied out of the
-    read-only views by ``load_state_dict``; event embeddings stay
-    zero-copy views (the featurizer never mutates them in place).
+    The inverse of :func:`pipeline_state`, through
+    :meth:`~repro.core.pipeline.LogSynergy.from_state`: the replica's
+    sentence encoder is the broadcast one, so a shard process trains no
+    word vectors.  Model weights and the encoder matrix are copied out
+    of the read-only views; event embeddings stay zero-copy views (the
+    featurizer never mutates them in place).
     """
-    # Local imports: this module must stay importable without pulling the
+    # Local import: this module must stay importable without pulling the
     # full model stack in (the synthetic process path never needs it).
-    from ..config import LogSynergyConfig
-    from ..core.features import SystemFeaturizer
-    from ..core.model import LogSynergyModel
     from ..core.pipeline import LogSynergy
 
-    meta = attached.meta
-    config = LogSynergyConfig(**meta["config"])
-    pipeline = LogSynergy(config, llm=llm)
-    pipeline.target_system = meta["target_system"]
-    pipeline._system_index = dict(meta["system_index"])
-    pipeline.model = LogSynergyModel(
-        config, num_systems=meta["num_systems"],
-        rng=np.random.default_rng(config.seed),
-    )
-    state = {key[len("model/"):]: value
-             for key, value in attached.arrays.items()
-             if key.startswith("model/")}
-    pipeline.model.load_state_dict(state)
-    for name, featurizer_meta in meta["featurizers"].items():
-        prefix = f"feat/{name}/"
-        feat_arrays = {key[len(prefix):]: value
-                       for key, value in attached.arrays.items()
-                       if key.startswith(prefix)}
-        pipeline._featurizers[name] = SystemFeaturizer.from_state(
-            featurizer_meta, feat_arrays, pipeline.encoder, pipeline.llm)
+    pipeline = LogSynergy.from_state(attached.meta, attached.arrays, llm=llm)
     # The zero-copy views stay backed by the attachment's mapping: if the
     # AttachedBroadcast were collected, SharedMemory.__del__ would unmap
     # the arena under them.  Pin it to the replica's lifetime.

@@ -254,9 +254,9 @@ class InferenceRuntime:
         so memoizing a window pattern's first verdict would both starve
         the baselines and serve stale answers.  Every window reaches the
         ensemble, one micro-batch per
-        :meth:`~repro.detectors.Ensemble.score_windows` call; it runs its
-        own memoization where sound (the rule member's per-line pattern
-        library).  When the ensemble has a live model member, records
+        :meth:`~repro.detectors.Ensemble.score_windows` call; its rule
+        and LOF members reuse the per-line work of each system's previous
+        window.  When the ensemble has a live model member, records
         are admitted through that pipeline's per-system parse, as in
         :meth:`from_model`, and the member scores the stamped ids with
         one forward per batch; otherwise admission uses

@@ -74,3 +74,124 @@ class TestPipelinePersistence:
         from repro.config import LogSynergyConfig
         with pytest.raises(RuntimeError):
             LogSynergy(LogSynergyConfig()).save_pipeline(str(tmp_path / "nope"))
+
+
+# Sentences whose tokens the default word vectors have never seen, so they
+# encode through the encoder's OOV hash rows, scaled by ``oov_scale``.
+OOV_SENTENCES = [
+    "zorblax quux frobnicator wedged on blade 7",
+    "the grommet reticulated twice",
+    "plinth xyzzy",
+]
+# Target-system lines the fit never saw: each is a new event, interpreted
+# and embedded through the pipeline's encoder when first parsed.
+UNSEEN_WINDOWS = [
+    ["zorblax quux frobnicator wedged on blade 7"] * 5
+    + ["heartbeat: tbird-042 alive, seq 99"] * 5,
+    ["the grommet reticulated twice on tbird-9"] * 10,
+]
+
+
+@pytest.fixture(scope="module")
+def custom_encoder_pipeline(tiny_experiment_data):
+    """A small pipeline fitted with a non-default sentence encoder."""
+    from repro.embedding import SentenceEncoder, load_pretrained_encoder
+
+    from ..conftest import TINY_CONFIG
+
+    encoder = SentenceEncoder(load_pretrained_encoder().word_vectors,
+                              sif_a=1e-2, oov_scale=0.5)
+    pipeline = LogSynergy(TINY_CONFIG.with_overrides(epochs=1), encoder=encoder)
+    sources = {name: sequences[:150]
+               for name, sequences in tiny_experiment_data["sources"].items()}
+    pipeline.fit(sources, tiny_experiment_data["target"],
+                 tiny_experiment_data["target_train"][:40])
+    return pipeline
+
+
+def score_unseen(pipeline):
+    grid = [[pipeline.event_id_of("thunderbird", message) for message in window]
+            for window in UNSEEN_WINDOWS]
+    reports = pipeline.score_event_windows("thunderbird", grid, UNSEEN_WINDOWS)
+    return grid, [report.score for report in reports]
+
+
+class TestEncoderPersistence:
+    def _restarts(self, pipeline, directory):
+        """The pipeline rebuilt through a model directory and through the
+        process executor's weight broadcast."""
+        from repro.runtime import WeightBroadcast, pipeline_state, restore_pipeline
+        from repro.runtime.broadcast import attach
+
+        pipeline.save_pipeline(directory)
+        loaded = LogSynergy.load_pipeline(directory)
+        arrays, meta = pipeline_state(pipeline)
+        broadcast = WeightBroadcast(arrays, meta, use_shm=False)
+        try:
+            replica = restore_pipeline(attach(broadcast.handle()))
+        finally:
+            broadcast.unlink()
+        return loaded, replica
+
+    def test_the_fitted_encoder_survives_a_restart(self, custom_encoder_pipeline,
+                                                   tmp_path):
+        fitted = custom_encoder_pipeline
+        loaded, replica = self._restarts(fitted, str(tmp_path / "pipeline"))
+        expected = [fitted.encoder.encode(s).tobytes() for s in OOV_SENTENCES]
+        for restored in (loaded, replica):
+            assert restored.encoder is not fitted.encoder
+            assert restored.encoder.sif_a == 1e-2
+            assert restored.encoder.oov_scale == 0.5
+            assert [restored.encoder.encode(s).tobytes()
+                    for s in OOV_SENTENCES] == expected
+        # Each restart parses the unseen lines from the saved state, so
+        # all three assign the same new event ids and scores.
+        grid, scores = score_unseen(loaded)
+        assert score_unseen(replica) == (grid, scores)
+        assert score_unseen(fitted) == (grid, scores)
+
+    def test_encoder_state_keeps_the_full_vocabulary(self, custom_encoder_pipeline):
+        from repro.embedding import SentenceEncoder
+
+        encoder = custom_encoder_pipeline.encoder
+        meta, matrix = encoder.state()
+        restored = SentenceEncoder.from_state(meta, matrix)
+        vocabulary = restored.word_vectors.vocabulary
+        original = encoder.word_vectors.vocabulary
+        assert vocabulary.tokens == original.tokens
+        # Tokens below min_count have no row but keep their SIF weight.
+        assert dict(vocabulary.counts) == dict(original.counts)
+        assert len(vocabulary.counts) > len(vocabulary.tokens) - 1
+        assert (vocabulary.min_count, vocabulary.max_size) == (
+            original.min_count, original.max_size)
+        assert restored.word_vectors.matrix.dtype == np.float32
+        assert restored.word_vectors.matrix.tobytes() == matrix.tobytes()
+        assert restored.oov_cache_size == encoder.oov_cache_size
+
+    def test_an_explicit_encoder_wins(self, custom_encoder_pipeline, tmp_path):
+        from repro.embedding import load_pretrained_encoder
+
+        directory = str(tmp_path / "pipeline")
+        custom_encoder_pipeline.save_pipeline(directory)
+        default = load_pretrained_encoder()
+        restored = LogSynergy.load_pipeline(directory, encoder=default)
+        assert restored.encoder is default
+        assert all(featurizer.encoder is default
+                   for featurizer in restored._featurizers.values())
+
+    def test_a_directory_without_an_encoder_loads_the_default(
+            self, custom_encoder_pipeline, tmp_path):
+        """Directories saved before encoders were persisted still load."""
+        import json
+        import os
+
+        from repro.embedding import load_pretrained_encoder
+
+        directory = tmp_path / "pipeline"
+        custom_encoder_pipeline.save_pipeline(str(directory))
+        os.remove(directory / "encoder.npz")
+        manifest = json.loads((directory / "pipeline.json").read_text())
+        del manifest["encoder"]
+        (directory / "pipeline.json").write_text(json.dumps(manifest))
+        restored = LogSynergy.load_pipeline(str(directory))
+        assert restored.encoder is load_pretrained_encoder()

@@ -2,6 +2,7 @@
 rule matching and the learned-model adapter's degradation contract."""
 
 import math
+import zlib
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -244,11 +245,43 @@ class TestRuleDetector:
         assert many <= 1.0
 
     def test_verdicts_are_memoized_per_system(self):
+        """A line the system's previous window judged is not evaluated
+        again; other systems and older windows share no verdicts."""
         detector = RuleDetector()
-        window = make_window(["timeout exceeded on link 9"] * 4)
-        detector.score_window("sys", window)
-        library = detector.library_of("sys")
-        assert library.known_anomalous_patterns() > 0
+        evaluated = []
+        judge = detector._line_flagged
+        detector._line_flagged = lambda message: (
+            evaluated.append(message) or judge(message))
+
+        detector.score_window("sys", make_window(
+            ["timeout exceeded on link 9", "heartbeat ok",
+             "timeout exceeded on link 9"]))
+        assert evaluated == ["timeout exceeded on link 9", "heartbeat ok"]
+        evaluated.clear()
+        overlap = detector.score_window("sys", make_window(
+            ["timeout exceeded on link 9", "disk write failed"]))
+        assert evaluated == ["disk write failed"]
+        assert overlap == RuleDetector().score_window("sys", make_window(
+            ["timeout exceeded on link 9", "disk write failed"]))
+        evaluated.clear()
+        detector.score_window("other", make_window(["disk write failed"]))
+        assert evaluated == ["disk write failed"]
+        evaluated.clear()
+        # Only the previous window is remembered: "heartbeat ok" left it.
+        detector.score_window("sys", make_window(["heartbeat ok"]))
+        assert evaluated == ["heartbeat ok"]
+
+    def test_lines_with_one_crc32_keep_their_own_verdicts(self):
+        healthy = "heartbeat ok on node 46da558d"
+        failing = "disk write failed on node 0690ef1e"
+        assert (zlib.crc32(healthy.lower().encode("utf-8"))
+                == zlib.crc32(failing.lower().encode("utf-8")))
+        detector = RuleDetector()
+        assert detector.score_window("sys", make_window([healthy])) == 0.0
+        score = detector.score_window("sys", make_window([failing]))
+        assert score == RuleDetector().score_window(
+            "sys", make_window([failing]))
+        assert score == pytest.approx(0.9)
 
 
 def stamped_window(messages):
