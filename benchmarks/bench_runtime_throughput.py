@@ -9,11 +9,11 @@ Two workload profiles bracket the deployment spectrum:
 
 Each profile runs both executors (``sync``: every shard scored inline
 on the caller's thread as each record is submitted, as ``repro serve``
-does; ``process``: one worker process per shard, warmed by the
-shared-memory weight broadcast) at shards in {1, 2, 4, 8}, on the same
-8-system interleaved stream.  Both executors resolve the identical cost
-spec through :func:`repro.runtime.resolve_cost`, so rows differ only in
-execution strategy.  Results land as a table (benchmarks/results/) and
+does; ``process``: one worker process per shard, each loading a pickled
+copy of its worker) at shards in {1, 2, 4, 8}, on the same 8-system
+interleaved stream.  Both executors build the identical
+``SyntheticWorker(cost=spec)``, so rows differ only in execution
+strategy.  Results land as a table (benchmarks/results/) and
 machine-readable rows — one per (profile, executor, shards), each
 tagged with the host core count — in BENCH_runtime.json.
 
@@ -31,8 +31,7 @@ import sys
 
 from repro.logs import LogGenerator
 from repro.obs import MetricsRegistry
-from repro.runtime import (InferenceRuntime, ProcessWorkerSpec,
-                           SyntheticWorker, message_event, resolve_cost)
+from repro.runtime import InferenceRuntime, SyntheticWorker, message_event
 
 from common import emit, emit_json
 
@@ -43,8 +42,8 @@ MAX_BATCH = 16
 SHARD_COUNTS = (1, 2, 4, 8)
 EXECUTORS = ("sync", "process")
 
-# Per-batch cost specs (resolved identically in the sync engine and in
-# worker processes via repro.runtime.resolve_cost).
+# Per-batch cost specs (paid identically in the sync engine and in
+# worker processes by SyntheticWorker).
 IO_COST = ("sleep", 0.008)      # simulated remote round-trip
 CPU_COST = ("spin", 20_000)     # pure-Python LCG iterations (GIL-bound)
 PROFILES = {"io": IO_COST, "cpu": CPU_COST}
@@ -94,19 +93,10 @@ def _merged_percentile(histograms, q: float) -> float:
 
 def _build(executor: str, cost_spec: tuple, shards: int,
            registry: MetricsRegistry) -> InferenceRuntime:
-    if executor == "process":
-        return InferenceRuntime(
-            None, event_fn=message_event,
-            executor="process",
-            process_spec=ProcessWorkerSpec.synthetic(cost=cost_spec),
-            shards=shards, max_batch=MAX_BATCH, max_latency=0.05,
-            registry=registry,
-        )
-    cost = resolve_cost(cost_spec)
     return InferenceRuntime(
-        lambda index: SyntheticWorker(cost=cost),
-        event_fn=message_event, shards=shards, max_batch=MAX_BATCH,
-        max_latency=0.05, registry=registry,
+        lambda index: SyntheticWorker(cost=cost_spec),
+        event_fn=message_event, executor=executor, shards=shards,
+        max_batch=MAX_BATCH, max_latency=0.05, registry=registry,
     )
 
 

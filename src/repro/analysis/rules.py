@@ -393,10 +393,10 @@ _SHM_ATTRS = ("SharedMemory", "ShareableList")
 class DirectProcessRule(ConfinedRule):
     """The process-executor counterpart of ``direct-thread``: ad-hoc
     worker processes and shared-memory segments bypass the executor's
-    weight broadcast, journal-refeed crash recovery and registry
+    worker snapshots, journal-refeed crash recovery and registry
     merging — and a leaked ``/dev/shm`` segment outlives the run.
-    ``repro.runtime`` (procexec + broadcast) is the one sanctioned
-    construction site; tests and benchmarks are exempt."""
+    ``repro.runtime.procexec`` is the one sanctioned construction site;
+    tests and benchmarks are exempt."""
 
     name = "direct-process"
     description = ("forbid multiprocessing / shared-memory construction "
@@ -558,9 +558,8 @@ class UnmanagedCheckpointWriteRule(ConfinedRule):
     the entry in ``MANIFEST.json`` before pruning.  A raw ``np.savez``
     anywhere else produces an orphan npz the resume path cannot trust —
     no digest, no manifest entry, no torn-write detection.  Model/weight
-    serialization (``repro.nn.module``, the runtime broadcast arena, and
-    pipeline export) have their own formats and are exempt, as are tests
-    and benchmarks."""
+    serialization (``repro.nn.module`` and pipeline export) have their
+    own formats and are exempt, as are tests and benchmarks."""
 
     name = "unmanaged-checkpoint-write"
     description = "forbid np.savez outside the manifest-aware checkpoint saver"
@@ -569,7 +568,7 @@ class UnmanagedCheckpointWriteRule(ConfinedRule):
 
     allowed_in = (
         "repro/core/checkpoint.py", "repro/nn/module.py",
-        "repro/runtime/broadcast.py", "repro/core/pipeline.py",
+        "repro/core/pipeline.py",
         "tests/", "benchmarks/", "examples/",
     )
     callees = {

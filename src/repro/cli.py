@@ -345,19 +345,12 @@ def _build_runtime(args: argparse.Namespace, **extra):
     the runtime path can be exercised with no trained artifacts.  With
     ``--detectors`` the runtime fronts an unsupervised ensemble instead
     (day-0 capable: no trained model required); ``--model-dir`` then
-    loads the pipeline the ensemble's ``model`` member wraps.
-
-    ``--executor process`` swaps the synchronous loop for one worker
-    process per shard: live workers cannot cross
-    the process boundary, so this path builds a picklable
-    :class:`~repro.runtime.ProcessWorkerSpec` — weight broadcast for a
-    model, spec string for an ensemble — instead of a worker factory.
+    loads the pipeline the ensemble's ``model`` member wraps.  Either
+    ``--executor`` builds the same workers: a process runtime ships each
+    shard process a pickled copy of its worker.
     """
-    from .runtime import (
-        InferenceRuntime, SyntheticWorker, admission_event_fn, message_event,
-    )
+    from .runtime import InferenceRuntime, SyntheticWorker, message_event
 
-    process = args.executor == "process"
     common = dict(shards=args.shards, window=args.window, step=args.step,
                   max_batch=args.max_batch, executor=args.executor, **extra)
     model = None
@@ -370,35 +363,13 @@ def _build_runtime(args: argparse.Namespace, **extra):
         from .detectors import ensemble_from_spec
 
         try:
-            # Parsed parent-side even in process mode, so a spec typo
-            # fails fast here instead of as a worker-process crash.
             ensemble = ensemble_from_spec(args.detectors, pipeline=model,
                                           seed=args.seed)
         except ValueError as exc:
             raise SystemExit(f"--detectors: {exc}")
-        if process:
-            from .runtime import ProcessWorkerSpec
-
-            spec = ProcessWorkerSpec.ensemble(
-                args.detectors, seed=args.seed, pipeline=model,
-                llm_spec=getattr(args, "llm", None))
-            return InferenceRuntime(
-                None, event_fn=admission_event_fn(ensemble.pipeline),
-                process_spec=spec, **common)
         return InferenceRuntime.from_ensemble(ensemble, **common)
     if model is not None:
-        if process:
-            return InferenceRuntime.from_model(
-                model, llm_spec=getattr(args, "llm", None), **common)
         return InferenceRuntime.from_model(model, **common)
-    if process:
-        from .runtime import ProcessWorkerSpec
-
-        return InferenceRuntime(
-            None, event_fn=message_event,
-            process_spec=ProcessWorkerSpec.synthetic(threshold=args.threshold),
-            **common,
-        )
     return InferenceRuntime(
         lambda index: SyntheticWorker(threshold=args.threshold),
         event_fn=message_event, **common,
@@ -428,7 +399,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         for record in records:
             runtime.submit(record)
         # stop() drains; under process it also reaps the worker
-        # processes and unlinks the broadcast arena.
+        # processes.
         reports = runtime.stop()
         reports.sort(key=report_sort_key)
         rendered = render_reports(reports)
@@ -756,8 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--executor", default="sync",
                         choices=["sync", "process"],
                         help="sync: single-threaded deterministic engine; "
-                             "process: one worker process per shard with a "
-                             "shared-memory weight broadcast (same "
+                             "process: one worker process per shard, each "
+                             "loading a pickled copy of its worker (same "
                              "byte-identical output)")
     replay.set_defaults(func=_cmd_replay)
 

@@ -18,8 +18,9 @@ trickle of day-0 logs while the runtime keeps serving the old weights.
 * **PROMOTED** — only when the shadow F1 clears ``gate_f1`` does the
   candidate state reach the serving path: first the runtime's hot swap
   (:meth:`~repro.runtime.engine.InferenceRuntime.swap_weights`, which
-  re-broadcasts under the process executor), then the local pipeline.
-* **REJECTED** — below the gate nothing is swapped or broadcast; the
+  also sends it to every shard process under the process executor),
+  then the local pipeline.
+* **REJECTED** — below the gate nothing is swapped; the
   candidate is discarded and the old weights keep serving.
 
 Fine-tuning itself is resumable: pass a

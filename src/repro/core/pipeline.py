@@ -245,8 +245,8 @@ class LogSynergy:
     # Pipeline persistence: weights + sentence encoder + Drain trees +
     # interpretations + event embeddings, so a restarted service keeps
     # stable event ids, trains no word vectors and needs no LLM
-    # re-interpretation.  One state format serves both the model
-    # directory and the process executor's weight broadcast.
+    # re-interpretation.  This state format is what a model directory
+    # holds.
     # ------------------------------------------------------------------
     def state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """The fitted pipeline as ``(manifest, arrays)``.

@@ -9,9 +9,9 @@ provides (validated in the test suite).
 
 Only a fit, or a detector without a fitted pipeline, calls the loader.
 A fitted pipeline saves the encoder it was fitted with
-(:meth:`SentenceEncoder.state`) in its model directory and its weight
-broadcast, so loading a model or starting a shard process restores that
-encoder and trains nothing.
+(:meth:`SentenceEncoder.state`) in its model directory and carries it
+when pickled into a shard process, so loading a model or starting a
+shard process restores that encoder and trains nothing.
 """
 
 from __future__ import annotations

@@ -82,6 +82,19 @@ class ProviderMiddleware(LLMProvider):
     def complete_batch(self, prompts: Sequence[str]) -> list[str]:
         return self.inner.complete_batch(prompts)
 
+    # A stack pickles whole (a shard process gets its own copy), but a
+    # lock does not: the copy drops it and makes a fresh one on load.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        if "_lock" in state:
+            state["_lock"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        if "_lock" in state:
+            state = {**state, "_lock": threading.Lock()}
+        self.__dict__.update(state)
+
 
 class MemoryCacheMiddleware(ProviderMiddleware):
     """TTL + LRU in-memory tier over the (disk-backed) inner provider.

@@ -122,15 +122,16 @@ class Module:
             raise KeyError(
                 f"state_dict mismatch: missing={sorted(missing)}, unexpected={sorted(unexpected)}"
             )
-        for name, array in state.items():
-            if name not in own:
-                continue
-            param = own[name]
-            if param.data.shape != array.shape:
+        loadable = {name: array for name, array in state.items() if name in own}
+        # Every shape is checked before any parameter changes, so a bad
+        # state leaves the module exactly as it was.
+        for name, array in loadable.items():
+            if own[name].data.shape != array.shape:
                 raise ValueError(
-                    f"shape mismatch for {name}: model {param.data.shape} vs state {array.shape}"
+                    f"shape mismatch for {name}: model {own[name].data.shape} vs state {array.shape}"
                 )
-            param.data = array.astype(param.data.dtype).copy()
+        for name, array in loadable.items():
+            own[name].data = array.astype(own[name].data.dtype).copy()
 
     def save(self, path: str) -> None:
         """Save parameters to an ``.npz`` archive."""

@@ -110,10 +110,8 @@ METRIC_TEMPLATES = frozenset({
     # repro.runtime.engine — live weight promotion
     "*.weight_swaps",
     # repro.runtime.procexec — worker-process lifecycle accounting
-    "*.proc.broadcast_bytes",
     "*.proc.deaths",
     "*.proc.live",
-    "*.proc.rebroadcasts",
     "*.proc.refed_records",
     "*.proc.restarts",
     "*.proc.spawn_failures",

@@ -10,6 +10,9 @@ Design rules (kept deliberately strict so tests stay deterministic):
   runs over the same values produce bit-identical state.
 * A registry is process-local and cheap: one dict lookup per metric
   handle; hot paths grab handles once and keep them.
+* A metric pickles by name: it unpickles as the same-named metric of
+  the registry active at load time, so a component shipped to another
+  process (a shard worker) records into that process's registry.
 """
 
 from __future__ import annotations
@@ -24,6 +27,17 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "DEFAULT_BUCKETS", "LATENCY_BUCKETS",
 ]
+
+
+def _active_metric(kind: str, name: str, *boundaries: float):
+    """The unpickled form of a metric: the active registry's handle."""
+    from .runtime import get_registry
+
+    registry = get_registry()
+    if kind == "histogram":
+        return registry.histogram(name, boundaries)
+    return getattr(registry, kind)(name)
+
 
 # General-purpose magnitude buckets (seconds when used with timers).
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -51,6 +65,9 @@ class Counter:
             raise ValueError(f"counter {self.name}: cannot inc by {amount}")
         self.value += amount
 
+    def __reduce__(self):
+        return _active_metric, ("counter", self.name)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
 
@@ -69,6 +86,9 @@ class Gauge:
 
     def add(self, delta: float) -> None:
         self.value += delta
+
+    def __reduce__(self):
+        return _active_metric, ("gauge", self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name}={self.value})"
@@ -153,6 +173,9 @@ class Histogram:
                     return self.boundaries[index]
                 return self.max
         return self.max  # pragma: no cover - cumulative always reaches count
+
+    def __reduce__(self):
+        return _active_metric, ("histogram", self.name, *self.boundaries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name}: n={self.count}, sum={self.sum:.6f})"

@@ -35,30 +35,22 @@ the model's batch-first ``score_event_windows``/``predict_proba`` path:
   the caller's thread, used by ``repro replay`` and ``repro serve``;
   ``submit`` ingests each record straight into its shard, with no
   buffer in between) and the process one below.
-* :class:`ProcessShardExecutor` / :class:`ProcessWorkerSpec` — the
-  ``executor="process"`` mode: one worker process per shard, warmed by a
-  one-time shared-memory :class:`WeightBroadcast` of the model arrays,
-  supervised with journal-refeed crash recovery, and deduplicated on
-  window id so replay output stays byte-identical to sync mode.  These
-  (with ``broadcast``) are the only ``multiprocessing`` constructions
-  the project permits (see the ``direct-process`` lint rule).
+* :class:`ProcessShardExecutor` — the ``executor="process"`` mode: one
+  worker process per shard, each loading a pickled snapshot of the
+  worker ``worker_factory`` built for it, supervised with journal-refeed
+  crash recovery, and deduplicated on window id so replay output stays
+  byte-identical to sync mode.  It holds the only ``multiprocessing``
+  constructions the project permits (see the ``direct-process`` lint
+  rule).
 
 Every stage reports through ``repro.obs``: batch-size/latency
 histograms, degraded-window counters and per-shard flush spans.
 """
 
-from .broadcast import (
-    AttachedBroadcast,
-    BroadcastHandle,
-    WeightBroadcast,
-    attach,
-    pipeline_state,
-    restore_pipeline,
-)
 from .engine import InferenceRuntime, RuntimeStats
 from .fallback import PatternFallback
 from .pattern_library import PatternLibrary, PatternStats
-from .procexec import ProcessShardExecutor, ProcessWorkerSpec
+from .procexec import ProcessShardExecutor
 from .replay import render_reports, replay_records, report_sort_key
 from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingWindow
@@ -71,9 +63,7 @@ from .worker import (
     SyntheticWorker,
     WorkerError,
     admission_event_fn,
-    build_worker_from_spec,
     message_event,
-    resolve_cost,
 )
 
 __all__ = [
@@ -83,10 +73,8 @@ __all__ = [
     "MicroBatchScheduler", "PendingWindow",
     "WorkerSupervisor", "RespawnPolicy", "WorkerError",
     "ModelWorker", "SyntheticWorker", "EnsembleWorker", "FlakyWorker", "message_event",
-    "admission_event_fn", "build_worker_from_spec", "resolve_cost",
-    "ProcessShardExecutor", "ProcessWorkerSpec",
-    "WeightBroadcast", "BroadcastHandle", "AttachedBroadcast", "attach",
-    "pipeline_state", "restore_pipeline",
+    "admission_event_fn",
+    "ProcessShardExecutor",
     "PatternFallback", "PatternLibrary", "PatternStats",
     "replay_records", "render_reports", "report_sort_key",
 ]

@@ -16,12 +16,12 @@ flushes every lane of a shard on the submit that finds the shard's
 oldest window overdue.
 
 **Process** (``executor="process"``) — ``start`` / ``stop``; each shard
-runs in its own worker process (:mod:`repro.runtime.procexec`), warmed
-through a one-time shared-memory weight broadcast.  It overlaps scoring
-across cores past the GIL and keeps the deterministic-output contract:
-replay output is byte-identical to sync mode (see the procexec module
-docstring for the argument).  Live workers are constructed from a
-picklable :class:`ProcessWorkerSpec` rather than ``worker_factory``.
+runs in its own worker process (:mod:`repro.runtime.procexec`), which
+loads a pickled snapshot of the worker ``worker_factory`` built for it.
+It overlaps scoring across cores past the GIL and keeps the
+deterministic-output contract: replay output is byte-identical to sync
+mode (see the procexec module docstring for the argument).  Both
+executors build their workers through the same ``worker_factory``.
 
 Admission never sheds under either executor: ``block`` is the only
 ``backpressure`` policy.  A caller that wants to shed load does so
@@ -131,13 +131,13 @@ class InferenceRuntime:
     """Sharded micro-batching front-end over inference workers."""
 
     def __init__(self,
-                 worker_factory: Callable[[int], InferenceWorker] | None, *,
+                 worker_factory: Callable[[int], InferenceWorker], *,
                  event_fn: Callable[[str, str], int],
                  shards: int = 1, window: int = 10, step: int = 5,
                  max_batch: int = 16, max_latency: float | None = None,
                  backpressure: str = "block",
                  poll_interval: float = 0.05,
-                 executor: str = "sync", process_spec=None,
+                 executor: str = "sync",
                  respawn_policy=None,
                  supervisor_options: dict | None = None,
                  fallback_threshold: float = 0.5,
@@ -153,13 +153,8 @@ class InferenceRuntime:
             raise ValueError(
                 f"unsupported backpressure policy {backpressure!r}: "
                 "admission never sheds, so 'block' is the only one")
-        if executor == "process":
-            if process_spec is None:
-                raise ValueError(
-                    "executor='process' requires a process_spec "
-                    "(see ProcessWorkerSpec / from_model)")
-        elif worker_factory is None:
-            raise ValueError(f"executor={executor!r} requires worker_factory")
+        if worker_factory is None:
+            raise ValueError("InferenceRuntime requires a worker_factory")
         if registry is None:
             active = get_registry()
             # Stats must stay readable with observability off, so fall
@@ -173,9 +168,7 @@ class InferenceRuntime:
         self._clock = registry.clock
         self._on_report = on_report
         self._reports: list[AnomalyReport] = []
-        # The pipeline in-process weight swaps load into; wired by
-        # from_model for the sync path (process mode swaps through the
-        # executor's re-broadcast instead).
+        # The pipeline weight swaps load into; wired by from_model.
         self._serving = None
         # Always empty: no executor runs shard code on a thread of its
         # own.  Kept because benchmark harnesses count its entries.
@@ -188,8 +181,8 @@ class InferenceRuntime:
             from .procexec import ProcessShardExecutor
 
             self._process = ProcessShardExecutor(
-                process_spec, shards=shards,
-                event_fn=event_fn, emit=self._emit,
+                worker_factory, shards=shards,
+                event_fn=event_fn, emit=self._emit, gate=gate,
                 window=window, step=step, max_batch=max_batch,
                 max_latency=max_latency,
                 supervisor_options=supervisor_options,
@@ -225,21 +218,13 @@ class InferenceRuntime:
         the gate keys on the window's event-id set and a
         :class:`ModelWorker` per shard scores the carried ids.
 
-        With ``executor="process"`` the pipeline is packed into a
-        shared-memory weight broadcast and every shard process rebuilds
-        its own warm replica and parses there; the parent's hook only
-        serves a shard degraded to the parent-side fallback.  Pass
-        ``llm_spec`` (a provider spec string) to give replicas a live
-        interpreter.
+        With ``executor="process"`` every shard process loads its own
+        copy of the worker, pipeline and interpreter included, and parses
+        there; the parent's hook only serves a shard degraded to the
+        parent-side fallback.
         """
         if model.model is None:
             raise ValueError("InferenceRuntime requires a fitted LogSynergy model")
-        if kwargs.get("executor") == "process":
-            from .procexec import ProcessWorkerSpec
-
-            kwargs.setdefault("process_spec", ProcessWorkerSpec.for_pipeline(
-                model, llm_spec=kwargs.pop("llm_spec", None)))
-            return cls(None, event_fn=admission_event_fn(model), **kwargs)
         runtime = cls(lambda index: ModelWorker(model),
                       event_fn=admission_event_fn(model), **kwargs)
         runtime._serving = model
@@ -262,18 +247,10 @@ class InferenceRuntime:
         one forward per batch; otherwise admission uses
         :func:`~repro.runtime.worker.message_event` (see
         :func:`~repro.runtime.worker.admission_event_fn`).  One ensemble
-        instance is shared by all shards — per-system state plus
-        system-sticky routing keeps replay byte-identical across shard
-        counts.
+        instance is shared by all sync shards, and each shard process
+        loads its own copy — per-system state plus system-sticky routing
+        keeps replay byte-identical across shard counts and executors.
         """
-        if kwargs.get("executor") == "process":
-            # A live ensemble cannot be shipped to worker processes;
-            # the spec-string path rebuilds one per child instead.
-            raise ValueError(
-                "from_ensemble cannot run under executor='process'; build "
-                "the runtime with process_spec=ProcessWorkerSpec.ensemble("
-                "detectors_spec, ...) so each worker process rebuilds its "
-                "own ensemble")
         kwargs["gate"] = False
         return cls(lambda index: EnsembleWorker(ensemble),
                    event_fn=admission_event_fn(ensemble.pipeline), **kwargs)
@@ -283,20 +260,18 @@ class InferenceRuntime:
         """Promote candidate model weights into the serving path live.
 
         ``state`` is a :meth:`~repro.nn.module.Module.state_dict` for
-        the served :class:`~repro.core.model.LogSynergyModel`.  Process
-        mode rebuilds the shared-memory broadcast and swaps every shard
-        process; sync mode loads the state into the served pipeline's
-        model between two calls, so no scoring pass sees half-new
-        parameters.
+        the served :class:`~repro.core.model.LogSynergyModel`.  It loads
+        into the served pipeline's model first, under both executors,
+        between two calls, so no scoring pass sees half-new parameters
+        and a state that does not fit raises before any shard process
+        sees it.  Process mode then swaps every shard process.
         """
+        if self._serving is None:
+            raise RuntimeError(
+                "swap_weights requires a runtime built with from_model")
+        self._serving.model.load_state_dict(state)
         if self._process is not None:
             self._process.swap_weights(state)
-        elif self._serving is not None:
-            self._serving.model.load_state_dict(state)
-        else:
-            raise RuntimeError(
-                "swap_weights requires a runtime built with from_model "
-                "(or a process-executor model spec)")
         self.registry.counter(f"{self.prefix}.weight_swaps").inc()
 
     # ------------------------------------------------------------------

@@ -4,10 +4,16 @@ The synchronous engine scores every shard on the caller's thread, so
 neither inference latency nor CPU-bound scoring overlaps across shards.
 This module runs each shard in its own **worker process**:
 
-* **Warm start via shared memory** — the parent packs every model /
-  featurizer array into one :class:`~repro.runtime.broadcast.WeightBroadcast`
-  arena; each child attaches zero-copy and rebuilds a warm pipeline
-  replica before its first batch (npz fallback when shm is unavailable).
+* **Warm start from a pickled worker** — the executor builds each
+  shard's worker through the same ``worker_factory`` the sync engine
+  uses and pickles every shard's worker, with the admission hook, once
+  and together, so objects the workers share (one pipeline, one
+  ensemble) are stored once: a frozen snapshot that later changes to
+  the parent's objects (an onboarding run parsing day-0 logs adds Drain
+  templates) cannot reach.  Every spawn and respawn, under fork or
+  spawn, loads those bytes and keeps its own shard's worker.  Metrics
+  inside the worker unpickle into the child's registry, whose deltas
+  ship home.
 * **Determinism by construction** — routing stays system-sticky, records
   cross the pipe as compact :class:`WireRecord` tuples in submit order,
   and each child runs the same :class:`~repro.runtime.shard.ShardState`
@@ -36,40 +42,41 @@ This module runs each shard in its own **worker process**:
   deadline, and then scores every waiting lane (one batch for a model
   worker) without waiting for more input.
 * **Crash supervision with exactly-once output** — the parent keeps a
-  per-shard journal of every record it ever sent.  A dead child
+  per-shard journal of every record it ever sent, and of every weight
+  swap at the journal position where the child received it.  A dead child
   (detected on flush/drain, or killed by the ``runtime.proc.death``
-  fault) is respawned with the same warm-start path on a **fresh epoch**
+  fault) is respawned from the same snapshot on a **fresh epoch**
   with fresh IPC channels (a SIGKILL mid-write can corrupt a pipe, so
-  old channels are abandoned unread), and the journal is refed.  The
-  respawned child recomputes every window; the parent deduplicates on
-  window id, so nothing is lost and nothing is emitted twice.  If respawning is
+  old channels are abandoned unread), and the journal is refed, each
+  swap at its position.  The respawned child recomputes every window
+  with the weights the first child scored it with; the parent
+  deduplicates on window id, so nothing is lost and nothing is emitted
+  twice.  If respawning is
   exhausted (:class:`~repro.runtime.supervisor.RespawnPolicy`), the
   shard degrades to a parent-side pattern-library fallback — the same
   degraded path an unhealthy in-process worker takes.
 
-The ``multiprocessing`` constructions here (and in ``broadcast``) are
-the only ones the project permits — the ``direct-process`` lint rule
-enforces that.
+The ``multiprocessing`` constructions here are the only ones the
+project permits — the ``direct-process`` lint rule enforces that.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 import queue
 import signal
-from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple
 
 from ..obs import MetricsRegistry, use_registry
 from ..testing.faultpoints import fault_point
-from .broadcast import WeightBroadcast, pipeline_state
 from .shard import ShardState
 from .supervisor import RespawnPolicy, WorkerSupervisor
-from .worker import WorkerError, build_worker_from_spec
+from .worker import WorkerError
 
-__all__ = ["ProcessWorkerSpec", "ProcessShardExecutor", "WireRecord"]
+__all__ = ["ProcessShardExecutor", "WireRecord"]
 
 # Records per IPC message: amortizes pickling/pipe overhead without
 # letting the parent run far ahead of a crashed child.
@@ -93,68 +100,6 @@ class WireRecord(NamedTuple):
     message: str
 
 
-@dataclass(frozen=True)
-class ProcessWorkerSpec:
-    """Declarative, broadcast-backed recipe for per-process workers.
-
-    The executor cannot ship live worker objects to children (models and
-    ensembles hold unpicklable or unshareable state), so it ships this
-    spec instead: children rebuild their worker from it via
-    :func:`~repro.runtime.worker.build_worker_from_spec`.  ``broadcast``
-    stays parent-side; children receive only its picklable handle.
-    """
-
-    kind: str
-    threshold: float = 0.5
-    cost: tuple | None = None
-    detectors: str | None = None
-    seed: int = 0
-    llm_spec: str | None = None
-    gate: bool = True
-    broadcast: WeightBroadcast | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("synthetic", "model", "ensemble"):
-            raise ValueError(
-                f"unknown worker spec kind {self.kind!r}; "
-                "expected synthetic|model|ensemble")
-        if self.kind == "model" and self.broadcast is None:
-            raise ValueError("model worker spec requires a weight broadcast")
-        if self.kind == "ensemble" and not self.detectors:
-            raise ValueError("ensemble worker spec requires a detectors spec")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def synthetic(cls, threshold: float = 0.5, cost: tuple | None = None,
-                  gate: bool = True) -> "ProcessWorkerSpec":
-        """Deterministic content-hash scorer (tests, benchmarks, CLI
-        runs without a model)."""
-        return cls(kind="synthetic", threshold=threshold, cost=cost, gate=gate)
-
-    @classmethod
-    def for_pipeline(cls, pipeline, *, llm_spec: str | None = None,
-                     use_shm: bool = True) -> "ProcessWorkerSpec":
-        """Broadcast a fitted LogSynergy pipeline; children score through
-        warm :class:`~repro.runtime.worker.ModelWorker` replicas."""
-        arrays, meta = pipeline_state(pipeline)
-        return cls(kind="model", llm_spec=llm_spec,
-                   broadcast=WeightBroadcast(arrays, meta, use_shm=use_shm))
-
-    @classmethod
-    def ensemble(cls, detectors: str, *, seed: int = 0, pipeline=None,
-                 llm_spec: str | None = None,
-                 use_shm: bool = True) -> "ProcessWorkerSpec":
-        """Children rebuild a detector ensemble from its spec string
-        (plus an optional broadcast pipeline for model members).  The
-        pattern gate is off, as in :meth:`InferenceRuntime.from_ensemble`."""
-        broadcast = None
-        if pipeline is not None:
-            arrays, meta = pipeline_state(pipeline)
-            broadcast = WeightBroadcast(arrays, meta, use_shm=use_shm)
-        return cls(kind="ensemble", detectors=detectors, seed=seed,
-                   llm_spec=llm_spec, gate=False, broadcast=broadcast)
-
-
 class _AbandonedWorker:
     """Worker for a shard whose process cannot be kept alive: every
     batch fails, so the supervisor degrades it and the shard answers
@@ -168,8 +113,8 @@ class _ShardSlot:
     """Parent-side bookkeeping for one worker process."""
 
     __slots__ = ("index", "process", "inbox", "out_q", "produced", "consumed",
-                 "epoch", "journal", "buffer", "buffered_at", "emitted",
-                 "restarts", "fallback")
+                 "epoch", "journal", "swaps", "buffer", "buffered_at",
+                 "emitted", "restarts", "fallback")
 
     def __init__(self, index: int):
         self.index = index
@@ -185,6 +130,10 @@ class _ShardSlot:
         # Every record ever submitted to this shard, in submit order —
         # the respawn path refeeds this to rebuild the child's state.
         self.journal: list[WireRecord] = []
+        # Each weight swap with the journal length when the child got
+        # it: the refeed replays it there, so a respawn scores every
+        # window with the weights the first child used.
+        self.swaps: list[tuple[int, dict]] = []
         self.buffer: list[WireRecord] = []
         # When the oldest record in ``buffer`` was buffered (read only
         # under a latency budget).
@@ -200,8 +149,8 @@ class ProcessShardExecutor:
     """Drives one worker process per shard for an
     :class:`~repro.runtime.engine.InferenceRuntime`."""
 
-    def __init__(self, spec: ProcessWorkerSpec, *, shards: int,
-                 event_fn, emit,
+    def __init__(self, worker_factory, *, shards: int,
+                 event_fn, emit, gate: bool = True,
                  window: int = 10, step: int = 5, max_batch: int = 16,
                  max_latency: float | None = None,
                  supervisor_options: dict | None = None,
@@ -213,11 +162,15 @@ class ProcessShardExecutor:
                  respawn_policy: RespawnPolicy | None = None):
         import multiprocessing
 
-        self.spec = spec
         self._emit = emit
-        # For the parent-side degraded fallback only — worker processes
-        # parse in their own replica (build_worker_from_spec's hook).
+        # Pickled with each worker, so a child parses through its own
+        # copy of the hook's pipeline; the parent calls it only for the
+        # degraded fallback.
         self._event_fn = event_fn
+        self._gate = gate
+        self._snapshot = pickle.dumps(
+            [(worker_factory(index), event_fn) for index in range(shards)],
+            protocol=pickle.HIGHEST_PROTOCOL)
         self._registry = registry
         self._clock = registry.clock
         self._prefix = prefix
@@ -245,8 +198,8 @@ class ProcessShardExecutor:
             "max_patterns": max_patterns, "prefix": prefix,
         }
         self._supervisor_options = dict(supervisor_options or {})
-        # Fork keeps the broadcast attach cheap (the arena is already
-        # mapped); spawn is the portable fallback.
+        # Fork hands a child its worker bytes without a pipe copy; spawn
+        # is the portable fallback.
         method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                   else "spawn")
         self._ctx = multiprocessing.get_context(method)
@@ -258,25 +211,14 @@ class ProcessShardExecutor:
         self._restarts = registry.counter(f"{prefix}.proc.restarts")
         self._spawn_failures = registry.counter(f"{prefix}.proc.spawn_failures")
         self._refed = registry.counter(f"{prefix}.proc.refed_records")
-        self._rebroadcasts = registry.counter(f"{prefix}.proc.rebroadcasts")
         self._live = registry.gauge(f"{prefix}.proc.live")
-        broadcast_bytes = registry.gauge(f"{prefix}.proc.broadcast_bytes")
-        if spec.broadcast is not None:
-            broadcast_bytes.set(spec.broadcast.total_bytes)
 
     # ------------------------------------------------------------------
-    def _child_cfg(self) -> dict:
-        cfg = {
-            "kind": self.spec.kind, "threshold": self.spec.threshold,
-            "cost": self.spec.cost, "detectors": self.spec.detectors,
-            "seed": self.spec.seed, "llm_spec": self.spec.llm_spec,
-            "gate": self.spec.gate, "handle": None,
-            "supervisor_options": self._child_options,
-            "shard": self._shard_params,
-        }
-        if self.spec.broadcast is not None:
-            cfg["handle"] = self.spec.broadcast.handle()
-        return cfg
+    def _child_args(self) -> tuple:
+        """What a shard process starts from: the worker snapshot and the
+        shard and supervisor settings."""
+        return (self._snapshot, self._gate, self._shard_params,
+                self._child_options)
 
     def ensure_started(self) -> None:
         if self._started:
@@ -303,7 +245,7 @@ class ProcessShardExecutor:
                 slot.consumed = 0
                 process = self._ctx.Process(
                     target=_shard_process_main,
-                    args=(slot.index, slot.epoch, self._child_cfg(),
+                    args=(slot.index, slot.epoch, *self._child_args(),
                           inbox, slot.out_q, slot.produced),
                     name=f"repro-proc-shard-{slot.index}", daemon=True,
                 )
@@ -369,7 +311,7 @@ class ProcessShardExecutor:
             event_fn=self._event_fn,
             emit=lambda report, _slot=slot: self._accept(_slot, report),
             registry=self._registry, scope=scope, spans=False,
-            gate=self.spec.gate, **self._shard_params,
+            gate=self._gate, **self._shard_params,
         )
         slot.buffer = []
         for record in slot.journal:
@@ -377,9 +319,9 @@ class ProcessShardExecutor:
             slot.fallback.flush_ready(self._clock())
 
     def _recover(self, slot: _ShardSlot) -> None:
-        """A dead worker process: count it, respawn on a fresh epoch,
-        and refeed the journal through the warm-start path.  A respawn
-        that dies during the refeed is recovered the same way."""
+        """A dead worker process: count it, respawn on a fresh epoch
+        from the worker snapshot, and refeed the journal with its swaps.
+        A respawn that dies during the refeed is recovered the same way."""
         while True:
             self._deaths.inc()
             if slot.process is not None:
@@ -396,9 +338,14 @@ class ProcessShardExecutor:
                 return
             self._restarts.inc()
             try:
-                for start in range(0, len(slot.journal), _CHUNK):
-                    slot.inbox.send(
-                        ("recs", slot.journal[start:start + _CHUNK], 0.0))
+                start = 0
+                for position, state in [*slot.swaps, (len(slot.journal), None)]:
+                    for begin in range(start, position, _CHUNK):
+                        end = min(begin + _CHUNK, position)
+                        slot.inbox.send(("recs", slot.journal[begin:end], 0.0))
+                    if state is not None:
+                        slot.inbox.send(("swap", state))
+                    start = position
             except OSError:
                 continue
             self._refed.inc(len(slot.journal))
@@ -407,61 +354,25 @@ class ProcessShardExecutor:
     def swap_weights(self, model_state: dict) -> None:
         """Promote new model weights into every shard process.
 
-        Rebuilds the weight broadcast with the ``model/*`` arrays
-        replaced (featurizer state is unchanged — the candidate was
-        fine-tuned behind the same featurizers), installs it as the
-        spec every future respawn warm-starts from, then ships the
-        state to live children in-band.  Dead children are recovered
-        through the normal respawn path, which now attaches the new
-        arena.  The old arena is unlinked only after the replacement is
-        fully populated; children that still hold mappings keep them
-        until their own close.
+        Each shard's buffer ships first, so every record journaled so
+        far is scored with the old weights; the state then ships
+        in-band and is journaled at that position for the refeed.  The
+        caller has already checked the state against the served model
+        (:meth:`~repro.runtime.engine.InferenceRuntime.swap_weights`).
         """
-        import dataclasses
-
-        from .broadcast import attach
-
-        if self.spec.kind != "model" or self.spec.broadcast is None:
-            raise ValueError(
-                "weight swap requires a model worker spec with a broadcast, "
-                f"got kind={self.spec.kind!r}")
         self.ensure_started()
-        old = self.spec.broadcast
-        attached = attach(old.handle())
-        try:
-            prefix = "model/"
-            expected = {key[len(prefix):] for key in attached.arrays
-                        if key.startswith(prefix)}
-            if set(model_state) != expected:
-                raise ValueError(
-                    "candidate state keys do not match the serving model "
-                    f"({len(model_state)} vs {len(expected)} arrays)")
-            arrays = {}
-            for key, value in attached.arrays.items():
-                if key.startswith(prefix):
-                    arrays[key] = model_state[key[len(prefix):]]
-                else:
-                    arrays[key] = value
-            # The constructor copies every array into the fresh arena,
-            # so the zero-copy views above are read exactly once while
-            # the old mapping is still alive.
-            replacement = WeightBroadcast(arrays, attached.meta,
-                                          use_shm=old.via_shared_memory)
-        finally:
-            attached.close()
-        self.spec = dataclasses.replace(self.spec, broadcast=replacement)
-        old.unlink()
-        self._rebroadcasts.inc()
         for slot in self._slots:
+            self._flush(slot)
             if slot.fallback is not None:
                 continue
+            slot.swaps.append((len(slot.journal), model_state))
             if slot.process is None or not slot.process.is_alive():
                 self._recover(slot)
                 continue
             try:
                 slot.inbox.send(("swap", model_state))
             except OSError:
-                # The respawn warm-starts from the new broadcast.
+                # The refeed replays the swap.
                 self._recover(slot)
 
     def _kill(self, slot: _ShardSlot) -> None:
@@ -662,7 +573,7 @@ class ProcessShardExecutor:
         return [len(slot.buffer) for slot in self._slots]
 
     def stop(self, timeout: float | None = 30.0) -> None:
-        """Drain, stop every worker process, release the arena."""
+        """Drain and stop every worker process."""
         if self._stopped:
             return
         if self._started:
@@ -682,8 +593,6 @@ class ProcessShardExecutor:
             slot.process = None
             self._abandon_ipc(slot)
         self._refresh_live()
-        if self.spec.broadcast is not None:
-            self.spec.broadcast.unlink()
 
 
 class _ChildFailed(RuntimeError):
@@ -729,18 +638,19 @@ def _registry_reset(registry) -> None:
             metric.max = float("-inf")
 
 
-def _shard_process_main(index: int, epoch: int, cfg: dict,
+def _shard_process_main(index: int, epoch: int, snapshot: bytes,
+                        gate: bool, params: dict, supervisor_options: dict,
                         inbox, out_q, produced) -> None:
     """One shard's whole life inside its worker process.
 
-    Builds a warm worker from the spec (attaching the weight broadcast),
-    then serves ``recs`` / ``drain`` / ``stop`` messages.  While windows
-    wait under a latency budget it waits for input only until the
-    shard's oldest deadline, and at the deadline scores every waiting
-    lane with no further message.  Reports flow
-    up tagged with the spawn epoch; the parent ignores stale acks and
-    deduplicates reports, so this function never needs to know whether
-    it is a first launch or a post-crash respawn over a refed journal.
+    Loads its worker from the snapshot, then serves ``recs`` / ``swap`` /
+    ``drain`` / ``stop`` messages.  While windows wait under a latency
+    budget it waits for input only until the shard's oldest deadline,
+    and at the deadline scores every waiting lane with no further
+    message.  Reports flow up tagged with the spawn epoch; the parent
+    ignores stale acks and deduplicates reports, so this function never
+    needs to know whether it is a first launch or a post-crash respawn
+    over a refed journal.
     Every put is followed by a bump of the shared ``produced`` count,
     which is what tells the parent's poll there is something to read.
     """
@@ -752,12 +662,13 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
     try:
         registry = MetricsRegistry()
         with use_registry(registry):
-            worker, event_fn, gate = build_worker_from_spec(cfg)
-            params = cfg["shard"]
+            # Under this registry, so the worker's metrics unpickle into
+            # the one whose deltas each drain ack ships home.
+            worker, event_fn = pickle.loads(snapshot)[index]
             scope = f".shard{index}"
             supervisor = WorkerSupervisor(
                 worker, registry=registry, prefix=params["prefix"],
-                scope=scope, **cfg["supervisor_options"])
+                scope=scope, **supervisor_options)
             reports: list = []
             shard = ShardState(
                 index, supervisor,
@@ -795,8 +706,8 @@ def _shard_process_main(index: int, epoch: int, cfg: dict,
                     _registry_reset(registry)
                     continue
                 elif kind == "swap":
-                    # Hot weight promotion: only model specs receive
-                    # this, and their worker is always a ModelWorker.
+                    # Hot weight promotion: only a runtime over a model
+                    # swaps, and its worker is always a ModelWorker.
                     worker.load_weights(message[1])
                     continue
                 elif kind == "stop":

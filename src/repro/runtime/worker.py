@@ -10,8 +10,8 @@ Three implementations:
   forward per window-length group), with no second parse.  A batch may
   mix systems (a shard's latency flush); each row is gathered through
   its own system's featurizer, still in one forward.
-* :class:`SyntheticWorker` — deterministic content-hash scoring with an
-  injectable per-batch cost, for tests and the runtime benchmark (the
+* :class:`SyntheticWorker` — deterministic content-hash scoring with a
+  declarative per-batch cost, for tests and the runtime benchmark (the
   cost stands in for LLM/accelerator inference latency, which LogLLM and
   LogGPT identify as the production bottleneck).
 * :class:`FlakyWorker` — fault injection: raises
@@ -31,7 +31,7 @@ from .scheduler import PendingWindow
 __all__ = [
     "WorkerError", "InferenceWorker", "ModelWorker", "SyntheticWorker",
     "EnsembleWorker", "FlakyWorker", "message_event",
-    "admission_event_fn", "resolve_cost", "build_worker_from_spec",
+    "admission_event_fn",
 ]
 
 
@@ -150,20 +150,36 @@ class EnsembleWorker:
 class SyntheticWorker:
     """Deterministic scorer with a simulated per-batch inference cost.
 
-    ``cost`` is called once per batch with the batch size; inject
-    ``lambda n: time.sleep(...)`` to model fixed inference latency, or
-    leave ``None`` for free scoring in unit tests.  Scores are a pure
-    function of window content, so results are reproducible and
-    shard-count independent.
+    ``cost`` is a plain tuple paid once per batch, or ``None`` for free
+    scoring in unit tests:
+
+    * ``("sleep", seconds)`` — I/O-shaped latency (remote inference).
+    * ``("spin", iterations)`` — CPU-shaped work (a pure-Python LCG
+      loop); holds the GIL.
+
+    A tuple pickles unchanged into shard processes, so both executors
+    pay the same cost.  Scores are a pure function of window content,
+    so results are reproducible and shard-count independent.
     """
 
     fuse_lanes = True
 
-    def __init__(self, threshold: float = 0.5,
-                 cost: Callable[[int], None] | None = None):
+    def __init__(self, threshold: float = 0.5, cost: tuple | None = None):
+        if cost is not None and cost[0] not in ("sleep", "spin"):
+            raise ValueError(
+                f"unknown cost spec kind {cost[0]!r}; expected sleep|spin")
         self.threshold = threshold
         self.cost = cost
         self.batches_scored = 0
+
+    def _pay_cost(self) -> None:
+        kind, amount = self.cost
+        if kind == "sleep":
+            time.sleep(float(amount))
+            return
+        value = 1
+        for _ in range(int(amount)):
+            value = (value * 1103515245 + 12345) % 2147483648
 
     def _score(self, window: list) -> float:
         digest = zlib.crc32(
@@ -174,7 +190,7 @@ class SyntheticWorker:
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
         fault_point("runtime.worker.score")
         if self.cost is not None:
-            self.cost(len(batch))
+            self._pay_cost()
         self.batches_scored += 1
         reports = []
         for pending in batch:
@@ -188,76 +204,6 @@ class SyntheticWorker:
             ))
         reports = fault_point("runtime.worker.result", reports)
         return None if reports is DROPPED else reports
-
-
-def resolve_cost(spec: tuple | None) -> Callable[[int], None] | None:
-    """Turn a declarative per-batch cost spec into a callable.
-
-    Cost specs are plain tuples so they survive pickling into worker
-    processes unchanged — both executors then pay the *same* simulated
-    inference cost, which keeps executor benchmarks honest:
-
-    * ``("sleep", seconds)`` — I/O-shaped latency (remote inference).
-    * ``("spin", iterations)`` — CPU-shaped work (a pure-Python LCG
-      loop); holds the GIL.
-    """
-    if spec is None:
-        return None
-    kind, amount = spec
-    if kind == "sleep":
-        seconds = float(amount)
-        return lambda _n: time.sleep(seconds)
-    if kind == "spin":
-        iterations = int(amount)
-
-        def spin(_n: int) -> None:
-            value = 1
-            for _ in range(iterations):
-                value = (value * 1103515245 + 12345) % 2147483648
-
-        return spin
-    raise ValueError(f"unknown cost spec kind {kind!r}; expected sleep|spin")
-
-
-def build_worker_from_spec(cfg: dict):
-    """Construct ``(worker, event_fn, gate)`` inside a worker process.
-
-    ``cfg`` is the picklable dict a
-    :class:`~repro.runtime.procexec.ProcessWorkerSpec` ships to each
-    shard process; model and ensemble kinds rehydrate their warm state
-    from the shared-memory broadcast handle; each process owns its
-    model replica outright.
-    """
-    kind = cfg["kind"]
-    if kind == "synthetic":
-        worker = SyntheticWorker(threshold=cfg.get("threshold", 0.5),
-                                 cost=resolve_cost(cfg.get("cost")))
-        return worker, message_event, cfg.get("gate", True)
-
-    from .broadcast import attach, restore_pipeline
-
-    llm = None
-    if cfg.get("llm_spec"):
-        from ..llm.factory import provider_from_spec
-
-        llm = provider_from_spec(cfg["llm_spec"], seed=cfg.get("seed", 0))
-    pipeline = None
-    if cfg.get("handle") is not None:
-        attached = attach(cfg["handle"])
-        pipeline = restore_pipeline(attached, llm=llm)
-    if kind == "model":
-        if pipeline is None:
-            raise ValueError("model worker spec requires a broadcast handle")
-        return ModelWorker(pipeline), admission_event_fn(pipeline), cfg.get("gate", True)
-    if kind == "ensemble":
-        from ..detectors import ensemble_from_spec
-
-        ensemble = ensemble_from_spec(cfg["detectors"], pipeline=pipeline,
-                                      seed=cfg.get("seed", 0))
-        return (EnsembleWorker(ensemble), admission_event_fn(ensemble.pipeline),
-                False)
-    raise ValueError(
-        f"unknown worker spec kind {kind!r}; expected synthetic|model|ensemble")
 
 
 class FlakyWorker:

@@ -168,28 +168,19 @@ def _run_replay(context: CheckContext, *, shards: int,
     ``"sync"`` explicitly from checkers that arm in-process injectors."""
     registry = registry if registry is not None else MetricsRegistry()
     executor = context.executor if executor is None else executor
-    common = dict(
-        event_fn=message_event,
+    runtime = InferenceRuntime(
+        lambda index: SyntheticWorker(threshold=0.5),
+        event_fn=message_event, executor=executor,
         shards=shards, window=context.window, step=context.step,
         max_batch=context.max_batch, max_latency=None, registry=registry,
         supervisor_options=supervisor_options,
     )
-    if executor == "process":
-        from ..runtime import ProcessWorkerSpec
-
-        runtime = InferenceRuntime(
-            None, executor="process",
-            process_spec=ProcessWorkerSpec.synthetic(threshold=0.5), **common)
-    else:
-        runtime = InferenceRuntime(
-            lambda index: SyntheticWorker(threshold=0.5), **common)
     try:
         for record in context.stream.records:
             runtime.submit(record)
         reports = runtime.drain()
     finally:
-        if executor == "process":
-            runtime.stop()
+        runtime.stop()
     return render_reports(reports), reports, runtime
 
 

@@ -833,7 +833,6 @@ class TestUnmanagedCheckpointWrite:
     def test_manifest_aware_saver_and_serializers_exempt(self):
         for path in ("src/repro/core/checkpoint.py",
                      "src/repro/nn/module.py",
-                     "src/repro/runtime/broadcast.py",
                      "src/repro/core/pipeline.py",
                      "tests/core/test_x.py",
                      "benchmarks/bench_x.py"):

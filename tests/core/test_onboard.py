@@ -162,8 +162,8 @@ class TestExecutorVisibility:
                 result = session.run("day0", sequences, epochs=1)
                 assert result.promoted
                 assert registry.counter(
-                    "runtime.proc.rebroadcasts").value == 1
-                # Children score against the re-broadcast weights.
+                    "runtime.weight_swaps").value == 1
+                # Children score against the swapped weights.
                 for record in records[:40]:
                     runtime.submit(record)
             finally:

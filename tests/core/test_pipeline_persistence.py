@@ -1,5 +1,7 @@
 """Full-pipeline persistence tests (weights + parser trees + interpretations)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,22 @@ class TestPipelinePersistence:
         second = nearest_training_sequences(restored.model, bank[0], bank, k=3)
         assert first == second
 
+    def test_a_pickled_pipeline_scores_identically(self, fitted_logsynergy):
+        """A shard process scores through a pickled copy of the pipeline."""
+        from repro.logs import generate_logs
+
+        replica = pickle.loads(pickle.dumps(fitted_logsynergy))
+        assert replica.target_system == fitted_logsynergy.target_system
+        original_state = fitted_logsynergy.model.state_dict()
+        for key, value in replica.model.state_dict().items():
+            np.testing.assert_array_equal(value, original_state[key])
+        window = [record.message
+                  for record in generate_logs("thunderbird", 10, seed=11)]
+        expected = fitted_logsynergy.detect_stream_batch([window])
+        got = replica.detect_stream_batch([window])
+        assert got[0].score == expected[0].score
+        assert got[0].is_anomalous == expected[0].is_anomalous
+
     def test_save_requires_fitted(self, tmp_path):
         from repro.config import LogSynergyConfig
         with pytest.raises(RuntimeError):
@@ -118,19 +136,11 @@ def score_unseen(pipeline):
 
 class TestEncoderPersistence:
     def _restarts(self, pipeline, directory):
-        """The pipeline rebuilt through a model directory and through the
-        process executor's weight broadcast."""
-        from repro.runtime import WeightBroadcast, pipeline_state, restore_pipeline
-        from repro.runtime.broadcast import attach
-
+        """The pipeline rebuilt through a model directory and through a
+        pickle round trip (what a shard process loads)."""
         pipeline.save_pipeline(directory)
         loaded = LogSynergy.load_pipeline(directory)
-        arrays, meta = pipeline_state(pipeline)
-        broadcast = WeightBroadcast(arrays, meta, use_shm=False)
-        try:
-            replica = restore_pipeline(attach(broadcast.handle()))
-        finally:
-            broadcast.unlink()
+        replica = pickle.loads(pickle.dumps(pipeline))
         return loaded, replica
 
     def test_the_fitted_encoder_survives_a_restart(self, custom_encoder_pipeline,

@@ -407,6 +407,24 @@ class TestBuildProviderStack:
                                      seed=2, registry=MetricsRegistry())
         assert stack.complete(prompt) == golden
 
+    def test_a_pickled_stack_completes_like_the_original(self):
+        """A shard process gets a pickled copy of the provider stack: the
+        locks are rebuilt on load and completions do not change."""
+        import pickle
+
+        from repro.llm.factory import resolve_provider
+
+        prompts = [build_interpretation_prompt("bgl", line) for line in (
+            "rts panic! - stopping execution, reason 1",
+            "ciod: error reading message prefix after lostconnection")]
+        original = resolve_provider("simulated", middleware=True)
+        original.complete(prompts[0])  # a warm memory tier pickles too
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy._lock is not original._lock
+        assert [copy.complete(p) for p in prompts] == \
+            [original.complete(p) for p in prompts]
+        assert copy.complete_batch(prompts) == original.complete_batch(prompts)
+
     def test_sustained_outage_degrades_to_pattern_fallback(self):
         from repro.llm.prompts import extract_log_from_prompt
 

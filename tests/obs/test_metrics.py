@@ -139,3 +139,21 @@ class TestActiveRegistry:
             span.set("k", "v")
         assert registry.tracer.roots == []
         assert registry.tracer.find("s") == []
+
+    def test_a_metric_unpickles_into_the_active_registry(self):
+        import pickle
+
+        source, target = MetricsRegistry(), MetricsRegistry()
+        counter = source.counter("c")
+        counter.inc(2)
+        histogram = source.histogram("h", boundaries=(1.0, 2.0))
+        blob = pickle.dumps((counter, source.gauge("g"), histogram))
+        with use_registry(target):
+            copied = pickle.loads(blob)
+        assert copied == (target.counter("c"), target.gauge("g"),
+                          target.histogram("h"))
+        assert copied[2].boundaries == (1.0, 2.0)
+        # The copy records where the loading process reads, not into
+        # the source registry.
+        copied[0].inc()
+        assert (counter.value, target.counter("c").value) == (2.0, 1.0)

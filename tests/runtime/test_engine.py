@@ -7,7 +7,7 @@ import pytest
 from repro.logs.generator import LogGenerator
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    FlakyWorker, InferenceRuntime, ProcessWorkerSpec, SyntheticWorker,
+    FlakyWorker, InferenceRuntime, SyntheticWorker,
     message_event, render_reports, report_sort_key,
 )
 
@@ -210,9 +210,8 @@ class TestExecutorGuards:
         with pytest.raises(RuntimeError):
             runtime.start()
         process = InferenceRuntime(
-            None, event_fn=message_event, executor="process",
-            process_spec=ProcessWorkerSpec.synthetic(),
-            registry=MetricsRegistry())
+            lambda index: SyntheticWorker(), event_fn=message_event,
+            executor="process", registry=MetricsRegistry())
         with pytest.raises(RuntimeError):
             process.pump()
         process.stop()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    InferenceRuntime, ProcessWorkerSpec, SyntheticWorker, message_event,
+    InferenceRuntime, SyntheticWorker, message_event,
     render_reports, report_sort_key,
 )
 from repro.testing import FaultInjector, FaultPlan, FaultSpec
@@ -30,7 +30,6 @@ def _run(records, *, supervisor_options=None, shards=2, max_batch=4,
         lambda index: SyntheticWorker(), event_fn=message_event,
         shards=shards, max_batch=max_batch, registry=registry,
         supervisor_options=supervisor_options, executor=executor,
-        process_spec=ProcessWorkerSpec.synthetic(),
     )
     try:
         for record in records:

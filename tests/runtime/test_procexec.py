@@ -1,17 +1,17 @@
 """Process executor: byte-identity to sync mode, crash recovery, stats."""
 
-import glob
 import os
 import queue
 import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    InferenceRuntime, ProcessShardExecutor, ProcessWorkerSpec, SyntheticWorker,
+    InferenceRuntime, ProcessShardExecutor, SyntheticWorker,
     message_event, render_reports, report_sort_key,
 )
 from repro.testing.plan import FaultInjector, FaultPlan, FaultSpec
@@ -34,11 +34,14 @@ def sync_replay(records, shards: int = 1, **kwargs):
     return render_reports(reports)
 
 
-def process_replay(records, shards: int, registry=None, spec=None, **kwargs):
+def synthetic(index):
+    return SyntheticWorker(threshold=0.5)
+
+
+def process_replay(records, shards: int, registry=None, **kwargs):
     registry = registry if registry is not None else MetricsRegistry()
     runtime = InferenceRuntime(
-        None, event_fn=message_event, executor="process",
-        process_spec=spec or ProcessWorkerSpec.synthetic(threshold=0.5),
+        synthetic, event_fn=message_event, executor="process",
         shards=shards, max_batch=4, max_latency=None,
         backpressure="block", registry=registry, **kwargs)
     try:
@@ -79,12 +82,25 @@ class TestByteIdentity:
         reports.sort(key=report_sort_key)
         golden = render_reports(reports)
 
-        spec = ProcessWorkerSpec.ensemble("ewma,lof,rules:max", seed=0)
         for shards in (1, 2):
-            rendered, _ = process_replay(records, shards, spec=spec)
-            assert rendered == golden, f"diverged at shards={shards}"
+            registry = MetricsRegistry()
+            runtime = InferenceRuntime.from_ensemble(
+                ensemble_from_spec("ewma,lof,rules:max", seed=0,
+                                   registry=registry),
+                executor="process", shards=shards, max_batch=4,
+                max_latency=None, registry=registry)
+            try:
+                for record in records:
+                    runtime.submit(record)
+                reports = runtime.drain()
+            finally:
+                runtime.stop()
+            reports.sort(key=report_sort_key)
+            assert render_reports(reports) == golden, (
+                f"diverged at shards={shards}")
 
     def test_model_broadcast_matches_sync(self, fitted_logsynergy, tmp_path):
+        """Every shard process loads its own copy of the pipeline."""
         from repro.core import LogSynergy
         from repro.logs.generator import LogGenerator
         from repro.runtime.replay import replay_records
@@ -176,38 +192,36 @@ class TestByteIdentity:
         def replay(executor: str, shards: int):
             pipeline = LogSynergy.load_pipeline(tmp_path / "pipe")
             registry = MetricsRegistry()
-            common = dict(executor=executor, shards=shards, max_batch=4,
-                          max_latency=None, backpressure="block",
-                          registry=registry)
-            if executor == "process":
-                runtime = InferenceRuntime(
-                    None, event_fn=pipeline.event_id_of,
-                    process_spec=ProcessWorkerSpec.ensemble(
-                        detectors, pipeline=pipeline), **common)
-            else:
-                ensemble = ensemble_from_spec(detectors, pipeline=pipeline,
-                                              registry=registry)
-                runtime = InferenceRuntime.from_ensemble(ensemble, **common)
+            ensemble = ensemble_from_spec(detectors, pipeline=pipeline,
+                                          registry=registry)
+            runtime = InferenceRuntime.from_ensemble(
+                ensemble, executor=executor, shards=shards, max_batch=4,
+                max_latency=None, backpressure="block", registry=registry)
             try:
                 for record in records:
                     runtime.submit(record)
                 reports = runtime.drain()
             finally:
-                if executor == "process":
-                    runtime.stop()
+                runtime.stop()
             reports.sort(key=report_sort_key)
-            return render_reports(reports), registry
+            counters = {name: metric.value
+                        for name, metric in registry.metrics().items()
+                        if name.startswith("detectors.")}
+            return render_reports(reports), counters
 
-        golden, registry = replay("sync", 1)
-        assert registry.counter("detectors.model.errors").value == 0
-        assert registry.counter("detectors.model.windows").value > 0
-        for executor, shards in (("sync", 2), ("sync", 3), ("process", 2)):
-            rendered, registry = replay(executor, shards)
+        golden, golden_counters = replay("sync", 1)
+        assert golden_counters["detectors.model.errors"] == 0
+        assert golden_counters["detectors.model.windows"] > 0
+        for executor, shards in (("sync", 2), ("sync", 3), ("process", 2),
+                                 ("process", 3)):
+            rendered, counters = replay(executor, shards)
             assert rendered == golden, (
                 f"diverged under {executor} at shards={shards}")
-            assert registry.counter("detectors.model.errors").value == 0, (
-                f"model member degraded under {executor} at shards={shards}")
-            assert registry.counter("detectors.model.windows").value > 0
+            # The shard processes' copies of the ensemble count into
+            # their own registries, whose deltas come home: the member
+            # counters sum to the sync run's.
+            assert counters == golden_counters, (
+                f"detector counters moved under {executor} at shards={shards}")
 
 
 class TestCrashRecovery:
@@ -302,14 +316,128 @@ class TestCrashRecovery:
         assert registry.counter("runtime.proc.spawned").value == 2
 
 
+class TestWeightSwap:
+    """Promoted weights reach every shard process, respawns included."""
+
+    @staticmethod
+    def build(model_dir, executor: str, registry):
+        from repro.core import LogSynergy
+
+        pipeline = LogSynergy.load_pipeline(model_dir)
+        runtime = InferenceRuntime.from_model(
+            pipeline, executor=executor, shards=2, max_batch=4,
+            max_latency=None, registry=registry)
+        return pipeline, runtime
+
+    @staticmethod
+    def kill(runtime, index: int) -> None:
+        process = runtime._process._slots[index].process
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=10.0)
+
+    def run(self, model_dir, records, *, swap: bool, kill: bool,
+            learn=None):
+        """Replay ``records`` on 2 shard processes.  Between the halves:
+        drain (every report of the first half is home), optionally swap
+        in halved weights, optionally let the parent's pipeline learn
+        ``learn`` records' templates, then optionally SIGKILL shard 0."""
+        registry = MetricsRegistry()
+        pipeline, runtime = self.build(model_dir, "process", registry)
+        half = len(records) // 2
+        try:
+            runtime.start()
+            for record in records[:half]:
+                runtime.submit(record)
+            reports = runtime.drain()
+            if swap:
+                runtime.swap_weights({
+                    name: value * 0.5
+                    for name, value in pipeline.model.state_dict().items()})
+            for record in learn or ():
+                pipeline.event_id_of(record.system, record.message)
+            if kill:
+                self.kill(runtime, 0)
+            for record in records[half:]:
+                runtime.submit(record)
+            reports += runtime.drain()
+        finally:
+            runtime.stop()
+        reports.sort(key=report_sort_key)
+        return render_reports(reports), registry
+
+    def test_a_bad_state_raises_under_both_executors(self, fitted_logsynergy,
+                                                     tmp_path):
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = six_system_model_stream(lines=60)
+        for executor in ("sync", "process"):
+            registry = MetricsRegistry()
+            pipeline, runtime = self.build(tmp_path / "pipe", executor,
+                                           registry)
+            before = {name: value.copy() for name, value
+                      in pipeline.model.state_dict().items()}
+            bad = dict(before)
+            name = next(iter(bad))
+            bad[name] = np.zeros(bad[name].shape + (2,), bad[name].dtype)
+            try:
+                for record in records[:len(records) // 2]:
+                    runtime.submit(record)
+                with pytest.raises(ValueError, match="shape mismatch"):
+                    runtime.swap_weights(bad)
+                for record in records[len(records) // 2:]:
+                    runtime.submit(record)
+                runtime.drain()
+            finally:
+                runtime.stop()
+            after = pipeline.model.state_dict()
+            assert all(np.array_equal(before[key], after[key])
+                       for key in before), executor
+            assert runtime.stats.degraded_windows == 0, executor
+            assert registry.counter("runtime.weight_swaps").value == 0
+            assert registry.counter("runtime.proc.deaths").value == 0
+
+    def test_a_respawn_scores_with_the_swapped_weights(self, fitted_logsynergy,
+                                                       tmp_path):
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = six_system_model_stream()
+        golden, _ = self.run(tmp_path / "pipe", records, swap=True,
+                             kill=False)
+        unswapped, _ = self.run(tmp_path / "pipe", records, swap=False,
+                                kill=False)
+        # Not vacuous: the swap moves the second half's scores.
+        assert golden != unswapped
+        rendered, registry = self.run(tmp_path / "pipe", records, swap=True,
+                                      kill=True)
+        assert registry.counter("runtime.proc.deaths").value == 1
+        assert registry.counter("runtime.proc.restarts").value == 1
+        assert rendered == golden
+
+    def test_a_respawn_ignores_templates_the_parent_learned_later(
+            self, fitted_logsynergy, tmp_path):
+        """The parent's pipeline parses new logs of the served systems
+        after start() (as an onboarding run does); a respawn still loads
+        the snapshot the first child did, so its event ids match."""
+        from repro.logs.generator import LogGenerator
+
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = six_system_model_stream()
+        learn = [record for index, system in enumerate(MODEL_SYSTEMS)
+                 for record in LogGenerator(system, seed=90 + index)
+                 .generate(150)]
+        golden, _ = self.run(tmp_path / "pipe", records, swap=False,
+                             kill=False, learn=learn)
+        rendered, registry = self.run(tmp_path / "pipe", records, swap=False,
+                                      kill=True, learn=learn)
+        assert registry.counter("runtime.proc.deaths").value == 1
+        assert rendered == golden
+
+
 class TestShipping:
     """When a shard's buffered records cross the pipe to its child."""
 
     @staticmethod
     def runtime(clock, max_latency):
         return InferenceRuntime(
-            None, event_fn=message_event, executor="process",
-            process_spec=ProcessWorkerSpec.synthetic(threshold=0.5),
+            synthetic, event_fn=message_event, executor="process",
             shards=2, max_batch=4, max_latency=max_latency,
             registry=MetricsRegistry(clock=clock))
 
@@ -367,8 +495,7 @@ class TestShipping:
         queue feeder thread appears in the parent."""
         before = set(threading.enumerate())
         runtime = InferenceRuntime(
-            None, event_fn=message_event, executor="process",
-            process_spec=ProcessWorkerSpec.synthetic(threshold=0.5),
+            synthetic, event_fn=message_event, executor="process",
             shards=2, max_batch=4, max_latency=0.05,
             registry=MetricsRegistry())
         try:
@@ -389,8 +516,7 @@ class TestShipping:
         golden = sync_replay(records, shards=2)
         registry = MetricsRegistry()
         runtime = InferenceRuntime(
-            None, event_fn=message_event, executor="process",
-            process_spec=ProcessWorkerSpec.synthetic(threshold=0.5),
+            synthetic, event_fn=message_event, executor="process",
             shards=2, max_batch=4, max_latency=None, registry=registry)
         executor = runtime._process
         victim = executor._slots[0]
@@ -464,7 +590,7 @@ class TestOutputPoll:
                 return ("reports", 1, [])
 
         executor = ProcessShardExecutor(
-            ProcessWorkerSpec.synthetic(), shards=1, event_fn=message_event,
+            synthetic, shards=1, event_fn=message_event,
             emit=lambda report: None, registry=MetricsRegistry())
         slot = executor._slots[0]
         slot.out_q = CountingQueue()
@@ -490,7 +616,7 @@ class TestDeadlineWake:
         from repro.runtime.procexec import WireRecord, _shard_process_main
 
         executor = ProcessShardExecutor(
-            ProcessWorkerSpec.synthetic(threshold=-1.0), shards=1,
+            lambda index: SyntheticWorker(threshold=-1.0), shards=1,
             event_fn=message_event, emit=lambda report: None,
             max_latency=0.5, registry=MetricsRegistry())
         ctx = executor._ctx
@@ -499,7 +625,7 @@ class TestDeadlineWake:
         produced = ctx.RawValue("Q", 0)
         process = ctx.Process(
             target=_shard_process_main,
-            args=(0, 1, executor._child_cfg(), inbox, out_q, produced),
+            args=(0, 1, *executor._child_args(), inbox, out_q, produced),
             daemon=True)
         process.start()
         try:
@@ -531,8 +657,8 @@ class TestDeadlineWake:
         poll that B's submits run on every shard."""
         arrived = []
         runtime = InferenceRuntime(
-            None, event_fn=message_event, executor="process",
-            process_spec=ProcessWorkerSpec.synthetic(threshold=-1.0),
+            lambda index: SyntheticWorker(threshold=-1.0),
+            event_fn=message_event, executor="process",
             shards=2, max_batch=16, max_latency=0.1,
             registry=MetricsRegistry(),
             on_report=lambda r: arrived.append(r.metadata["window_id"]))
@@ -556,8 +682,8 @@ class TestDeadlineWake:
 
 
 class TestValidationAndCleanup:
-    def test_process_requires_spec(self):
-        with pytest.raises(ValueError, match="process_spec"):
+    def test_process_requires_worker_factory(self):
+        with pytest.raises(ValueError, match="worker_factory"):
             InferenceRuntime(None, event_fn=message_event,
                              executor="process")
 
@@ -566,30 +692,26 @@ class TestValidationAndCleanup:
         for executor in ("sync", "process"):
             with pytest.raises(ValueError, match="backpressure.*block"):
                 InferenceRuntime(
-                    lambda index: SyntheticWorker(), event_fn=message_event,
-                    executor=executor,
-                    process_spec=ProcessWorkerSpec.synthetic(),
-                    backpressure="reject")
+                    synthetic, event_fn=message_event,
+                    executor=executor, backpressure="reject")
 
-    def test_from_ensemble_refuses_process_executor(self):
+    def test_from_ensemble_runs_under_process_executor(self):
         from repro.detectors import ensemble_from_spec
 
         ensemble = ensemble_from_spec("ewma:max", registry=MetricsRegistry())
-        with pytest.raises(ValueError, match="ProcessWorkerSpec.ensemble"):
-            InferenceRuntime.from_ensemble(ensemble, executor="process")
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="broadcast"):
-            ProcessWorkerSpec(kind="model")
-        with pytest.raises(ValueError, match="detectors"):
-            ProcessWorkerSpec(kind="ensemble")
-        with pytest.raises(ValueError, match="kind"):
-            ProcessWorkerSpec(kind="gpu")
+        runtime = InferenceRuntime.from_ensemble(
+            ensemble, executor="process", registry=MetricsRegistry())
+        try:
+            for record in multi_system_stream(systems=2, lines=40):
+                runtime.submit(record)
+        finally:
+            runtime.stop()
+        assert runtime.stats.windows_seen > 0
+        assert runtime.registry.counter("runtime.proc.spawned").value == 1
 
     def test_pump_raises_in_process_mode(self):
         runtime = InferenceRuntime(
-            None, event_fn=message_event, executor="process",
-            process_spec=ProcessWorkerSpec.synthetic(),
+            synthetic, event_fn=message_event, executor="process",
             registry=MetricsRegistry())
         with pytest.raises(RuntimeError, match="pump"):
             runtime.pump()
@@ -599,9 +721,8 @@ class TestValidationAndCleanup:
         # The windows pending in worker processes are invisible to the
         # parent: the count must refuse rather than report 0.
         runtime = InferenceRuntime(
-            None, event_fn=message_event, executor="process",
-            process_spec=ProcessWorkerSpec.synthetic(), max_batch=64,
-            registry=MetricsRegistry())
+            synthetic, event_fn=message_event, executor="process",
+            max_batch=64, registry=MetricsRegistry())
         try:
             for record in multi_system_stream(systems=2, lines=40):
                 runtime.submit(record)
@@ -609,11 +730,3 @@ class TestValidationAndCleanup:
                 runtime.pending_windows()
         finally:
             runtime.stop()
-
-    def test_stop_leaves_no_shm_segments(self):
-        before = set(glob.glob("/dev/shm/repro-bcast-*"))
-        records = multi_system_stream(systems=2, lines=40)
-        spec = ProcessWorkerSpec.synthetic(threshold=0.5)
-        rendered, _ = process_replay(records, 2, spec=spec)
-        assert rendered
-        assert set(glob.glob("/dev/shm/repro-bcast-*")) == before

@@ -83,9 +83,11 @@ class TestNoServingPathTrains:
             pipeline, shards=2, window=10, step=5, max_batch=8,
             executor="process", registry=registry)
         assert serve(runtime, six_system_model_stream(lines=40))
-        # Shard registries come home with each drain ack.  A child that
-        # trained would count a miss, or a hit on the word-vector cache
-        # it inherited from a parent that trained earlier.
+        # Each shard process loads a pickled copy of the pipeline, its
+        # encoder included.  Shard registries come home with each drain
+        # ack: a child that trained would count a miss, or a hit on the
+        # word-vector cache it inherited from a parent that trained
+        # earlier.
         assert any(name.startswith("runtime.batches.shard")
                    for name in registry.metrics())
         assert not [name for name in registry.metrics()
@@ -94,7 +96,7 @@ class TestNoServingPathTrains:
 
     def test_spawned_shard_processes_restore_it_too(self, model_dir):
         """A spawned child inherits no encoder cache from its parent: it
-        would train unless the broadcast carried the encoder."""
+        would train unless its pickled worker carried the encoder."""
         import multiprocessing
 
         pipeline = LogSynergy.load_pipeline(model_dir)

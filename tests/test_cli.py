@@ -113,6 +113,12 @@ class TestTrainDetect:
         assert main(["replay", "--logs", str(logs), "--model-dir", model_dir,
                      "--llm", "simulated", "--out", str(stacked_out)]) == 0
         assert stacked_out.read_bytes() == default_out.read_bytes()
+        # Shard processes load a pickled copy of the stacked provider.
+        process_out = tmp_path / "process.jsonl"
+        assert main(["replay", "--logs", str(logs), "--model-dir", model_dir,
+                     "--llm", "simulated", "--executor", "process",
+                     "--shards", "2", "--out", str(process_out)]) == 0
+        assert process_out.read_bytes() == default_out.read_bytes()
 
     def test_bad_llm_spec_is_a_clean_cli_error(self, workspace, tmp_path):
         root, files = workspace
