@@ -19,8 +19,19 @@ Acceptance bars: >= 2x sequences/second on the recurrent baselines and
 ``python benchmarks/bench_train_throughput.py --smoke`` runs a
 seconds-scale LogSynergy-only sanity pass (scripts/smoke.sh) that writes
 no result files.
+
+``python benchmarks/bench_train_throughput.py --table4-fit LABEL`` times
+the Table IV-budget pipeline fit (``LogSynergy.fit`` on bgl + spirit →
+thunderbird, N_SOURCE per source, N_TARGET target sequences, FAST_CONFIG,
+16 epochs) in TABLE4_FIT_RUNS fresh processes and stores the medians,
+tagged with the core count, as row LABEL of ``table4_fit`` in
+BENCH_train.json.  Run it on two commits to get a before/after pair.
 """
 
+import json
+import os
+import statistics
+import subprocess
 import sys
 import time
 
@@ -32,13 +43,17 @@ from repro.config import LogSynergyConfig
 from repro.core import LogSynergyModel, LogSynergyTrainer, TrainingBatch
 from repro.nn import use_fused_kernels
 
-from common import emit, emit_json
+from common import FAST_CONFIG, N_SOURCE, N_TARGET, REPO_ROOT, emit, emit_json
 
 # Injectable-clock idiom: referenced here, called only inside _time_fit.
 _CLOCK = time.perf_counter
 
 RECURRENT_MIN_SPEEDUP = 2.0
 LOGSYNERGY_MIN_SPEEDUP = 1.3
+
+TABLE4_FIT_RUNS = 5
+TABLE4_FIT_SOURCES = ("bgl", "spirit")
+TABLE4_FIT_TARGET = "thunderbird"
 
 # Registry baselines whose training is dominated by recurrent BPTT,
 # at the same reduced widths as common.BASELINE_KWARGS.  Eight epochs
@@ -159,6 +174,7 @@ def test_train_throughput():
 
     emit("train_throughput", _format(rows))
     emit_json("train", {
+        **_bench_json(),
         "benchmark": "train_throughput",
         "bars": {
             "recurrent_min_speedup": RECURRENT_MIN_SPEEDUP,
@@ -188,7 +204,76 @@ def _smoke() -> int:
     return 0
 
 
+def _bench_json() -> dict:
+    """BENCH_train.json as committed (keeps its ``table4_fit`` rows)."""
+    path = REPO_ROOT / "BENCH_train.json"
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
+def _table4_fit_once() -> None:
+    """One Table IV-budget fit in this process; prints its seconds."""
+    from repro.core import LogSynergy
+    from repro.logs import LogGenerator, sliding_windows
+
+    config = FAST_CONFIG
+
+    def sequences(system: str, count: int, seed: int):
+        records = LogGenerator(system, seed=seed).generate(
+            (count - 1) * config.step + config.window)
+        return sliding_windows(records, window=config.window,
+                               step=config.step)[:count]
+
+    sources = {name: sequences(name, N_SOURCE, seed)
+               for seed, name in enumerate(TABLE4_FIT_SOURCES)}
+    target = sequences(TABLE4_FIT_TARGET, N_TARGET, len(TABLE4_FIT_SOURCES))
+    pipeline = LogSynergy(config)
+    started = _CLOCK()
+    pipeline.fit(sources, TABLE4_FIT_TARGET, target)
+    print(json.dumps({"fit_s": _CLOCK() - started,
+                      "steps": pipeline.trainer.global_step}))
+
+
+def _table4_fit(label: str) -> None:
+    """Median of TABLE4_FIT_RUNS fresh-process fits, stored as ``label``."""
+    fit_s, process_s, steps = [], [], set()
+    for _ in range(TABLE4_FIT_RUNS):
+        started = _CLOCK()
+        done = subprocess.run(
+            [sys.executable, __file__, "--table4-fit-once"],
+            check=True, capture_output=True, text=True)
+        process_s.append(_CLOCK() - started)
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        fit_s.append(result["fit_s"])
+        steps.add(result["steps"])
+    row = {
+        "label": label,
+        "nproc": os.cpu_count() or 1,
+        "runs": TABLE4_FIT_RUNS,
+        "fit_s_median": round(statistics.median(fit_s), 3),
+        "fit_s": [round(value, 3) for value in fit_s],
+        "process_s_median": round(statistics.median(process_s), 3),
+        "steps": steps.pop() if len(steps) == 1 else sorted(steps),
+    }
+    print(json.dumps(row))
+    payload = _bench_json()
+    section = payload.setdefault("table4_fit", {
+        "workload": (f"LogSynergy.fit {'+'.join(TABLE4_FIT_SOURCES)} -> "
+                     f"{TABLE4_FIT_TARGET}, {N_SOURCE} sequences per source, "
+                     f"{N_TARGET} target, FAST_CONFIG, {FAST_CONFIG.epochs} "
+                     "epochs; median of fresh processes"),
+        "rows": [],
+    })
+    section["rows"] = [r for r in section["rows"] if r["label"] != label]
+    section["rows"].append(row)
+    emit_json("train", payload)
+
+
 if __name__ == "__main__":
     if "--smoke" in sys.argv[1:]:
         sys.exit(_smoke())
-    test_train_throughput()
+    if "--table4-fit-once" in sys.argv[1:]:
+        _table4_fit_once()
+    elif "--table4-fit" in sys.argv[1:]:
+        _table4_fit(sys.argv[sys.argv.index("--table4-fit") + 1])
+    else:
+        test_train_throughput()

@@ -132,10 +132,9 @@ class LogSynergyModel(nn.Module):
 
         Reads every parameter's ``.data`` at call time, so a
         ``load_state_dict`` takes effect on the next call.  Each step
-        keeps the autograd path's dtypes and shapes: attention scores in
-        float64 (the ``np.float64`` scale), the context rounded to float32
-        before ``w_out``, the mean as ``sum * float32(1/n)``, ReLU as
-        ``np.where(x > 0, x, 0.0)``, and the heads as 2-D matmuls.
+        keeps the autograd path's dtypes and shapes: attention in float32
+        (the ``np.float32`` scale), the mean as ``sum * float32(1/n)``,
+        ReLU as ``np.where(x > 0, x, 0.0)``, and the heads as 2-D matmuls.
         """
         x = _dense(self.input_projection, np.ascontiguousarray(batch, dtype=np.float32))
         encoder = self.encoder
@@ -170,7 +169,7 @@ def _attend(attention: nn.MultiHeadAttention, x: np.ndarray) -> np.ndarray:
         return _dense(layer, x).reshape(batch, seq, heads, d_head).transpose((0, 2, 1, 3))
 
     q, k, v = split(attention.w_query), split(attention.w_key), split(attention.w_value)
-    weights = attention_weights(q, k, 1.0 / np.sqrt(d_head))
-    context = (weights @ v).astype(np.float32)
+    weights = attention_weights(q, k, np.float32(1.0 / np.sqrt(d_head)))
+    context = weights @ v
     merged = context.transpose((0, 2, 1, 3)).reshape(batch, seq, d_model)
     return _dense(attention.w_out, merged)

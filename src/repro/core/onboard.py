@@ -19,7 +19,8 @@ trickle of day-0 logs while the runtime keeps serving the old weights.
   candidate state reach the serving path: first the runtime's hot swap
   (:meth:`~repro.runtime.engine.InferenceRuntime.swap_weights`, which
   also sends it to every shard process under the process executor),
-  then the local pipeline.
+  then the local pipeline, unless the runtime serves that very pipeline
+  and so has already loaded it.
 * **REJECTED** — below the gate nothing is swapped; the
   candidate is discarded and the old weights keep serving.
 
@@ -191,7 +192,9 @@ class OnboardingSession:
                 state = candidate.state_dict()
                 if self.runtime is not None:
                     self.runtime.swap_weights(state)
-                self.pipeline.model.load_state_dict(state)
+                # A runtime built over this pipeline has just loaded it.
+                if self.runtime is None or self.runtime.serving is not self.pipeline:
+                    self.pipeline.model.load_state_dict(state)
                 self.state = PROMOTED
                 self._promoted.inc()
             else:

@@ -1,13 +1,15 @@
 """Offline training loop implementing Eq. 5 (§III-D4).
 
-Per batch the trainer alternates two phases:
+Each batch runs the feature extractor once, then two phases on its
+features:
 
 1. *Estimator phase* — the CLUB network maximizes the likelihood of the
-   current (F_u, F_s) pairs (features detached).
+   step's (F_u, F_s) pairs, detached, so no gradient reaches the model.
 2. *Main phase* — the model minimizes
    ``L = L_anomaly + L_system + λ_MI · L_MI + λ_DA · L_DA``
-   where ``L_MI`` is CLUB's upper bound and ``L_DA`` is the DAAN loss
-   with GRL alpha scheduled over training progress.
+   where ``L_MI`` is CLUB's upper bound under the just-updated estimator
+   and ``L_DA`` is the DAAN loss with GRL alpha scheduled over training
+   progress.
 """
 
 from __future__ import annotations
@@ -130,20 +132,29 @@ class LogSynergyTrainer:
             return 1.0
         return float(np.clip(negatives / positives, 1.0, 50.0))
 
-    def _train_estimator(self, batch: TrainingBatch) -> None:
-        with nn.no_grad():
-            unified, specific = self.model.extract_features(batch.sequences)
-        unified = Tensor(unified.data)
-        specific = Tensor(specific.data)
-        loss = self.club.learning_loss(unified, specific)
-        self.club_optimizer.zero_grad()
-        loss.backward()
-        nn.clip_grad_norm(self.club.parameters(), self.config.grad_clip)
-        self.club_optimizer.step()
-
-    def _train_main(self, batch: TrainingBatch, alpha: float,
+    def _train_step(self, batch: TrainingBatch, alpha: float,
                     pos_weight: float) -> dict[str, float] | None:
+        """One optimizer step from one extractor forward.
+
+        The usual CLUB loop: the estimator first fits q(s|u) to detached
+        copies of the step's features, then the main loss takes ``L_MI``
+        under the updated estimator.
+        """
         unified, specific = self.model.extract_features(batch.sequences)
+        if self.use_sufe:
+            with self._estimator_timer.time():
+                loss = self.club.learning_loss(
+                    Tensor(unified.data), Tensor(specific.data))
+                self.club_optimizer.zero_grad()
+                loss.backward()
+                nn.clip_grad_norm(self.club.parameters(), self.config.grad_clip)
+                self.club_optimizer.step()
+        with self._main_timer.time():
+            return self._train_main(batch, unified, specific, alpha, pos_weight)
+
+    def _train_main(self, batch: TrainingBatch, unified: Tensor,
+                    specific: Tensor, alpha: float,
+                    pos_weight: float) -> dict[str, float] | None:
         anomaly_logits = self.model.anomaly_logits(unified)
         loss_anomaly = nn.binary_cross_entropy_with_logits(
             anomaly_logits, batch.anomaly_labels.astype(np.float32), pos_weight=pos_weight
@@ -432,13 +443,9 @@ class LogSynergyTrainer:
                         system_labels=data.system_labels[index],
                         domain_labels=data.domain_labels[index],
                     )
+                    alpha = DAANModule.schedule_alpha(self._step / total_steps)
                     with self._batch_timer.time():
-                        if self.use_sufe:
-                            with self._estimator_timer.time():
-                                self._train_estimator(batch)
-                        alpha = DAANModule.schedule_alpha(self._step / total_steps)
-                        with self._main_timer.time():
-                            parts = self._train_main(batch, alpha, pos_weight)
+                        parts = self._train_step(batch, alpha, pos_weight)
                     if parts is None:
                         # Non-finite loss skipped its step; keep the alpha
                         # schedule moving and leave the epoch averages clean.

@@ -53,7 +53,7 @@ class MultiHeadAttention(Module):
         k = self._split_heads(self.w_key(key), batch, seq_k)
         v = self._split_heads(self.w_value(value), batch, seq_k)
 
-        scale = 1.0 / np.sqrt(self.d_head)
+        scale = np.float32(1.0 / np.sqrt(self.d_head))
         additive = None
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)

@@ -343,9 +343,9 @@ def attention_weights(q: np.ndarray, k: np.ndarray, scale: float,
     """``softmax(q kᵀ · scale + mask)`` on arrays: the forward arithmetic of
     :func:`attention` before dropout.
 
-    ``scale`` is the ``np.float64`` that
-    :class:`~repro.nn.attention.MultiHeadAttention` passes, so under
-    NumPy ≥ 2 the scores and the softmax run in float64.
+    ``scale`` is the ``np.float32`` that
+    :class:`~repro.nn.attention.MultiHeadAttention` passes, so float32
+    ``q``/``k`` keep the scores and the softmax in float32.
     """
     scores = q @ np.swapaxes(k, -1, -2) * scale
     if additive_mask is not None:
@@ -364,14 +364,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 
     The inverted dropout draw replicates the seed composition (same RNG
     stream as :class:`~repro.nn.layers.Dropout`), so toggling fusion never
-    changes which weights are dropped.  The arithmetic is not bit-for-bit
-    the seed's: with the ``np.float64`` ``scale`` the attention modules
-    pass, the scores, softmax and ``weights @ v`` here run in float64
-    under NumPy ≥ 2 and the context is rounded to float32 once, where the
-    seed's ``Tensor * scale`` keeps every step in float32.  The two paths
-    agree to about 1e-6, not exactly: ``MultiHeadAttention`` outputs on
-    random ``(8, 10, 32)`` inputs differ by up to 1.4e-6.  ``dropout_p``
-    of 0 means no dropout (pass 0 in eval mode).
+    changes which weights are dropped.  With the ``np.float32`` ``scale``
+    the attention modules pass, every step runs in float32 like the seed's
+    ``Tensor * scale`` composition, and ``MultiHeadAttention`` outputs and
+    input gradients are ``np.array_equal`` across the two paths; parameter
+    gradients accumulate in another order and agree to about 1e-6.
+    ``dropout_p`` of 0 means no dropout (pass 0 in eval mode).
     """
     weights = attention_weights(q.data, k.data, scale, additive_mask)
     if dropout_p > 0.0:

@@ -169,7 +169,7 @@ class InferenceRuntime:
         self._on_report = on_report
         self._reports: list[AnomalyReport] = []
         # The pipeline weight swaps load into; wired by from_model.
-        self._serving = None
+        self.serving = None
         # Always empty: no executor runs shard code on a thread of its
         # own.  Kept because benchmark harnesses count its entries.
         self.shard_errors: list[BaseException] = []
@@ -227,7 +227,7 @@ class InferenceRuntime:
             raise ValueError("InferenceRuntime requires a fitted LogSynergy model")
         runtime = cls(lambda index: ModelWorker(model),
                       event_fn=admission_event_fn(model), **kwargs)
-        runtime._serving = model
+        runtime.serving = model
         return runtime
 
     @classmethod
@@ -266,10 +266,10 @@ class InferenceRuntime:
         and a state that does not fit raises before any shard process
         sees it.  Process mode then swaps every shard process.
         """
-        if self._serving is None:
+        if self.serving is None:
             raise RuntimeError(
                 "swap_weights requires a runtime built with from_model")
-        self._serving.model.load_state_dict(state)
+        self.serving.model.load_state_dict(state)
         if self._process is not None:
             self._process.swap_weights(state)
         self.registry.counter(f"{self.prefix}.weight_swaps").inc()

@@ -145,6 +145,67 @@ class TestShadowGate:
             assert result.promoted
             assert not _same_weights(baseline, pipeline.model.state_dict())
 
+    @staticmethod
+    def _count_loads(monkeypatch, model):
+        loads = []
+        original = model.load_state_dict
+
+        def counting(state):
+            loads.append(1)
+            return original(state)
+
+        monkeypatch.setattr(model, "load_state_dict", counting)
+        return loads
+
+    def test_promotion_loads_the_served_pipeline_once(self, monkeypatch):
+        """A runtime built over the session's own pipeline loads the
+        promoted state itself; the session does not load it again."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            pipeline = _warm_pipeline()
+            _, sequences = _day0_sequences()
+            runtime = InferenceRuntime.from_model(
+                pipeline, window=_CONFIG.window, step=_CONFIG.step)
+            loads = self._count_loads(monkeypatch, pipeline.model)
+            session = OnboardingSession(pipeline, runtime=runtime,
+                                        gate_f1=0.0)
+            result = session.run("day0", sequences, epochs=1)
+            assert result.promoted
+            assert len(loads) == 1
+            assert registry.counter("runtime.weight_swaps").value == 1
+
+    def test_promotion_reaches_a_runtime_over_another_pipeline(self, monkeypatch):
+        """When the runtime serves a different pipeline object, both it
+        and the session's pipeline end on the promoted weights."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            pipeline = _warm_pipeline()
+            served = _warm_pipeline()
+            baseline = _snapshot(served.model)
+            _, sequences = _day0_sequences()
+            runtime = InferenceRuntime.from_model(
+                served, window=_CONFIG.window, step=_CONFIG.step)
+            local_loads = self._count_loads(monkeypatch, pipeline.model)
+            served_loads = self._count_loads(monkeypatch, served.model)
+            session = OnboardingSession(pipeline, runtime=runtime,
+                                        gate_f1=0.0)
+            result = session.run("day0", sequences, epochs=1)
+            assert result.promoted
+            assert (len(local_loads), len(served_loads)) == (1, 1)
+            assert not _same_weights(baseline, served.model.state_dict())
+            assert _same_weights(pipeline.model.state_dict(),
+                                 served.model.state_dict())
+
+    def test_promotion_without_runtime_loads_once(self, monkeypatch):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            pipeline = _warm_pipeline()
+            _, sequences = _day0_sequences()
+            loads = self._count_loads(monkeypatch, pipeline.model)
+            session = OnboardingSession(pipeline, gate_f1=0.0)
+            assert session.run("day0", sequences, epochs=1).promoted
+            assert len(loads) == 1
+
 
 class TestExecutorVisibility:
     def test_promotion_rebroadcasts_to_process_executor(self):

@@ -131,3 +131,82 @@ class TestDisentanglement:
             (u.T @ s) / (np.outer(np.linalg.norm(u, axis=0), np.linalg.norm(s, axis=0)) + 1e-9)
         )
         assert corr.mean() < 0.5
+
+
+class TestOneForwardPerStep:
+    """Each step runs the extractor once; the CLUB estimator learns from
+    detached copies of that forward's features."""
+
+    @pytest.mark.parametrize("use_sufe", [True, False])
+    def test_one_extract_features_per_step(self, monkeypatch, use_sufe):
+        calls = []
+        original = LogSynergyModel.extract_features
+
+        def counting(self, sequences):
+            calls.append(len(sequences))
+            return original(self, sequences)
+
+        monkeypatch.setattr(LogSynergyModel, "extract_features", counting)
+        _, trainer = _make(use_sufe=use_sufe)
+        trainer.fit(_toy_data(), epochs=2)
+        assert trainer.global_step == 8  # 128 sequences / 32, two epochs
+        assert len(calls) == trainer.global_step
+
+    def test_estimator_loss_puts_no_gradient_on_the_model(self, monkeypatch):
+        """Between the estimator's loss and its optimizer step, no model
+        parameter's gradient changes, while the estimator's do."""
+        model, trainer = _make()
+        checked = []
+
+        def grads(params):
+            return [None if p.grad is None else p.grad.copy() for p in params]
+
+        original_loss = trainer.club.learning_loss
+        original_step = trainer.club_optimizer.step
+
+        def loss_spy(u, s):
+            checked.append(grads(model.parameters()))
+            return original_loss(u, s)
+
+        def step_spy():
+            before = checked[-1]
+            after = grads(model.parameters())
+            for old, new in zip(before, after):
+                assert (old is None and new is None) or np.array_equal(old, new)
+            assert all(p.grad is not None and np.any(p.grad != 0)
+                       for p in trainer.club.parameters())
+            original_step()
+
+        monkeypatch.setattr(trainer.club, "learning_loss", loss_spy)
+        monkeypatch.setattr(trainer.club_optimizer, "step", step_spy)
+        trainer.fit(_toy_data(), epochs=1)
+        assert len(checked) == trainer.global_step
+
+    @pytest.mark.parametrize("use_sufe", [True, False])
+    def test_estimator_timer_times_a_forward_free_update(self, monkeypatch,
+                                                         use_sufe):
+        """``trainer.estimator_step_seconds`` observes once per step with
+        SUFE on, and neither it nor ``trainer.main_step_seconds`` spans
+        an extractor forward: the clock only advances inside
+        ``extract_features``, which ``trainer.batch_seconds`` covers."""
+        from repro.obs import MetricsRegistry, use_registry
+
+        now = [0.0]
+        original = LogSynergyModel.extract_features
+
+        def ticking(self, sequences):
+            now[0] += 1.0
+            return original(self, sequences)
+
+        monkeypatch.setattr(LogSynergyModel, "extract_features", ticking)
+        registry = MetricsRegistry(clock=lambda: now[0])
+        with use_registry(registry):
+            _, trainer = _make(use_sufe=use_sufe)
+            trainer.fit(_toy_data(), epochs=1)
+        estimator = registry.histogram("trainer.estimator_step_seconds")
+        main = registry.histogram("trainer.main_step_seconds")
+        batch = registry.histogram("trainer.batch_seconds")
+        assert estimator.count == (trainer.global_step if use_sufe else 0)
+        assert main.count == batch.count == trainer.global_step
+        assert estimator.sum == main.sum == 0.0
+        assert batch.sum == float(trainer.global_step)
