@@ -12,9 +12,22 @@ above the floor the fuzz invariant enforces.
 Written machine-readable as BENCH_detectors.json at the repo root.
 ``--smoke`` runs only the day-0 scenario, asserts the floor, and
 writes no files (the seconds-scale pass used by scripts/smoke.sh).
+
+``--throughput LABEL`` times the default spec behind the synchronous
+runtime (``InferenceRuntime.from_ensemble``, no fitted pipeline) over a
+fixed six-system volume-burst stream in THROUGHPUT_RUNS fresh processes
+and stores the median records/s and CPU ms per 1,000 records, tagged
+with the core count, as row LABEL of ``throughput`` in
+BENCH_detectors.json.  Run it on two commits to get a before/after pair.
 """
 
+import heapq
+import json
+import os
+import statistics
+import subprocess
 import sys
+import time
 
 import numpy as np
 
@@ -23,7 +36,7 @@ from repro.evaluation.metrics import binary_metrics
 from repro.obs import MetricsRegistry
 from repro.testing.fuzzer import LogStreamFuzzer
 
-from common import emit, emit_json
+from common import REPO_ROOT, emit, emit_json
 
 SEED = 7
 WINDOW = 10
@@ -75,6 +88,12 @@ def _f1(stream, spec: str) -> tuple[float, int]:
 
 SCENARIOS = ("steady", "volume-burst", "template-drift", "seasonal", "day0")
 
+THROUGHPUT_SYSTEMS = ("bgl", "spirit", "thunderbird",
+                      "system_a", "system_b", "system_c")
+THROUGHPUT_RECORDS_PER_SYSTEM = 2000
+THROUGHPUT_MAX_BATCH = 16
+THROUGHPUT_RUNS = 5
+
 
 def _score_scenario(scenario: str) -> dict:
     stream = _stream(scenario)
@@ -125,7 +144,8 @@ def test_detector_portfolio():
         f">= {DAY0_F1_FLOOR:.2f} with {day0['degraded_model_calls']} "
         "degraded model calls")
     emit("detectors", "\n".join(lines))
-    emit_json("detectors", {
+    payload = _bench_json()
+    payload.update({
         "benchmark": "detector_portfolio",
         "workload": {
             "seed": SEED,
@@ -136,6 +156,7 @@ def test_detector_portfolio():
         "results": rows,
         "day0_floor": DAY0_F1_FLOOR,
     })
+    emit_json("detectors", payload)
 
     assert day0["degraded_model_calls"] > 0
     assert day0["ensemble_f1"] >= DAY0_F1_FLOOR
@@ -145,8 +166,81 @@ def test_detector_portfolio():
         assert row["ensemble_f1"] >= worst - 1e-9, row["scenario"]
 
 
+def _bench_json() -> dict:
+    """BENCH_detectors.json as committed (keeps its ``throughput`` rows)."""
+    path = REPO_ROOT / "BENCH_detectors.json"
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
+def _throughput_once() -> None:
+    """One timed replay of the throughput stream in this process; prints
+    its records/s and CPU ms per 1,000 records."""
+    from repro.logs.generator import LogGenerator
+    from repro.runtime import InferenceRuntime
+
+    streams = [
+        LogGenerator(system, seed=SEED * 1009 + index,
+                     scenario="volume-burst").generate(
+                         THROUGHPUT_RECORDS_PER_SYSTEM)
+        for index, system in enumerate(THROUGHPUT_SYSTEMS)
+    ]
+    records = list(heapq.merge(*streams, key=lambda record: record.timestamp))
+    registry = MetricsRegistry()
+    ensemble = ensemble_from_spec(DEFAULT_DETECTORS_SPEC, registry=registry)
+    runtime = InferenceRuntime.from_ensemble(
+        ensemble, window=WINDOW, step=STEP, max_batch=THROUGHPUT_MAX_BATCH,
+        registry=registry)
+    wall, cpu = time.perf_counter(), time.process_time()
+    for record in records:
+        runtime.submit(record)
+    runtime.drain()
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    runtime.stop()
+    print(json.dumps({"records_per_s": len(records) / wall,
+                      "cpu_ms_per_krec": cpu * 1e6 / len(records)}))
+
+
+def _throughput(label: str) -> None:
+    """Median of THROUGHPUT_RUNS fresh-process replays, stored as ``label``."""
+    runs = []
+    for _ in range(THROUGHPUT_RUNS):
+        done = subprocess.run(
+            [sys.executable, __file__, "--throughput-once"],
+            check=True, capture_output=True, text=True)
+        runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    rates = [run["records_per_s"] for run in runs]
+    costs = [run["cpu_ms_per_krec"] for run in runs]
+    row = {
+        "label": label,
+        "nproc": os.cpu_count() or 1,
+        "runs": THROUGHPUT_RUNS,
+        "records_per_s_median": round(statistics.median(rates)),
+        "records_per_s": [round(value) for value in rates],
+        "cpu_ms_per_krec_median": round(statistics.median(costs), 2),
+        "cpu_ms_per_krec": [round(value, 2) for value in costs],
+    }
+    print(json.dumps(row))
+    payload = _bench_json()
+    section = payload.setdefault("throughput", {
+        "workload": (f"InferenceRuntime.from_ensemble({DEFAULT_DETECTORS_SPEC}), "
+                     "sync, 1 shard, no fitted pipeline, window "
+                     f"{WINDOW} step {STEP}, max_batch {THROUGHPUT_MAX_BATCH}; "
+                     f"{len(THROUGHPUT_SYSTEMS)} systems x "
+                     f"{THROUGHPUT_RECORDS_PER_SYSTEM} volume-burst records "
+                     "merged by timestamp; median of fresh processes"),
+        "rows": [],
+    })
+    section["rows"] = [r for r in section["rows"] if r["label"] != label]
+    section["rows"].append(row)
+    emit_json("detectors", payload)
+
+
 if __name__ == "__main__":
     if "--smoke" in sys.argv:
         smoke()
+    elif "--throughput-once" in sys.argv:
+        _throughput_once()
+    elif "--throughput" in sys.argv:
+        _throughput(sys.argv[sys.argv.index("--throughput") + 1])
     else:
         test_detector_portfolio()

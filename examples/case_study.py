@@ -73,11 +73,11 @@ def main() -> None:
             mean_vec(query.messages) @ mean_vec(nearest_anomalous.messages)
         )
         lei_query = [
-            target_featurizer.interpretation_of(target_featurizer.event_id_of(m))
+            target_featurizer.interpretation_of(target_featurizer.event_id_of(m)[0])
             for m in query.messages
         ]
         lei_anomalous = [
-            source_featurizer.interpretation_of(source_featurizer.event_id_of(m))
+            source_featurizer.interpretation_of(source_featurizer.event_id_of(m)[0])
             for m in nearest_anomalous.messages
         ]
         lei_sim = float(mean_vec(lei_query) @ mean_vec(lei_anomalous))
@@ -94,7 +94,7 @@ def main() -> None:
     window = test[hottest]
     embedded = target_featurizer.embed_sequences([window])[0]
     interpretations = [
-        target_featurizer.interpretation_of(target_featurizer.event_id_of(m))
+        target_featurizer.interpretation_of(target_featurizer.event_id_of(m)[0])
         for m in window.messages
     ]
     explanation = explain_window(

@@ -7,7 +7,8 @@
 # metrics, and sync serve under a latency budget that fires plus the
 # process executor in replay and in serve must render identical bytes), a
 # detector-ensemble replay whose verdicts must render identical bytes at
-# 1 and 2 shards and under sync serve with a latency budget, a
+# 1 and 2 shards, under the process executor and under sync serve with
+# a latency budget, a
 # seeded fault-injection fuzz pass (twice — the violation
 # report must be byte-identical, with the unarmed-hook overhead guard),
 # a checkpointed train/SIGKILL/resume byte-diff against an uninterrupted
@@ -28,8 +29,8 @@ flow_b="$(mktemp)"
 trap 'rm -f "$flow_a" "$flow_b" "${replay_out:-}" "${replay_metrics:-}" \
     "${replay_proc:-}" "${serve_sync:-}" "${serve_proc:-}" \
     "${drain_metrics:-}" "${sync_metrics:-}" "${proc_metrics:-}" "${fuzz_a:-}" \
-    "${fuzz_b:-}" "${ensemble_1:-}" "${ensemble_2:-}" "${members_replay:-}" \
-    "${members_serve:-}"
+    "${fuzz_b:-}" "${ensemble_1:-}" "${ensemble_2:-}" "${ensemble_proc:-}" \
+    "${members_replay:-}" "${members_serve:-}"
 rm -rf "${ckpt_root:-}"' EXIT
 PYTHONPATH=src python -m repro.cli lint src --select 'flow/*' \
     --format json >"$flow_a"
@@ -134,6 +135,16 @@ test -s "$ensemble_1" \
     || { echo "smoke: ensemble replay produced no reports" >&2; exit 1; }
 cmp -s "$ensemble_1" "$ensemble_2" \
     || { echo "smoke: ensemble replay diverged between 1 and 2 shards" >&2
+         exit 1; }
+# Shard processes build their own windows and LOF reference rings; the
+# bytes must still be the synchronous engine's.
+ensemble_proc="$(mktemp)"
+PYTHONPATH=src python -m repro.cli replay \
+    --logs examples/data/replay_sample.jsonl \
+    --detectors ewma,lof,rules,model:max --executor process --shards 2 \
+    --out "$ensemble_proc" >/dev/null
+cmp -s "$ensemble_1" "$ensemble_proc" \
+    || { echo "smoke: process-executor ensemble replay diverged from sync" >&2
          exit 1; }
 # Under a latency budget a sync shard flushes every lane, oldest head
 # first, at its oldest head's deadline.  These members' scores do not

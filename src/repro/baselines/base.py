@@ -101,7 +101,7 @@ class EventIdFeaturizer:
             for col, record in enumerate(sequence.records):
                 event = cache.get(id(record))
                 if event is None:
-                    event = store.ingest_id(record.message)
+                    event = store.ingest_id(record.message)[0]
                     cache[id(record)] = event
                 out[row, col] = event
         return out

@@ -104,7 +104,7 @@ class SystemFeaturizer:
                 key = id(record)
                 event_id = cache.get(key)
                 if event_id is None:
-                    event_id = self.store.ingest_id(record.message)
+                    event_id = self.store.ingest_id(record.message)[0]
                     if self.interpreter is None and event_id not in self._interpretations:
                         # Snapshot now: the template may generalize later.
                         self._interpretations[event_id] = self.store.template_text(event_id)
@@ -155,13 +155,15 @@ class SystemFeaturizer:
 
     def embed_message(self, message: str) -> np.ndarray:
         """Parse one message and return its event embedding."""
-        return self._ensure_event(self.store.ingest_id(message))
+        return self._ensure_event(self.store.ingest_id(message)[0])
 
-    def event_id_of(self, message: str) -> int:
-        """Parse one message and return its event id (embedding cached)."""
-        event_id = self.store.ingest_id(message)
+    def event_id_of(self, message: str) -> tuple[int, str | None]:
+        """Parse one message and return its event id (embedding cached)
+        and the parser's masked text of it (``None`` when the parser does
+        not mask)."""
+        event_id, masked = self.store.ingest_id(message)
         self._ensure_event(event_id)
-        return event_id
+        return event_id, masked
 
     # ------------------------------------------------------------------
     def embed_sequences(self, sequences: list[LogSequence]) -> np.ndarray:

@@ -378,12 +378,18 @@ class LogSynergy:
         """
         self._require_fitted()
         featurizer = self._featurizer(self.target_system)
-        grid = [[featurizer.event_id_of(m) for m in messages] for messages in windows]
+        grid = [[featurizer.event_id_of(m)[0] for m in messages]
+                for messages in windows]
         return self.score_event_windows(self.target_system, grid, windows, timestamps)
 
-    def event_id_of(self, system: str, message: str) -> int:
+    def event_id_of(self, system: str, message: str) -> tuple[int, str | None]:
         """Parse one message in ``system``'s own featurizer (§III-B: one
-        Drain parser per system); the serving runtime's admission hook."""
+        Drain parser per system); the serving runtime's admission hook.
+
+        Returns the event id and the masked text the parse produced, so
+        the runtime stamps both and the LOF member does not mask the
+        message again.
+        """
         return self._featurizer(system).event_id_of(message)
 
     def score_event_windows(

@@ -158,11 +158,12 @@ class DrainParser:
         equal = sum(1 for a, b in zip(template_tokens, tokens) if a == b and a != WILDCARD)
         return equal / non_wild
 
-    def _parse(self, message: str) -> tuple[LogTemplate, list[str]]:
+    def _parse(self, message: str) -> tuple[LogTemplate, list[str], str | None]:
         """Match one message into the tree, creating or generalizing a
-        template; returns the template and the message's tokens."""
-        masked = mask_message(message) if self.mask else message
-        tokens = masked.split()
+        template; returns the template, the message's tokens and its
+        masked text (``None`` when the parser does not mask)."""
+        masked = mask_message(message) if self.mask else None
+        tokens = (message if masked is None else masked).split()
         if not tokens:
             tokens = ["<EMPTY>"]
         self._parse_counter.inc()
@@ -182,7 +183,7 @@ class DrainParser:
             leaf.groups.append(template)
             self._templates[template.template_id] = template
             self._template_counter.inc()
-            return template, tokens
+            return template, tokens, masked
 
         # Generalize: disagreeing positions become wildcards.
         if best.tokens != tokens:
@@ -190,18 +191,20 @@ class DrainParser:
                 a if a == b else WILDCARD for a, b in zip(best.tokens, tokens)
             ]
         best.count += 1
-        return best, tokens
+        return best, tokens, masked
 
     def parse(self, message: str) -> ParseResult:
         """Parse one message, creating or generalizing a template."""
-        template, tokens = self._parse(message)
+        template, tokens, _ = self._parse(message)
         return ParseResult(template=template,
                            parameters=tuple(template.parameters_of(tokens)))
 
-    def parse_id(self, message: str) -> int:
-        """Parse one message and return only its template id: the same
-        tree update as :meth:`parse`, without building the parameters."""
-        return self._parse(message)[0].template_id
+    def parse_id(self, message: str) -> tuple[int, str | None]:
+        """Parse one message and return its template id and masked text
+        (``None`` when the parser does not mask): the same tree update
+        as :meth:`parse`, without building the parameters."""
+        template, _, masked = self._parse(message)
+        return template.template_id, masked
 
     def parse_all(self, messages: list[str]) -> list[ParseResult]:
         """Parse a batch of messages in order."""

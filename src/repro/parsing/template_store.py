@@ -41,13 +41,14 @@ class TemplateStore:
             parameters=result.parameters,
         )
 
-    def ingest_id(self, message: str) -> int:
+    def ingest_id(self, message: str) -> tuple[int, str | None]:
         """:meth:`ingest` for callers that need only the event id (runtime
         admission): same parser and representative update, no template
-        text or parameters built."""
-        event_id = self.parser.parse_id(message)
+        text or parameters built.  Returns the id and the parser's masked
+        text of the message (``None`` when the parser does not mask)."""
+        event_id, masked = self.parser.parse_id(message)
         self._representatives.setdefault(event_id, message)
-        return event_id
+        return event_id, masked
 
     def ingest_all(self, messages: list[str]) -> list[ParsedLog]:
         return [self.ingest(m) for m in messages]

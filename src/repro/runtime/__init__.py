@@ -16,7 +16,9 @@ the model's batch-first ``score_event_windows``/``predict_proba`` path:
   message)`` hook (:func:`admission_event_fn`) — for the learned model,
   alone or as an ensemble member, the record's own system featurizer —
   and its event id rides the window to the gate (pattern = sorted id
-  set) and the batched forward; nothing parses it again.
+  set) and the batched forward; nothing parses it again.  The masked
+  text that parse produced rides along as ``UnifiedLog.masked`` for the
+  LOF member, so nothing masks it again either.
 * :class:`PatternLibrary` — the §VI-A pattern gate's per-system
   verdict cache, keyed by window event-id patterns.
 * :class:`MicroBatchScheduler` — accumulates windows per system lane and

@@ -132,7 +132,7 @@ class InferenceRuntime:
 
     def __init__(self,
                  worker_factory: Callable[[int], InferenceWorker], *,
-                 event_fn: Callable[[str, str], int],
+                 event_fn: Callable[[str, str], tuple[int, str | None]],
                  shards: int = 1, window: int = 10, step: int = 5,
                  max_batch: int = 16, max_latency: float | None = None,
                  backpressure: str = "block",

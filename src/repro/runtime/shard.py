@@ -4,14 +4,18 @@ A shard owns every stage of its systems' traffic after routing:
 
 1. **Admission** — each record is normalized (:func:`normalize_record`,
    the one owner of the record normal form) and parsed exactly once:
-   the per-record ``event_fn(system, message)`` hook stamps its event id
-   on the :class:`UnifiedLog` entry.  For the learned model that hook is
-   the record's *own* system featurizer (its Drain parser, §III-B); a
-   system never spans shards, so each featurizer sees only its system's
-   records, in that system's order, for any shard count or executor.
+   the per-record ``event_fn(system, message)`` hook returns its event
+   id and, when the parse masked the message, the masked text, and both
+   are stamped on the :class:`UnifiedLog` entry.  For the learned model
+   that hook is the record's *own* system featurizer (its Drain parser,
+   §III-B); a system never spans shards, so each featurizer sees only
+   its system's records, in that system's order, for any shard count or
+   executor.  A hook that does not parse
+   (:func:`~repro.runtime.worker.message_event`) masks nothing and
+   stamps ``masked=None``.
 2. **Windowing** — entries are assembled into the production sliding
-   window per system; the event ids ride the window from here on, and
-   nothing downstream parses again.
+   window per system; the event ids and masked texts ride the window
+   from here on, and nothing downstream parses or masks them again.
 3. **Pattern gate** — each window's pattern (the sorted set of its event
    ids) is looked up in the shard's per-system
    :class:`~repro.runtime.pattern_library.PatternLibrary`.
@@ -58,25 +62,37 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 @dataclass(frozen=True)
 class UnifiedLog:
     """The unified record structure every window is built from (§VI-A's
-    LogStash formatting stage)."""
+    LogStash formatting stage).
+
+    ``event_id`` is the id the admission parse stamped.  ``masked`` is
+    the message with its parameter values masked
+    (:func:`~repro.parsing.masking.mask_message`) when that parse masked
+    it, else ``None``; the LOF member embeds it instead of masking the
+    message a second time.
+    """
 
     timestamp: datetime
     system: str
     host: str
     message: str
     event_id: int
+    masked: str | None = None
 
 
-def normalize_record(record, event_fn: Callable[[str, str], int]) -> UnifiedLog:
+def normalize_record(record, event_fn: Callable[[str, str], tuple[int, str | None]]
+                     ) -> UnifiedLog:
     """Bring one raw record into the unified structure, parsing its
-    message once through ``event_fn(system, message) -> event id``."""
+    message once through ``event_fn(system, message) -> (event id,
+    masked text or None)``."""
     message = record.message.strip()
+    event_id, masked = event_fn(record.system, message)
     return UnifiedLog(
         timestamp=record.timestamp,
         system=record.system,
         host=record.host,
         message=message,
-        event_id=event_fn(record.system, message),
+        event_id=event_id,
+        masked=masked,
     )
 
 
@@ -86,7 +102,7 @@ class ShardState:
     fallback replica of it)."""
 
     def __init__(self, index: int, supervisor: WorkerSupervisor, *,
-                 event_fn: Callable[[str, str], int],
+                 event_fn: Callable[[str, str], tuple[int, str | None]],
                  emit: Callable[[AnomalyReport], None],
                  registry,
                  window: int = 10, step: int = 5,

@@ -53,22 +53,26 @@ class InferenceWorker(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def message_event(system: str, message: str) -> int:
-    """Featurizer-free event id: the message's CRC32 bucket.
+def message_event(system: str, message: str) -> tuple[int, None]:
+    """Featurizer-free admission: the message's CRC32 bucket as its
+    event id, and no masked text (nothing is parsed, so nothing is
+    masked; the LOF member masks such entries itself).
 
     Stands in for the model's per-system Drain parse in runtimes driven
     by a :class:`SyntheticWorker` or a detector ensemble without a live
     model member.
     """
-    return zlib.crc32(message.encode("utf-8")) % 4096
+    return zlib.crc32(message.encode("utf-8")) % 4096, None
 
 
-def admission_event_fn(pipeline) -> Callable[[str, str], int]:
-    """The runtime's per-record admission hook.
+def admission_event_fn(pipeline) -> Callable[[str, str], tuple[int, str | None]]:
+    """The runtime's per-record admission hook: ``(system, message) ->
+    (event id, masked text or None)``.
 
     With a fitted pipeline it is the pipeline's per-system parse
     (:meth:`~repro.core.pipeline.LogSynergy.event_id_of`), so the model
-    scores the ids stamped here; without one it is :func:`message_event`.
+    scores the ids stamped here and the LOF member embeds the masked
+    text the parse produced; without one it is :func:`message_event`.
     """
     if pipeline is None:
         return message_event

@@ -42,7 +42,9 @@ class TestMessageEmbedding:
 
     def test_lei_interpretation_is_canonical(self):
         featurizer = _featurizer(use_lei=True)
-        event_id = featurizer.event_id_of("MMCS heartbeat from node 17 acknowledged")
+        event_id, masked = featurizer.event_id_of(
+            "MMCS heartbeat from node 17 acknowledged")
+        assert masked == "MMCS heartbeat from node <*> acknowledged"
         assert featurizer.interpretation_of(event_id) == (
             "A periodic heartbeat confirmed the component is alive."
         )

@@ -128,7 +128,7 @@ def custom_encoder_pipeline(tiny_experiment_data):
 
 
 def score_unseen(pipeline):
-    grid = [[pipeline.event_id_of("thunderbird", message) for message in window]
+    grid = [[pipeline.event_id_of("thunderbird", message)[0] for message in window]
             for window in UNSEEN_WINDOWS]
     reports = pipeline.score_event_windows("thunderbird", grid, UNSEEN_WINDOWS)
     return grid, [report.score for report in reports]

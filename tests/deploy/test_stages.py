@@ -120,7 +120,9 @@ class TestFormatter:
         assert entry.host == record.host
         assert entry.timestamp == record.timestamp
         assert entry.message == record.message.strip()
-        assert entry.event_id == message_event("spirit", entry.message)
+        assert (entry.event_id, entry.masked) == message_event(
+            "spirit", entry.message)
+        assert entry.masked is None
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

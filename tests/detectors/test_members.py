@@ -2,6 +2,7 @@
 rule matching and the learned-model adapter's degradation contract."""
 
 import math
+import statistics
 import zlib
 from datetime import datetime, timedelta
 
@@ -102,6 +103,100 @@ class TestEwmaRateDetector:
         assert EwmaRateDetector().warmup_windows > 0
 
 
+def reference_rows(state):
+    """A LOF reference ring's window vectors, oldest first."""
+    capacity = state.ring.shape[0]
+    return [state.ring[index % capacity]
+            for index in range(max(0, state.seen - capacity), state.seen)]
+
+
+class PerWindowLof:
+    """The LOF member as it scored before batching, one window at a time
+    over a list of reference vectors: the parity reference."""
+
+    def __init__(self, encoder, *, k, capacity, scale_window,
+                 center=2.0, scale=0.5):
+        self.encoder = encoder
+        self.k, self.capacity, self.scale_window = k, capacity, scale_window
+        self.center, self.scale = center, scale
+        self.vectors = {}
+        self.distances = {}
+        self.embedded = {}
+
+    def _window_vector(self, system, window):
+        previous = self.embedded.get(system, {})
+        embedded = {}
+        for entry in window:
+            if entry.message not in embedded:
+                vector = previous.get(entry.message)
+                embedded[entry.message] = (
+                    self.encoder.encode(mask_message(entry.message))
+                    if vector is None else vector)
+        self.embedded[system] = embedded
+        if not window:
+            return np.zeros(self.encoder.dim, dtype=np.float32)
+        matrix = np.stack([embedded[entry.message] for entry in window])
+        vec = matrix.mean(axis=0)
+        norm = float(np.linalg.norm(vec))
+        if norm > 0:
+            vec = vec / norm
+        return vec.astype(np.float32)
+
+    def score_window(self, system, window):
+        vectors = self.vectors.setdefault(system, [])
+        distances = self.distances.setdefault(system, [])
+        vec = self._window_vector(system, window)
+        score = 0.0
+        if len(vectors) > self.k:
+            gaps = np.linalg.norm(np.stack(vectors) - vec[None, :], axis=1)
+            gaps.sort()
+            distance = float(gaps[min(self.k, len(gaps)) - 1])
+            if distances:
+                ratio = distance / max(statistics.median(distances), 1e-9)
+                score = calibrate(ratio, center=self.center, scale=self.scale)
+            distances.append(distance)
+            if len(distances) > self.scale_window:
+                distances.pop(0)
+        vectors.append(vec)
+        if len(vectors) > self.capacity:
+            vectors.pop(0)
+        return score
+
+
+def lof_parity_streams():
+    """Three systems' windows: mixed lengths, an empty window, repeats
+    and novel templates; "b" carries admission-masked runtime entries."""
+    streams = {}
+    for offset, system in enumerate(("a", "b", "c")):
+        messages = []
+        for index in range(260):
+            if index % 37 == 11 + offset:
+                messages.append(f"kernel panic {index} on cpu{offset} "
+                                f"word{index % 5} machine check")
+            else:
+                messages.append(
+                    f"node {index % (5 + offset)} link "
+                    f"{('up', 'down', 'flapping')[index % 3]} after "
+                    f"{index} retries from 10.0.{offset}.{index % 250}")
+        windows = []
+        start = 0
+        for ordinal in range(70):
+            length = (10, 10, 7, 3)[ordinal % 4]
+            if ordinal == 9 + offset:
+                length = 0
+            windows.append(make_window(messages[start:start + length],
+                                       system=system))
+            start = (start + 3) % 200
+        if system == "b":
+            windows = [[UnifiedLog(timestamp=entry.timestamp, system=system,
+                                   host=entry.host, message=entry.message,
+                                   event_id=0,
+                                   masked=mask_message(entry.message))
+                        for entry in window] for window in windows]
+        streams[system] = windows
+    return streams
+
+
 class TestLofLiteDetector:
     def test_the_encoder_is_resolved_at_build_not_in_the_first_batch(
             self, monkeypatch):
@@ -135,10 +230,18 @@ class TestLofLiteDetector:
 
     def test_reference_capacity_is_bounded(self):
         detector = LofLiteDetector(k=2, capacity=8)
-        for index in range(30):
-            detector.score_window(
-                "sys", make_window([f"event number {index}"] * 10))
-        assert len(detector._references["sys"].vectors) <= 8
+        windows = [make_window([f"event number {index}"] * 10)
+                   for index in range(30)]
+        for window in windows:
+            detector.score_window("sys", window)
+        state = detector._references["sys"]
+        assert state.ring.shape == (8, detector.encoder.dim)
+        expected = []
+        for window in windows[-8:]:
+            fresh = LofLiteDetector(k=2, capacity=8)
+            fresh.score_window("sys", window)
+            expected.append(fresh._references["sys"].ring[0].tobytes())
+        assert [row.tobytes() for row in reference_rows(state)] == expected
 
 
     def test_overlapping_windows_encode_only_new_messages(self):
@@ -167,13 +270,13 @@ class TestLofLiteDetector:
         for window in windows:
             detector.score_window("sys", window)
         state = detector._references["sys"]
-        for window, vector in zip(windows, state.vectors):
+        assert state.seen == len(windows)
+        for window, vector in zip(windows, reference_rows(state)):
             matrix = encoder.encode_batch(
                 [mask_message(entry.message) for entry in window])
             expected = matrix.mean(axis=0)
             expected = (expected / float(np.linalg.norm(expected))).astype(np.float32)
             assert vector.tobytes() == expected.tobytes()
-        assert len(state.vectors) == len(windows)
         # "node <*> link up after <*> retries" and its "down" twin.
         assert counting.encoded == 2
         assert len(state.embedded) == 10
@@ -194,7 +297,7 @@ class TestLofLiteDetector:
         for window in (first, second, other):
             detector = LofLiteDetector(k=2)
             detector.score_window("sys", window)
-            vectors.append(detector._references["sys"].vectors[0])
+            vectors.append(detector._references["sys"].ring[0])
         assert vectors[0].tobytes() == vectors[1].tobytes()
         assert vectors[0].tobytes() != vectors[2].tobytes()
 
@@ -214,8 +317,50 @@ class TestLofLiteDetector:
         fresh = LofLiteDetector(k=2)
         fresh.score_window("sys", evicted)
         detector.score_window("other", evicted)
-        assert (detector._references["other"].vectors[0].tobytes()
-                == fresh._references["sys"].vectors[0].tobytes())
+        assert (detector._references["other"].ring[0].tobytes()
+                == fresh._references["sys"].ring[0].tobytes())
+
+    @pytest.mark.parametrize("batch", [1, 7, 16])
+    @pytest.mark.parametrize("capacity,scale_window", [(64, 32), (8, 5)])
+    def test_batches_score_like_the_per_window_algorithm(
+            self, batch, capacity, scale_window):
+        """Batched scoring over the ring gives the per-window list
+        algorithm's exact scores and final reference set: three
+        interleaved systems, a ring that wraps (inside one batch too when
+        the batch outgrows it), a trimmed scale window, warm-up, mixed
+        window lengths and an empty window."""
+        from repro.embedding import load_pretrained_encoder
+
+        encoder = load_pretrained_encoder()
+        detector = LofLiteDetector(k=3, capacity=capacity,
+                                   scale_window=scale_window, encoder=encoder)
+        reference = PerWindowLof(encoder, k=3, capacity=capacity,
+                                 scale_window=scale_window)
+        streams = lof_parity_streams()
+        for start in range(0, 70, batch):
+            for system, windows in streams.items():
+                chunk = windows[start:start + batch]
+                expected = [reference.score_window(system, window)
+                            for window in chunk]
+                assert detector.score_windows(system, chunk) == expected
+        for system in streams:
+            state = detector._references[system]
+            assert state.seen == 70
+            assert state.distances == reference.distances[system]
+            assert (sorted(row.tobytes() for row in reference_rows(state))
+                    == sorted(vector.tobytes()
+                              for vector in reference.vectors[system]))
+            assert state.embedded.keys() == reference.embedded[system].keys()
+
+    def test_a_batch_longer_than_a_chunk_matches_single_windows(self):
+        windows = lof_parity_streams()["a"]
+        whole = LofLiteDetector(k=3, capacity=8)
+        single = LofLiteDetector(k=3, capacity=8)
+        assert lof_module._CHUNK < len(windows)
+        assert whole.score_windows("a", windows) == [
+            single.score_window("a", window) for window in windows]
+        assert (whole._references["a"].ring.tobytes()
+                == single._references["a"].ring.tobytes())
 
 
 class TestRuleDetector:

@@ -235,3 +235,88 @@ class TestExperimentAdapter:
         labels = experiment.test_labels
         assert labels.shape[0] == len(experiment.target_test)
         assert isinstance(method.metrics.f1, float)
+
+
+def counting_masks(monkeypatch):
+    """Route every ``mask_message`` binding in ``repro`` through one
+    call recorder; returns the list of masked messages."""
+    import sys
+
+    from repro.parsing import masking
+
+    original = masking.mask_message
+    calls = []
+
+    def counting(message, *args, **kwargs):
+        calls.append(message)
+        return original(message, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "repro"
+                and getattr(module, "mask_message", None) is original):
+            monkeypatch.setattr(module, "mask_message", counting)
+    return calls
+
+
+class TestMaskOnce:
+    """Admission masks each record once and stamps the text on its
+    entry; the LOF member embeds that text instead of masking again."""
+
+    def records(self):
+        return LogStreamFuzzer(
+            systems=("thunderbird", "day0"),
+            dialects={"thunderbird": "thunderbird", "day0": "bgl"},
+            lines_per_system=120, anomaly_bursts=2, burst_length=(3, 6),
+            parameter_noise=0.1,
+        ).generate(11).records
+
+    def test_a_fitted_ensemble_runtime_masks_each_record_once(
+            self, fitted_logsynergy, tmp_path, monkeypatch):
+        from collections import Counter
+
+        from repro.core import LogSynergy
+        from repro.parsing.masking import mask_message
+
+        # A reloaded copy: admission grows the featurizers it parses in.
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        pipeline = LogSynergy.load_pipeline(tmp_path / "pipe")
+        ensemble = ensemble_from_spec("ewma,lof,rules,model:max",
+                                      pipeline=pipeline,
+                                      registry=MetricsRegistry())
+        assert ensemble.pipeline is pipeline
+        windows = []
+        score_rows = ensemble._score_rows
+
+        def recording(system, batch):
+            windows.extend(batch)
+            return score_rows(system, batch)
+
+        ensemble._score_rows = recording
+        runtime = InferenceRuntime.from_ensemble(
+            ensemble, shards=2, max_batch=8, registry=MetricsRegistry())
+        records = self.records()
+        calls = counting_masks(monkeypatch)
+        for record in records:
+            runtime.submit(record)
+        runtime.drain()
+        assert Counter(calls) == Counter(record.message.strip()
+                                         for record in records)
+        assert windows
+        for window in windows:
+            for entry in window:
+                assert entry.masked == mask_message(entry.message)
+
+    def test_a_runtime_whose_admission_does_not_parse_masks_nothing(
+            self, monkeypatch):
+        from repro.runtime import SyntheticWorker, message_event
+
+        runtime = InferenceRuntime(
+            lambda index: SyntheticWorker(), event_fn=message_event,
+            shards=2, max_batch=8, registry=MetricsRegistry())
+        records = self.records()
+        calls = counting_masks(monkeypatch)
+        for record in records:
+            runtime.submit(record)
+        assert runtime.drain()
+        assert calls == []
+        assert message_event("day0", records[0].message)[1] is None

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logs.generator import generate_logs
 from repro.parsing.drain import ROUTE_MEMO_CAP, DrainParser
-from repro.parsing.masking import WILDCARD
+from repro.parsing.masking import WILDCARD, mask_message
 
 
 class TestBasicParsing:
@@ -163,7 +163,7 @@ class TestRouteMemo:
             if position == half:
                 parser = DrainParser.from_dict(parser.to_dict())
                 assert parser._route_memo == {}
-            got.append(parser.parse_id(message))
+            got.append(parser.parse_id(message)[0])
             largest = max(largest, len(parser._route_memo))
         assert largest == ROUTE_MEMO_CAP  # filled, then cleared
         assert got == expected
@@ -173,5 +173,10 @@ class TestRouteMemo:
         messages = [record.message for record in generate_logs("spirit", 2000, seed=4)]
         full, lean = DrainParser(), DrainParser()
         for message in messages:
-            assert lean.parse_id(message) == full.parse(message).template.template_id
+            assert lean.parse_id(message) == (
+                full.parse(message).template.template_id, mask_message(message))
         assert lean.to_dict() == full.to_dict()
+
+    def test_a_parser_that_does_not_mask_returns_no_masked_text(self):
+        parser = DrainParser(mask=False)
+        assert parser.parse_id("node 7 link up") == (0, None)
