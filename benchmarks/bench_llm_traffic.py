@@ -1,33 +1,32 @@
-"""LLM interpretation traffic benchmark: cache-cold vs warm, coalescing.
+"""LLM interpretation traffic benchmark: cache-cold vs warm.
 
 Production LEI traffic is highly repetitive — a few hundred hot
 templates generate almost all interpretation requests — and every
 upstream ``complete()`` costs a remote round-trip.  This benchmark
 replays a skewed request stream against a simulated upstream endpoint
-(fixed per-call latency) three ways:
+(fixed per-call latency) two ways:
 
 * **cold** — the bare provider; every request pays the round-trip.
-* **warm** — the middleware stack (memory cache + coalescing + breaker
-  + retries); repeats are answered from the TTL+LRU tier.
-* **burst** — a concurrent hammer on a handful of prompts with the
-  memory cache disabled, isolating what request coalescing alone saves
-  while identical prompts are in flight.
+* **warm** — :class:`~repro.llm.cache.CachedLLM` over the middleware
+  stack (breaker + retries); repeats are answered from the cache.
 
 Written as a result block (benchmarks/results/llm_traffic.txt) and
 machine-readable as BENCH_llm.json at the repo root.
 
 The acceptance bar is >= 10x fewer upstream ``complete()`` calls warm
-(cache + coalescing) than cold.  ``--smoke`` runs a scaled-down stream
-for CI wiring checks.
+than cold.  ``--smoke`` runs a scaled-down stream for CI wiring checks.
 """
 
 import argparse
+import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
-from repro.llm import FlakyLLM, build_interpretation_prompt, build_provider_stack
+from repro.llm import (
+    CachedLLM, FlakyLLM, build_interpretation_prompt, build_provider_stack,
+)
 from repro.logs import LogGenerator
 from repro.obs import MetricsRegistry
 
@@ -38,17 +37,8 @@ from common import emit, emit_json
 DISTINCT_PROMPTS = 40
 REQUESTS = 1_200
 UPSTREAM_LATENCY_S = 0.001
-# Coalescing burst: 16 threads hammering 4 prompts through a slower
-# (5 ms) upstream, so identical requests overlap in flight.
-BURST_THREADS = 16
-BURST_PER_THREAD = 12
-BURST_PROMPTS = 4
-BURST_LATENCY_S = 0.005
 
-SMOKE = {
-    "distinct": 12, "requests": 120, "latency": 0.0002,
-    "burst_threads": 4, "burst_per_thread": 4,
-}
+SMOKE = {"distinct": 12, "requests": 120, "latency": 0.0002}
 
 
 def _prompts(count: int) -> list[str]:
@@ -91,59 +81,32 @@ def _run_cold(stream: list[str], latency: float) -> dict:
 
 def _run_warm(stream: list[str], latency: float) -> dict:
     upstream = _upstream(latency)
-    registry = MetricsRegistry()
-    stack = build_provider_stack(upstream, registry=registry)
-    started = time.perf_counter()
-    for prompt in stream:
-        stack.complete(prompt)
-    elapsed = time.perf_counter() - started
-    return {"mode": "warm(cache+coalescing)", "requests": len(stream),
+    with tempfile.TemporaryDirectory() as scratch:
+        cache = CachedLLM(build_provider_stack(upstream),
+                          Path(scratch) / "interpretations.json",
+                          autosave=False)
+        started = time.perf_counter()
+        for prompt in stream:
+            cache.complete(prompt)
+        elapsed = time.perf_counter() - started
+    return {"mode": "warm(CachedLLM)", "requests": len(stream),
             "upstream_calls": upstream.calls,
-            "memcache_hits": int(registry.counter("llm.provider.memcache.hits").value),
+            "cache_hits": cache.hits,
             "elapsed_s": round(elapsed, 4),
             "requests_per_s": round(len(stream) / elapsed, 1)}
-
-
-def _run_burst(prompts: list[str], threads: int, per_thread: int,
-               latency: float) -> dict:
-    upstream = _upstream(latency)
-    registry = MetricsRegistry()
-    stack = build_provider_stack(upstream, memory_cache=False,
-                                 registry=registry)
-    requests = [prompts[(worker + turn) % len(prompts)]
-                for worker in range(threads) for turn in range(per_thread)]
-
-    def hammer(worker: int) -> None:
-        for turn in range(per_thread):
-            stack.complete(prompts[(worker + turn) % len(prompts)])
-
-    started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(hammer, range(threads)))
-    elapsed = time.perf_counter() - started
-    return {"mode": "burst(coalescing only)", "requests": len(requests),
-            "upstream_calls": upstream.calls,
-            "coalesced": int(registry.counter("llm.provider.coalesced").value),
-            "elapsed_s": round(elapsed, 4),
-            "requests_per_s": round(len(requests) / elapsed, 1)}
 
 
 def run_benchmark(*, smoke: bool = False) -> dict:
     if smoke:
         distinct, requests, latency = (SMOKE["distinct"], SMOKE["requests"],
                                        SMOKE["latency"])
-        burst_threads, burst_per_thread = (SMOKE["burst_threads"],
-                                           SMOKE["burst_per_thread"])
     else:
         distinct, requests, latency = DISTINCT_PROMPTS, REQUESTS, UPSTREAM_LATENCY_S
-        burst_threads, burst_per_thread = BURST_THREADS, BURST_PER_THREAD
 
     prompts = _prompts(distinct)
     stream = _stream(prompts, requests)
     cold = _run_cold(stream, latency)
     warm = _run_warm(stream, latency)
-    burst = _run_burst(prompts[:BURST_PROMPTS], burst_threads,
-                       burst_per_thread, BURST_LATENCY_S if not smoke else latency)
     reduction = cold["upstream_calls"] / max(1, warm["upstream_calls"])
 
     lines = [
@@ -152,12 +115,9 @@ def run_benchmark(*, smoke: bool = False) -> dict:
         f"templates, {latency * 1e3:.1f} ms upstream round-trip",
         f"cold (bare provider)    : {cold['upstream_calls']} upstream calls, "
         f"{cold['requests_per_s']:>9,.1f} requests/s",
-        f"warm (cache+coalescing) : {warm['upstream_calls']} upstream calls "
-        f"({warm['memcache_hits']} memory-cache hits), "
+        f"warm (CachedLLM)        : {warm['upstream_calls']} upstream calls "
+        f"({warm['cache_hits']} cache hits), "
         f"{warm['requests_per_s']:>9,.1f} requests/s",
-        f"burst (coalescing only) : {burst['requests']} concurrent requests -> "
-        f"{burst['upstream_calls']} upstream calls "
-        f"({burst['coalesced']} coalesced)",
         f"upstream-call reduction : {reduction:.1f}x (bar: >= 10x)",
     ]
     emit("llm_traffic", "\n".join(lines))
@@ -169,7 +129,7 @@ def run_benchmark(*, smoke: bool = False) -> dict:
             "requests": requests,
             "upstream_latency_s": latency,
         },
-        "results": [cold, warm, burst],
+        "results": [cold, warm],
         "upstream_call_reduction": round(reduction, 2),
     }
     emit_json("llm", payload)
@@ -178,11 +138,9 @@ def run_benchmark(*, smoke: bool = False) -> dict:
 
 def test_llm_traffic_reduction():
     payload = run_benchmark()
-    cold, warm, burst = payload["results"]
+    cold, warm = payload["results"]
     assert warm["upstream_calls"] <= payload["workload"]["distinct_prompts"]
     assert payload["upstream_call_reduction"] >= 10.0, payload
-    assert burst["coalesced"] > 0
-    assert burst["upstream_calls"] + burst["coalesced"] == burst["requests"]
 
 
 if __name__ == "__main__":

@@ -55,8 +55,8 @@ grep -q "fwd self" <<<"$profile_out" \
 # Fused kernels must not be slower than the seed composition.
 PYTHONPATH=src python benchmarks/bench_train_throughput.py --smoke
 
-# Provider middleware stack: warm cache + coalescing must cut upstream
-# LLM calls versus the cache-cold baseline.
+# LLM interpretation cache: CachedLLM over the provider middleware stack
+# must cut upstream LLM calls versus the cache-cold baseline.
 PYTHONPATH=src python benchmarks/bench_llm_traffic.py --smoke
 
 # Day-0 detector portfolio: on a never-catalogued system with no

@@ -134,7 +134,7 @@ class CallGraph:
     def reachable(self, entries: list[str]) -> dict[str, tuple[str, ...]]:
         """Every function reachable from ``entries``, mapped to one
         witness call chain (entry → … → function).  The chain lattice
-        (shorter wins, then lexicographic) is solved on the shared
+        (shorter wins, then lexicographic) is solved on the
         :class:`~repro.analysis.dataflow.ForwardDataflow` engine, so the
         witness each function reports is deterministic.  Entries not
         present in the table are ignored.

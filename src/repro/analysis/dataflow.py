@@ -1,17 +1,12 @@
 """A small forward dataflow engine (worklist fixpoint over any graph).
 
-The interprocedural passes need two fixpoint computations that are the
-same algorithm with different lattices:
+The determinism pass needs *reachability with witness chains* over the
+call graph: facts (the shortest, lexicographically first call chain from
+an entry point) grow monotonically from the entries.
 
-* *reachability with witness chains* over the call graph (determinism
-  pass) — facts grow monotonically from the entries;
-* *held-lock inference* for private methods (lock-discipline pass) —
-  the entry fact of a method is the **meet** (set intersection) of the
-  locks held at every call site, iterated until stable.
-
-:class:`ForwardDataflow` implements the shared machinery: seed facts,
-propagate along edges through a ``transfer`` function, combine at join
-points with ``join``, revisit successors whose fact changed.  The
+:class:`ForwardDataflow` implements that fixpoint generically: seed
+facts, propagate along edges through a ``transfer`` function, combine at
+join points with ``join``, revisit successors whose fact changed.  The
 worklist is kept sorted so iteration order — and therefore any
 tie-breaking inside ``join`` — is deterministic, which the byte-stable
 JSON reports depend on.

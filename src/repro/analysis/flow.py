@@ -9,13 +9,6 @@ hold (or break) across module boundaries:
   inline, or iterate an unordered ``set`` — the exact properties behind
   the ``repro replay --shards N`` byte-identity guarantee.  Injectable
   clock/seed seams are declared in an explicit allowlist.
-* ``flow/lock-discipline`` — for every class owning a lock, attributes
-  mutated both inside and outside the inferred guarded regions are
-  flagged, ``*_locked`` helpers must only be called while holding a
-  lock, and inconsistent (or self-deadlocking) acquisition orders are
-  reported.  ``threading.Condition(self._lock)`` aliases to its
-  underlying lock, and private helpers whose every call site holds a
-  lock inherit that guard through the dataflow engine.
 * ``flow/registry-drift`` — cross-checks the ``FAULT_POINTS`` registry
   against actually planted ``fault_point(...)`` call sites, and the
   metric names emitted through ``repro.obs`` against the documented
@@ -32,20 +25,19 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .callgraph import CallGraph, CallSite
-from .dataflow import ForwardDataflow
+from .callgraph import CallGraph
 from .lint import LintViolation
 from .rules import (
     _ALLOWED_RANDOM_ATTRS, _CLOCK_FUNCS, _DATETIME_FUNCS, _NUMPY_ALIASES,
     FaultPointAllowlistRule,
 )
-from .symbols import ClassSymbol, FunctionSymbol, ModuleSymbol, SymbolTable
+from .symbols import FunctionSymbol, ModuleSymbol, SymbolTable
 
 __all__ = [
     "DEFAULT_ENTRY_POINTS", "DETERMINISM_ALLOWLIST", "FLOW_PASSES",
     "FlowProject", "FlowPass", "register_flow_pass", "available_flow_passes",
     "select_flow_passes", "run_flow_passes",
-    "DeterminismFlowPass", "LockDisciplinePass", "RegistryDriftPass",
+    "DeterminismFlowPass", "RegistryDriftPass",
 ]
 
 # The deterministic surfaces: anything these reach must be replayable.
@@ -326,348 +318,6 @@ class DeterminismFlowPass(FlowPass):
                 and len(node.args) == 1 and cls._is_set_expr(node.args[0], set_names):
             return f"{node.func.id}() materializes an unordered set"
         return None
-
-
-# ----------------------------------------------------------------------
-# flow/lock-discipline
-# ----------------------------------------------------------------------
-_MUTATORS = frozenset({
-    "append", "appendleft", "extend", "insert", "pop", "popleft", "popitem",
-    "remove", "discard", "clear", "add", "update", "setdefault",
-    "move_to_end", "sort", "reverse",
-})
-
-
-def _self_attr_of(node: ast.expr) -> str | None:
-    """The first self-rooted attribute of a value chain
-    (``self.X``, ``self.X[k]``, ``self.X.y`` → ``X``)."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id == "self":
-            return node.attr
-        node = node.value
-    return None
-
-
-@dataclass
-class _MethodFacts:
-    """Lexical facts of one method, gathered in a single guarded walk."""
-
-    name: str
-    mutations: list = field(default_factory=list)    # (attr, held, node)
-    acquisitions: list = field(default_factory=list)  # (lock, held, node)
-    calls: list = field(default_factory=list)         # (method, held, node)
-
-
-class _ClassLockModel:
-    """Locks, aliases and per-method facts for one class."""
-
-    def __init__(self, cls: ClassSymbol):
-        self.cls = cls
-        self.alias: dict[str, str] = {}      # attr -> canonical lock attr
-        self.kinds: dict[str, str] = {}      # canonical -> lock|rlock|condition
-        self.methods: dict[str, _MethodFacts] = {}
-        self._discover_locks()
-        if self.alias:
-            for name, method in sorted(cls.methods.items()):
-                self.methods[name] = self._walk_method(method)
-
-    # -- lock discovery ------------------------------------------------
-    @staticmethod
-    def _lock_call_kind(node: ast.expr) -> str | None:
-        if not isinstance(node, ast.Call):
-            return None
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else \
-            func.attr if isinstance(func, ast.Attribute) else ""
-        return {"Lock": "lock", "RLock": "rlock",
-                "Condition": "condition"}.get(name)
-
-    def _discover_locks(self) -> None:
-        conditions: list[tuple[str, str | None]] = []
-        for method in self.cls.methods.values():
-            for node in ast.walk(method.node):
-                if isinstance(node, ast.Assign):
-                    attr = None
-                    for target in node.targets:
-                        attr = attr or _self_attr_of(target)
-                    if attr is None:
-                        continue
-                    kind = self._lock_call_kind(node.value)
-                    if kind in ("lock", "rlock"):
-                        self.alias[attr] = attr
-                        self.kinds[attr] = kind
-                    elif kind == "condition":
-                        backing = None
-                        if node.value.args:
-                            backing = _self_attr_of(node.value.args[0])
-                        conditions.append((attr, backing))
-                elif isinstance(node, (ast.With, ast.AsyncWith)):
-                    for item in node.items:
-                        attr = _self_attr_of(item.context_expr)
-                        if attr is not None and isinstance(item.context_expr,
-                                                          ast.Attribute):
-                            # `with self.X:` — X behaves as a lock even
-                            # when constructed elsewhere (injected).
-                            self.alias.setdefault(attr, attr)
-                            self.kinds.setdefault(attr, "lock")
-        for attr, backing in conditions:
-            if backing is not None and backing in self.alias:
-                self.alias[attr] = self.alias[backing]
-            else:
-                self.alias[attr] = attr
-                self.kinds.setdefault(attr, "condition")
-
-    def canonical(self, attr: str) -> str | None:
-        return self.alias.get(attr)
-
-    @property
-    def locks(self) -> frozenset:
-        return frozenset(self.alias.values())
-
-    # -- guarded walk --------------------------------------------------
-    def _walk_method(self, method: FunctionSymbol) -> _MethodFacts:
-        facts = _MethodFacts(name=method.name)
-        for stmt in method.node.body:
-            self._walk(stmt, frozenset(), facts)
-        return facts
-
-    def _walk(self, stmt: ast.stmt, held: frozenset, facts: _MethodFacts) -> None:
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            inner = held
-            for item in stmt.items:
-                self._scan_expr(item.context_expr, held, facts)
-                attr = _self_attr_of(item.context_expr)
-                lock = self.canonical(attr) if attr else None
-                if lock is not None and isinstance(item.context_expr, ast.Attribute):
-                    facts.acquisitions.append((lock, inner, stmt))
-                    inner = inner | {lock}
-            for child in stmt.body:
-                self._walk(child, inner, facts)
-            return
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            # A nested definition runs later, in an unknown lock context.
-            for child in stmt.body:
-                self._walk(child, frozenset(), facts)
-            return
-        self._record_writes(stmt, held, facts)
-        for field_name, value in ast.iter_fields(stmt):
-            if isinstance(value, list):
-                for child in value:
-                    if isinstance(child, ast.stmt):
-                        self._walk(child, held, facts)
-                    elif isinstance(child, ast.excepthandler):
-                        for handler_stmt in child.body:
-                            self._walk(handler_stmt, held, facts)
-                    elif isinstance(child, ast.expr):
-                        self._scan_expr(child, held, facts)
-            elif isinstance(value, ast.expr):
-                self._scan_expr(value, held, facts)
-
-    def _record_writes(self, stmt: ast.stmt, held: frozenset,
-                       facts: _MethodFacts) -> None:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            targets = [stmt.target]
-        elif isinstance(stmt, ast.Delete):
-            targets = list(stmt.targets)
-        for target in targets:
-            attr = _self_attr_of(target)
-            if attr is not None:
-                facts.mutations.append((attr, held, target))
-
-    def _scan_expr(self, expr: ast.expr, held: frozenset,
-                   facts: _MethodFacts) -> None:
-        for node in ast.walk(expr):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if isinstance(func.value, ast.Name) and func.value.id == "self":
-                if func.attr in self.cls.methods:
-                    facts.calls.append((func.attr, held, node))
-                continue
-            if func.attr in _MUTATORS:
-                attr = _self_attr_of(func.value)
-                if attr is not None:
-                    facts.mutations.append((attr, held, node))
-
-    # -- interprocedural guard inference -------------------------------
-    def entry_guards(self, externally_called: set[str]) -> dict[str, frozenset]:
-        """The locks provably held at entry of each method.
-
-        Public and externally-called methods are seeded unguarded;
-        private helpers start optimistic (all locks) and are reduced by
-        the meet (intersection) over every call site — the classic
-        forward dataflow on the intra-class call graph.
-        """
-        top = self.locks
-
-        def seeded(name: str) -> frozenset:
-            public = not name.startswith("_") or (
-                name.startswith("__") and name.endswith("__"))
-            if public or name in externally_called or name == "__init__":
-                return frozenset()
-            return top
-
-        def successors(name: str):
-            facts = self.methods.get(name)
-            if facts is None:
-                return
-            for callee, held, _node in facts.calls:
-                yield held, callee
-
-        flow: ForwardDataflow[str, frozenset] = ForwardDataflow(
-            successors=successors,
-            transfer=lambda entry, held: entry | held,
-            join=lambda old, new: old & new,
-        )
-        seeds = {name: seeded(name) for name in sorted(self.methods)}
-        solved = flow.solve(seeds)
-        return {name: solved.get(name, top) for name in self.methods}
-
-    def transitive_acquisitions(self) -> dict[str, frozenset]:
-        """Locks each method may acquire, directly or via intra-class calls."""
-        acquired = {name: frozenset(lock for lock, _h, _n in facts.acquisitions)
-                    for name, facts in self.methods.items()}
-        changed = True
-        while changed:
-            changed = False
-            for name, facts in self.methods.items():
-                merged = acquired[name]
-                for callee, _held, _node in facts.calls:
-                    merged = merged | acquired.get(callee, frozenset())
-                if merged != acquired[name]:
-                    acquired[name] = merged
-                    changed = True
-        return acquired
-
-
-@register_flow_pass
-class LockDisciplinePass(FlowPass):
-    """Infer lock-guarded regions and flag undisciplined shared state."""
-
-    name = "flow/lock-discipline"
-    description = ("flag attributes mutated both inside and outside their "
-                   "inferred lock, unguarded *_locked calls, and inconsistent "
-                   "lock acquisition order")
-    hint = ("mutate shared attributes only while holding the class lock; "
-            "acquire multiple locks in one global order")
-
-    def run(self, project: FlowProject) -> list[LintViolation]:
-        violations: list[LintViolation] = []
-        lock_classes = 0
-        for qualname in sorted(project.table.classes):
-            cls = project.table.classes[qualname]
-            model = _ClassLockModel(cls)
-            if not model.alias:
-                continue
-            lock_classes += 1
-            violations.extend(self._check_class(project, cls, model))
-        project.stats["lock_classes"] = lock_classes
-        return violations
-
-    def _externally_called(self, project: FlowProject,
-                           cls: ClassSymbol) -> set[str]:
-        prefix = cls.qualname + "."
-        called: set[str] = set()
-        for caller, sites in project.graph.edges.items():
-            caller_symbol = project.table.functions[caller]
-            if caller_symbol.class_name == cls.qualname:
-                continue
-            for site in sites:
-                if site.callee.startswith(prefix):
-                    called.add(site.callee[len(prefix):])
-        return called
-
-    def _check_class(self, project: FlowProject, cls: ClassSymbol,
-                     model: _ClassLockModel):
-        module = cls.module
-        entry = model.entry_guards(self._externally_called(project, cls))
-        acquired = model.transitive_acquisitions()
-
-        # (a) attributes mutated both guarded and unguarded.
-        writes: dict[str, list[tuple[frozenset, ast.AST, str]]] = {}
-        for name, facts in sorted(model.methods.items()):
-            base = entry[name]
-            for attr, held, node in facts.mutations:
-                if name == "__init__":
-                    continue    # single-threaded construction
-                if attr in model.alias:
-                    if not isinstance(node, ast.Call):
-                        yield self.violation(
-                            module, node,
-                            f"lock attribute self.{attr} reassigned outside "
-                            f"{cls.qualname}.__init__",
-                        )
-                    continue
-                writes.setdefault(attr, []).append((base | held, node, name))
-        for attr in sorted(writes):
-            sites = writes[attr]
-            guarded = sorted({lock for held, _n, _m in sites for lock in held})
-            if not guarded:
-                continue
-            lock = guarded[0]
-            for held, node, method in sites:
-                if not held:
-                    yield self.violation(
-                        module, node,
-                        f"attribute self.{attr} is mutated under self.{lock} "
-                        f"elsewhere but written in {cls.qualname}.{method} "
-                        f"without holding it",
-                    )
-
-        # (b) *_locked helpers must be entered holding a lock.
-        for name, facts in sorted(model.methods.items()):
-            base = entry[name]
-            for callee, held, node in facts.calls:
-                if callee.endswith("_locked") and not (base | held):
-                    yield self.violation(
-                        module, node,
-                        f"{cls.qualname}.{callee} (caller-holds-lock "
-                        f"convention) called from {name} without holding "
-                        f"any lock",
-                    )
-
-        # (c) acquisition order: nested pairs, re-acquisition deadlocks.
-        pairs: dict[tuple[str, str], ast.AST] = {}
-        for name, facts in sorted(model.methods.items()):
-            base = entry[name]
-            for lock, held, node in facts.acquisitions:
-                effective = base | held
-                if lock in effective and model.kinds.get(lock) != "rlock":
-                    yield self.violation(
-                        module, node,
-                        f"{cls.qualname}.{name} re-acquires non-reentrant "
-                        f"self.{lock} while already holding it (deadlock)",
-                    )
-                for outer in sorted(effective - {lock}):
-                    pairs.setdefault((outer, lock), node)
-            for callee, held, node in facts.calls:
-                effective = base | held
-                for inner in sorted(acquired.get(callee, frozenset())):
-                    if inner in effective and model.kinds.get(inner) != "rlock":
-                        yield self.violation(
-                            module, node,
-                            f"{cls.qualname}.{name} calls {callee} which "
-                            f"re-acquires non-reentrant self.{inner} already "
-                            f"held here (deadlock)",
-                        )
-                    for outer in sorted(effective - {inner}):
-                        pairs.setdefault((outer, inner), node)
-        for (first, second) in sorted(pairs):
-            if first < second and (second, first) in pairs:
-                node = pairs[(first, second)]
-                yield self.violation(
-                    module, node,
-                    f"inconsistent lock order in {cls.qualname}: "
-                    f"self.{first} -> self.{second} here but "
-                    f"self.{second} -> self.{first} elsewhere "
-                    f"(line {pairs[(second, first)].lineno})",
-                )
 
 
 # ----------------------------------------------------------------------

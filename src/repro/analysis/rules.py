@@ -257,8 +257,8 @@ class FaultPointAllowlistRule(ConfinedRule):
 @register_rule
 class DirectLLMCallRule(ConfinedRule):
     """The LLM is a supervised dependency, not a convenience: calls that
-    bypass :mod:`repro.llm` skip the traffic-control middleware (cache,
-    coalescing, breaker, retries, rate limit) and the one spec grammar
+    bypass :mod:`repro.llm` skip the traffic-control middleware (breaker,
+    retries, rate limit), the persistent cache and the one spec grammar
     operators configure.  ``repro.llm`` is the sanctioned construction
     site for providers; everything else takes an injected provider and
     never invokes ``.complete``/``.complete_batch`` on one directly."""
@@ -372,13 +372,18 @@ class DirectThreadRule(ConfinedRule):
     construction site — in-process serving is the synchronous engine,
     and parallel serving is ``repro.runtime``'s process executor — so
     every ``threading.Thread`` carries an explicit, reviewable
-    suppression."""
+    suppression.  With no second thread, a lock, condition or event is
+    dead synchronisation, so their construction is flagged the same
+    way."""
 
     name = "direct-thread"
-    description = "forbid threading.Thread(...) construction"
+    description = ("forbid threading.Thread/Lock/RLock/Condition/Event "
+                   "construction")
     hint = "submit work to repro.runtime (or suppress with # lint: disable=direct-thread)"
 
-    callees = dict.fromkeys(("threading.Thread", "Thread"), "threading.Thread")
+    callees = {form: f"threading.{name}"
+               for name in ("Thread", "Lock", "RLock", "Condition", "Event")
+               for form in (f"threading.{name}", name)}
     message = "direct {callee} construction"
 
 

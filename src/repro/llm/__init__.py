@@ -4,9 +4,10 @@ Ships a :class:`SimulatedLLM` stand-in for ChatGPT-4o plus the LEI
 pipeline (prompting, interpretation, operator review/regeneration) and
 the production provider stack: every LLM the pipeline talks to is an
 :class:`LLMProvider` (``complete`` / ``complete_batch``), composed with
-traffic-control middleware — memory cache, request coalescing, circuit
-breaker, hedged retries, rate limiting (:mod:`repro.llm.middleware`) —
-and selected by one CLI-wide spec grammar (:mod:`repro.llm.factory`).
+traffic-control middleware — circuit breaker, hedged retries, rate
+limiting (:mod:`repro.llm.middleware`) — memoized by one persistent
+cache (:class:`CachedLLM`), and selected by one CLI-wide spec grammar
+(:mod:`repro.llm.factory`).
 """
 
 from .prompts import SYSTEM_DESCRIPTIONS, build_interpretation_prompt, extract_log_from_prompt
@@ -15,9 +16,7 @@ from .simulated import SimulatedLLM, fallback_rewrite, normalize_tokens
 from .cache import CachedLLM
 from .middleware import (
     CircuitBreakerMiddleware,
-    CoalescingMiddleware,
     HedgedRetryMiddleware,
-    MemoryCacheMiddleware,
     ProviderMiddleware,
     RateLimitExceeded,
     RateLimitMiddleware,
@@ -38,8 +37,8 @@ __all__ = [
     "CachedLLM",
     "build_interpretation_prompt", "extract_log_from_prompt", "SYSTEM_DESCRIPTIONS",
     "SimulatedLLM", "normalize_tokens", "fallback_rewrite",
-    "ProviderMiddleware", "MemoryCacheMiddleware", "CoalescingMiddleware",
-    "CircuitBreakerMiddleware", "HedgedRetryMiddleware", "RateLimitMiddleware",
+    "ProviderMiddleware", "CircuitBreakerMiddleware", "HedgedRetryMiddleware",
+    "RateLimitMiddleware",
     "RateLimitExceeded", "build_provider_stack", "pattern_fallback",
     "EventInterpreter", "InterpretationReport", "review_interpretation",
     "DEFAULT_SPEC", "parse_provider_spec", "provider_from_spec",

@@ -57,8 +57,7 @@ class CachedLLM(LLMProvider):
 
     Hit/miss/invalidation totals are mirrored into the active
     ``repro.obs`` registry as ``llm.cache.hits`` / ``llm.cache.misses``
-    / ``llm.cache.invalidated`` (plus the legacy spelling
-    ``llm.cache.invalidations``); each quarantined file increments
+    / ``llm.cache.invalidated``; each quarantined file increments
     ``llm.cache.quarantined``, live entry counts track in the
     ``llm.cache.entries`` and ``llm.cache.regenerated_live`` gauges.
     """
@@ -76,10 +75,7 @@ class CachedLLM(LLMProvider):
         registry = get_registry()
         self._hit_counter = registry.counter("llm.cache.hits")
         self._miss_counter = registry.counter("llm.cache.misses")
-        # Canonical invalidation counter plus the legacy spelling older
-        # dashboards scrape; both advance in lockstep.
         self._invalidated_counter = registry.counter("llm.cache.invalidated")
-        self._invalidation_counter = registry.counter("llm.cache.invalidations")
         self._quarantine_counter = registry.counter("llm.cache.quarantined")
         self._entries_gauge = registry.gauge("llm.cache.entries")
         self._regenerated_gauge = registry.gauge("llm.cache.regenerated_live")
@@ -161,8 +157,7 @@ class CachedLLM(LLMProvider):
     def invalidate(self, prompt: str) -> bool:
         """Drop one cached completion (e.g. after a failed operator review).
 
-        Emits ``llm.cache.invalidated`` (and the legacy
-        ``llm.cache.invalidations``) and keeps the entry gauges honest —
+        Emits ``llm.cache.invalidated`` and keeps the entry gauges honest —
         including for entries regenerated after a quarantine, which
         previously stayed counted as live after being dropped.
         """
@@ -170,7 +165,6 @@ class CachedLLM(LLMProvider):
         removed = self._cache.pop(key, None) is not None
         if removed:
             self._invalidated_counter.inc()
-            self._invalidation_counter.inc()
             self._entries_gauge.add(-1)
             if key in self._regenerated:
                 self._regenerated.discard(key)

@@ -67,8 +67,8 @@ class EventInterpreter:
     llm:
         Any :class:`repro.llm.providers.LLMProvider` (the structural
         contract: a callable ``complete``; ``complete_batch`` is used
-        when present, so the middleware stack's batch-aware tiers —
-        memory cache, coalescing — see whole inventories at once).
+        when present, so a batching client sees whole inventories at
+        once).
     max_regenerations:
         Review/regenerate attempts per template before keeping the best
         available output (mirrors the operator workflow in §VI-B2).

@@ -9,24 +9,26 @@ stack composes freely and every call site stays provider-agnostic.
 **Ordering contract** (outermost first — :func:`build_provider_stack`
 enforces it):
 
-1. :class:`MemoryCacheMiddleware` — TTL+LRU memory tier; hits skip the
-   whole stack (and any disk :class:`~repro.llm.cache.CachedLLM` below).
-2. :class:`CoalescingMiddleware` — concurrent identical prompts share
-   one upstream flight; batches dedupe to distinct prompts.
-3. :class:`CircuitBreakerMiddleware` — after ``unhealthy_after``
+1. :class:`CircuitBreakerMiddleware` — after ``unhealthy_after``
    consecutive *budget-exhausted* failures, degrade to the
    pattern-library fallback and probe per the shared
    :class:`~repro.runtime.health.HealthMonitor` state machine.
-4. :class:`HedgedRetryMiddleware` — jittered exponential backoff,
+2. :class:`HedgedRetryMiddleware` — jittered exponential backoff,
    optionally hedging retries to a secondary provider.
-5. :class:`RateLimitMiddleware` — token bucket; every real upstream
+3. :class:`RateLimitMiddleware` — token bucket; every real upstream
    attempt (including retries) pays a token.
 
-Cache above coalescing so the fast path is lock-free; breaker above
-retry so it only counts failures the retry budget could not absorb;
-rate limit innermost so hedges and retries cannot exceed the upstream
-quota.  All activity is mirrored into ``repro.obs`` under
+Breaker above retry so it only counts failures the retry budget could
+not absorb; rate limit innermost so hedges and retries cannot exceed the
+upstream quota.  Memoization is not a tier here: it is
+:class:`~repro.llm.cache.CachedLLM`, which ``--llm cached:path=...``
+places *under* the breaker, so degraded fallback answers never reach
+disk.  All activity is mirrored into ``repro.obs`` under
 ``llm.provider.*``.
+
+A stack is owned by one process (one shard) and is never shared across
+threads, so no tier takes a lock; a stack pickles plainly, and each
+shard process gets its own copy.
 
 Every middleware takes injectable ``clock``/``sleep``/``seed`` knobs, so
 the whole stack is deterministic under test and fuzz harnesses — the
@@ -36,9 +38,6 @@ through this exact composition.
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,14 +48,10 @@ from .providers import LLMProvider, ProviderError
 from .simulated import fallback_rewrite
 
 __all__ = [
-    "ProviderMiddleware", "MemoryCacheMiddleware", "CoalescingMiddleware",
-    "CircuitBreakerMiddleware", "HedgedRetryMiddleware", "RateLimitMiddleware",
-    "RateLimitExceeded", "pattern_fallback", "build_provider_stack",
+    "ProviderMiddleware", "CircuitBreakerMiddleware", "HedgedRetryMiddleware",
+    "RateLimitMiddleware", "RateLimitExceeded", "pattern_fallback",
+    "build_provider_stack",
 ]
-
-
-def _key(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 def _no_sleep(_seconds: float) -> None:
@@ -81,183 +76,6 @@ class ProviderMiddleware(LLMProvider):
 
     def complete_batch(self, prompts: Sequence[str]) -> list[str]:
         return self.inner.complete_batch(prompts)
-
-    # A stack pickles whole (a shard process gets its own copy), but a
-    # lock does not: the copy drops it and makes a fresh one on load.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        if "_lock" in state:
-            state["_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        if "_lock" in state:
-            state = {**state, "_lock": threading.Lock()}
-        self.__dict__.update(state)
-
-
-class MemoryCacheMiddleware(ProviderMiddleware):
-    """TTL + LRU in-memory tier over the (disk-backed) inner provider.
-
-    Entries expire ``ttl`` seconds after insertion (``None`` = never)
-    and the least-recently-used entry is evicted beyond ``capacity``.
-    Counters: ``llm.provider.memcache.{hits,misses,evictions,expired}``.
-    """
-
-    def __init__(self, inner: LLMProvider, *, capacity: int = 4096,
-                 ttl: float | None = None,
-                 clock: Callable[[], float] | None = None, registry=None):
-        super().__init__(inner)
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"ttl must be positive or None, got {ttl}")
-        registry = registry if registry is not None else get_registry()
-        self.capacity = capacity
-        self.ttl = ttl
-        self._clock = clock or registry.clock
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[str, float]] = OrderedDict()
-        self._hits = registry.counter("llm.provider.memcache.hits")
-        self._misses = registry.counter("llm.provider.memcache.misses")
-        self._evictions = registry.counter("llm.provider.memcache.evictions")
-        self._expired = registry.counter("llm.provider.memcache.expired")
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _lookup(self, key: str, now: float) -> str | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses.inc()
-                return None
-            value, expires_at = entry
-            if self.ttl is not None and now >= expires_at:
-                del self._entries[key]
-                self._expired.inc()
-                self._misses.inc()
-                return None
-            self._entries.move_to_end(key)
-            self._hits.inc()
-            return value
-
-    def _store(self, key: str, value: str, now: float) -> None:
-        expires_at = now + self.ttl if self.ttl is not None else float("inf")
-        with self._lock:
-            self._entries[key] = (value, expires_at)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions.inc()
-
-    def complete(self, prompt: str) -> str:
-        now = self._clock()
-        key = _key(prompt)
-        cached = self._lookup(key, now)
-        if cached is not None:
-            return cached
-        value = self.inner.complete(prompt)
-        self._store(key, value, self._clock())
-        return value
-
-    def complete_batch(self, prompts: Sequence[str]) -> list[str]:
-        now = self._clock()
-        results: dict[int, str] = {}
-        missing: list[str] = []
-        missing_first: dict[str, int] = {}
-        pending: dict[int, str] = {}
-        for index, prompt in enumerate(prompts):
-            key = _key(prompt)
-            cached = self._lookup(key, now)
-            if cached is not None:
-                results[index] = cached
-                continue
-            pending[index] = key
-            # Dedupe within the batch: each distinct miss goes upstream once.
-            if key not in missing_first:
-                missing_first[key] = len(missing)
-                missing.append(prompt)
-        if missing:
-            fetched = self.inner.complete_batch(missing)
-            stored_at = self._clock()
-            by_key = {_key(p): value for p, value in zip(missing, fetched)}
-            for key, value in by_key.items():
-                self._store(key, value, stored_at)
-            for index, key in pending.items():
-                results[index] = by_key[key]
-        return [results[index] for index in range(len(prompts))]
-
-
-class _Flight:
-    """One in-flight upstream completion shared by coalesced callers."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.value: str | None = None
-        self.error: BaseException | None = None
-
-
-class CoalescingMiddleware(ProviderMiddleware):
-    """Deduplicates identical in-flight prompts.
-
-    The first caller of a prompt becomes the *leader* and performs the
-    upstream call; concurrent callers of the same prompt wait on the
-    leader's flight and share its result (or its failure).  Batches are
-    deduplicated to their distinct prompts before going upstream.  Each
-    avoided upstream call increments ``llm.provider.coalesced``.
-    """
-
-    def __init__(self, inner: LLMProvider, *, registry=None):
-        super().__init__(inner)
-        registry = registry if registry is not None else get_registry()
-        self._lock = threading.Lock()
-        self._inflight: dict[str, _Flight] = {}
-        self._coalesced = registry.counter("llm.provider.coalesced")
-        self._leaders = registry.counter("llm.provider.coalesce.leaders")
-
-    def complete(self, prompt: str) -> str:
-        key = _key(prompt)
-        with self._lock:
-            flight = self._inflight.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._inflight[key] = flight
-                leader = True
-            else:
-                leader = False
-        if not leader:
-            flight.event.wait()
-            self._coalesced.inc()
-            if flight.error is not None:
-                raise flight.error
-            return flight.value
-        self._leaders.inc()
-        try:
-            flight.value = self.inner.complete(prompt)
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-            flight.event.set()
-        return flight.value
-
-    def complete_batch(self, prompts: Sequence[str]) -> list[str]:
-        order: dict[str, int] = {}
-        unique: list[str] = []
-        for prompt in prompts:
-            if prompt not in order:
-                order[prompt] = len(unique)
-                unique.append(prompt)
-        duplicates = len(prompts) - len(unique)
-        if duplicates:
-            self._coalesced.inc(duplicates)
-        fetched = self.inner.complete_batch(unique)
-        return [fetched[order[prompt]] for prompt in prompts]
 
 
 class CircuitBreakerMiddleware(ProviderMiddleware):
@@ -418,7 +236,6 @@ class RateLimitMiddleware(ProviderMiddleware):
         self.block = block
         self._clock = clock or registry.clock
         self._sleep = sleep if sleep is not None else _no_sleep
-        self._lock = threading.Lock()
         self._tokens = float(burst)
         self._refilled_at = self._clock()
         self._throttled = registry.counter("llm.provider.throttled")
@@ -427,9 +244,8 @@ class RateLimitMiddleware(ProviderMiddleware):
     @property
     def tokens(self) -> float:
         """Current token balance (refilled to now) — for tests/ops."""
-        with self._lock:
-            self._refill(self._clock())
-            return self._tokens
+        self._refill(self._clock())
+        return self._tokens
 
     def _refill(self, now: float) -> None:
         # Skew guard: elapsed is clamped at zero and the origin never
@@ -442,12 +258,11 @@ class RateLimitMiddleware(ProviderMiddleware):
     def _acquire(self) -> None:
         throttled = False
         while True:
-            with self._lock:
-                self._refill(self._clock())
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                needed = (1.0 - self._tokens) / self.rate
+            self._refill(self._clock())
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
+                return
+            needed = (1.0 - self._tokens) / self.rate
             if not self.block:
                 self._throttled.inc()
                 raise RateLimitExceeded(
@@ -472,8 +287,6 @@ class RateLimitMiddleware(ProviderMiddleware):
 
 def build_provider_stack(
     provider: LLMProvider, *,
-    memory_cache: bool = True, capacity: int = 4096, ttl: float | None = None,
-    coalesce: bool = True,
     breaker: bool = True, unhealthy_after: int = 3, cooldown: float = 30.0,
     fallback: Callable[[str], str] | None = None,
     max_retries: int = 2, hedge: LLMProvider | None = None,
@@ -485,7 +298,7 @@ def build_provider_stack(
     """Compose the full middleware stack in contract order.
 
     ``rate=None`` disables the token bucket, ``max_retries=0`` the retry
-    tier, and the boolean switches the rest; what remains always nests
+    tier, and ``breaker=False`` the breaker; what remains always nests
     per the module-level ordering contract.  The shared ``clock`` /
     ``sleep`` / ``seed`` knobs keep a fully-enabled stack deterministic
     (``repro replay`` is byte-identical with the stack on).
@@ -507,9 +320,4 @@ def build_provider_stack(
                                            unhealthy_after=unhealthy_after,
                                            cooldown=cooldown, clock=clock,
                                            registry=registry)
-    if coalesce:
-        stacked = CoalescingMiddleware(stacked, registry=registry)
-    if memory_cache:
-        stacked = MemoryCacheMiddleware(stacked, capacity=capacity, ttl=ttl,
-                                        clock=clock, registry=registry)
     return stacked

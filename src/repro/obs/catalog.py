@@ -47,21 +47,14 @@ METRIC_NAMES = frozenset({
     "llm.cache.entries",
     "llm.cache.hits",
     "llm.cache.invalidated",
-    "llm.cache.invalidations",
     "llm.cache.misses",
     "llm.cache.quarantined",
     "llm.cache.regenerated_live",
     "llm.provider.breaker.closed",
     "llm.provider.breaker.opened",
     "llm.provider.breaker.probes",
-    "llm.provider.coalesce.leaders",
-    "llm.provider.coalesced",
     "llm.provider.degraded",
     "llm.provider.hedged",
-    "llm.provider.memcache.evictions",
-    "llm.provider.memcache.expired",
-    "llm.provider.memcache.hits",
-    "llm.provider.memcache.misses",
     "llm.provider.retries",
     "llm.provider.throttle_wait_seconds",
     "llm.provider.throttled",

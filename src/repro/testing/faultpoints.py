@@ -62,8 +62,8 @@ FAULT_POINTS: dict[str, str] = {
     "llm.cache.load": "repro/llm/cache.py",
     # LLM completions: hallucination bursts corrupt the returned text.
     "llm.simulated.complete": "repro/llm/simulated.py",
-    # Provider boundary: attack the middleware stack (cache, coalescing,
-    # breaker, retries) with corrupted upstream completions.
+    # Provider boundary: attack the middleware stack (breaker, retries)
+    # with corrupted upstream completions.
     "llm.provider.complete": "repro/llm/providers.py",
     # Training step: corrupt the assembled loss (NaN/Inf injection).
     "core.trainer.loss": "repro/core/trainer.py",

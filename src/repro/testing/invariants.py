@@ -429,8 +429,7 @@ def check_flaky_provider(context: CheckContext) -> InvariantResult:
     use_breaker = "breaker" not in context.broken
     stack2 = build_provider_stack(outage, breaker=use_breaker,
                                   unhealthy_after=2, cooldown=1e9,
-                                  max_retries=1, memory_cache=False,
-                                  coalesce=False, seed=context.seed,
+                                  max_retries=1, seed=context.seed,
                                   clock=lambda: 0.0, registry=registry2)
     try:
         degraded = [stack2.complete(p) for p in prompts]

@@ -1,6 +1,7 @@
-"""Dataflow engine tests: both lattices the passes rely on (growing
-reachability chains, shrinking lock-set intersections), determinism of
-the worklist, and the non-convergence guard."""
+"""Dataflow engine tests: the growing reachability chains the
+determinism pass relies on, a shrinking set-intersection lattice (the
+engine is lattice-generic), determinism of the worklist, and the
+non-convergence guard."""
 
 import pytest
 

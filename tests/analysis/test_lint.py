@@ -153,30 +153,34 @@ class TestForwardConventions:
 
 
 class TestDirectThread:
+    PRIMITIVES = ("Thread", "Lock", "RLock", "Condition", "Event")
+
     def test_flags_attribute_form(self):
-        text = (
-            "import threading\n"
-            "t = threading.Thread(target=work)\n"
-        )
-        assert codes(text) == ["direct-thread"]
+        for name in self.PRIMITIVES:
+            text = (
+                "import threading\n"
+                f"t = threading.{name}()\n"
+            )
+            assert codes(text) == ["direct-thread"], name
 
     def test_flags_bare_name_form(self):
-        text = (
-            "from threading import Thread\n"
-            "t = Thread(target=work)\n"
-        )
-        assert codes(text) == ["direct-thread"]
+        for name in self.PRIMITIVES:
+            text = (
+                f"from threading import {name}\n"
+                f"t = {name}()\n"
+            )
+            assert codes(text) == ["direct-thread"], name
 
     def test_runtime_package_is_not_exempt(self):
         text = "import threading\nt = threading.Thread(target=work)\n"
         violations = lint_source(text, path="src/repro/runtime/engine.py")
         assert [v.rule for v in violations] == ["direct-thread"]
 
-    def test_other_threading_primitives_allowed(self):
+    def test_non_constructing_threading_calls_allowed(self):
         text = (
             "import threading\n"
-            "lock = threading.Lock()\n"
-            "event = threading.Event()\n"
+            "alive = threading.enumerate()\n"
+            "me = threading.get_ident()\n"
         )
         assert codes(text) == []
 
@@ -697,7 +701,6 @@ class TestCliFlowIntegration:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "flow/determinism" in out
-        assert "flow/lock-discipline" in out
         assert "flow/registry-drift" in out
 
     def test_select_flow_wildcard_runs_clean_on_src(self, capsys):

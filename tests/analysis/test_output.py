@@ -45,7 +45,7 @@ class TestSarif:
         assert run["tool"]["driver"]["name"] == "repro-lint"
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
         assert {"wall-clock-call", "flow/determinism",
-                "flow/lock-discipline", "flow/registry-drift"} <= rule_ids
+                "flow/registry-drift"} <= rule_ids
         result = run["results"][0]
         assert result["ruleId"] == "wall-clock-call"
         location = result["locations"][0]["physicalLocation"]

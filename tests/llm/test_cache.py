@@ -145,7 +145,6 @@ class TestRegistryCounters:
         cached.invalidate("B")
         assert registry.counter("llm.cache.hits").value == 1.0
         assert registry.counter("llm.cache.misses").value == 2.0
-        assert registry.counter("llm.cache.invalidations").value == 1.0
         # Mirrors the plain attributes.
         assert cached.hits == 1 and cached.misses == 2
 
@@ -166,7 +165,6 @@ class TestRegistryCounters:
         assert registry.gauge("llm.cache.entries").value == 2.0
         assert cached.invalidate("A")
         assert registry.counter("llm.cache.invalidated").value == 1.0
-        assert registry.counter("llm.cache.invalidations").value == 1.0  # legacy
         assert registry.gauge("llm.cache.entries").value == 1.0
         # A miss on a prompt that was never cached moves nothing.
         assert not cached.invalidate("A")

@@ -10,7 +10,7 @@ from repro.llm.factory import (
     provider_from_spec,
     resolve_provider,
 )
-from repro.llm.middleware import MemoryCacheMiddleware
+from repro.llm.middleware import CircuitBreakerMiddleware, HedgedRetryMiddleware
 
 
 class TestSpecGrammar:
@@ -79,7 +79,7 @@ class TestProviderFromSpec:
 class TestResolveProvider:
     def test_default_spec_is_simulated_behind_the_stack(self):
         provider = resolve_provider(None, seed=5)
-        assert isinstance(provider, MemoryCacheMiddleware)
+        assert isinstance(provider, CircuitBreakerMiddleware)
         assert DEFAULT_SPEC == "simulated"
         assert provider.complete("x") == default_provider(seed=5).complete("x")
 
@@ -90,7 +90,7 @@ class TestResolveProvider:
     def test_cache_sits_under_the_middleware_stack(self, tmp_path):
         path = tmp_path / "cache.json"
         provider = resolve_provider(f"cached:path={path}")
-        assert isinstance(provider, MemoryCacheMiddleware)
+        assert isinstance(provider, CircuitBreakerMiddleware)
         layer = provider
         while not isinstance(layer, CachedLLM):
             layer = layer.inner
@@ -98,3 +98,25 @@ class TestResolveProvider:
         assert layer.autosave
         provider.complete("p")
         assert path.exists()
+
+    def test_cached_spec_has_one_memoizing_layer_and_no_pickling_shim(
+            self, tmp_path):
+        from repro.llm.prompts import build_interpretation_prompt
+
+        provider = resolve_provider(f"cached:path={tmp_path / 'cache.json'}")
+        chain = [provider]
+        while hasattr(chain[-1], "inner"):
+            chain.append(chain[-1].inner)
+        assert [type(layer) for layer in chain] == [
+            CircuitBreakerMiddleware, HedgedRetryMiddleware, CachedLLM,
+            SimulatedLLM]
+        # A repeated prompt is memoized by CachedLLM and nowhere above it.
+        cache = chain[2]
+        prompt = build_interpretation_prompt("bgl", "rts panic! - reason 1")
+        assert provider.complete(prompt) == provider.complete(prompt)
+        assert (cache.misses, cache.hits) == (1, 1)
+        # Every layer pickles plainly: none overrides object.__getstate__.
+        for layer in chain:
+            assert not any("__getstate__" in vars(klass)
+                           for klass in type(layer).__mro__
+                           if klass is not object)

@@ -1,16 +1,10 @@
 """Traffic-control middleware stack over LLM providers."""
 
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro.llm.middleware import (
     CircuitBreakerMiddleware,
-    CoalescingMiddleware,
     HedgedRetryMiddleware,
-    MemoryCacheMiddleware,
     RateLimitExceeded,
     RateLimitMiddleware,
     build_provider_stack,
@@ -27,7 +21,6 @@ class _Counting(LLMProvider):
 
     def __init__(self, fail_first: int = 0, answer: str = "ok"):
         self.calls = 0
-        self.batch_calls = 0
         self.fail_first = fail_first
         self.answer = answer
 
@@ -37,10 +30,6 @@ class _Counting(LLMProvider):
             raise ProviderError(f"down (call {self.calls})")
         return f"{self.answer}: {prompt}"
 
-    def complete_batch(self, prompts):
-        self.batch_calls += 1
-        return [self.complete(prompt) for prompt in prompts]
-
 
 class _Clock:
     def __init__(self, now: float = 0.0):
@@ -48,118 +37,6 @@ class _Clock:
 
     def __call__(self) -> float:
         return self.now
-
-
-class TestMemoryCache:
-    def test_repeat_prompt_served_from_memory(self):
-        inner = _Counting()
-        registry = MetricsRegistry()
-        cache = MemoryCacheMiddleware(inner, registry=registry)
-        assert cache.complete("p") == cache.complete("p")
-        assert inner.calls == 1
-        assert registry.counter("llm.provider.memcache.hits").value == 1.0
-        assert registry.counter("llm.provider.memcache.misses").value == 1.0
-
-    def test_ttl_expires_entries(self):
-        inner, clock = _Counting(), _Clock()
-        registry = MetricsRegistry()
-        cache = MemoryCacheMiddleware(inner, ttl=10.0, clock=clock,
-                                      registry=registry)
-        cache.complete("p")
-        clock.now = 9.9
-        cache.complete("p")
-        assert inner.calls == 1
-        clock.now = 10.0
-        cache.complete("p")
-        assert inner.calls == 2
-        assert registry.counter("llm.provider.memcache.expired").value == 1.0
-
-    def test_lru_eviction_beyond_capacity(self):
-        inner = _Counting()
-        registry = MetricsRegistry()
-        cache = MemoryCacheMiddleware(inner, capacity=2, registry=registry)
-        cache.complete("a")
-        cache.complete("b")
-        cache.complete("a")  # refresh a; b is now least-recent
-        cache.complete("c")  # evicts b
-        assert len(cache) == 2
-        cache.complete("a")
-        assert inner.calls == 3  # a still cached
-        cache.complete("b")
-        assert inner.calls == 4  # b was evicted
-        assert registry.counter("llm.provider.memcache.evictions").value == 2.0
-
-    def test_batch_dedupes_misses_and_preserves_order(self):
-        inner = _Counting()
-        cache = MemoryCacheMiddleware(inner, registry=MetricsRegistry())
-        cache.complete("a")
-        got = cache.complete_batch(["a", "b", "a", "b", "c"])
-        assert got == ["ok: a", "ok: b", "ok: a", "ok: b", "ok: c"]
-        assert inner.calls == 3  # a from memory; b and c upstream once each
-        assert inner.batch_calls == 1
-
-    def test_validates_knobs(self):
-        with pytest.raises(ValueError, match="capacity"):
-            MemoryCacheMiddleware(_Counting(), capacity=0,
-                                  registry=MetricsRegistry())
-        with pytest.raises(ValueError, match="ttl"):
-            MemoryCacheMiddleware(_Counting(), ttl=0.0,
-                                  registry=MetricsRegistry())
-
-
-class _Gate(LLMProvider):
-    """Blocks every completion until the test opens the gate."""
-
-    def __init__(self):
-        self.calls = 0
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def complete(self, prompt: str) -> str:
-        self.calls += 1
-        self.entered.set()
-        assert self.release.wait(timeout=10.0)
-        return f"gated: {prompt}"
-
-
-class TestCoalescing:
-    N = 8
-
-    def test_concurrent_identical_prompts_share_one_upstream_call(self):
-        inner = _Gate()
-        registry = MetricsRegistry()
-        stack = CoalescingMiddleware(inner, registry=registry)
-        with ThreadPoolExecutor(max_workers=self.N) as pool:
-            futures = [pool.submit(stack.complete, "hot prompt")
-                       for _ in range(self.N)]
-            assert inner.entered.wait(timeout=10.0)
-            # Followers park on the leader's flight; give them a beat to
-            # register before the upstream call is allowed to finish.
-            time.sleep(0.2)
-            inner.release.set()
-            results = [future.result(timeout=10.0) for future in futures]
-        assert results == ["gated: hot prompt"] * self.N
-        assert inner.calls == 1
-        assert registry.counter("llm.provider.coalesced").value == self.N - 1
-        assert registry.counter("llm.provider.coalesce.leaders").value == 1.0
-
-    def test_leader_failure_is_shared_then_flight_clears(self):
-        inner = _Counting(fail_first=1)
-        stack = CoalescingMiddleware(inner, registry=MetricsRegistry())
-        with pytest.raises(ProviderError):
-            stack.complete("p")
-        # The failed flight is not cached: the next call goes upstream.
-        assert stack.complete("p") == "ok: p"
-        assert inner.calls == 2
-
-    def test_batch_dedupes_to_distinct_prompts(self):
-        inner = _Counting()
-        registry = MetricsRegistry()
-        stack = CoalescingMiddleware(inner, registry=registry)
-        got = stack.complete_batch(["a", "b", "a", "a"])
-        assert got == ["ok: a", "ok: b", "ok: a", "ok: a"]
-        assert inner.calls == 2
-        assert registry.counter("llm.provider.coalesced").value == 2.0
 
 
 class TestCircuitBreaker:
@@ -375,28 +252,34 @@ class TestBuildProviderStack:
         while hasattr(layer, "inner"):
             layers.append(type(layer))
             layer = layer.inner
-        assert layers == [MemoryCacheMiddleware, CoalescingMiddleware,
-                          CircuitBreakerMiddleware, HedgedRetryMiddleware,
+        assert layers == [CircuitBreakerMiddleware, HedgedRetryMiddleware,
                           RateLimitMiddleware]
         assert layer is inner
 
     def test_switches_remove_tiers(self):
-        stack = build_provider_stack(
-            _Counting(), memory_cache=False, coalesce=False, breaker=False,
-            max_retries=0, registry=MetricsRegistry())
-        assert not isinstance(stack, (MemoryCacheMiddleware,
-                                      CoalescingMiddleware))
-        assert isinstance(stack, _Counting)
+        inner = _Counting()
+        stack = build_provider_stack(inner, breaker=False,
+                                     registry=MetricsRegistry())
+        assert isinstance(stack, HedgedRetryMiddleware)
+        assert stack.inner is inner
+        assert build_provider_stack(inner, breaker=False, max_retries=0,
+                                    registry=MetricsRegistry()) is inner
 
     def test_full_stack_is_deterministic_and_transparent(self):
         prompt = build_interpretation_prompt(
             "bgl", "rts panic! - stopping execution, reason 1")
         bare = SimulatedLLM(seed=4).complete(prompt)
+        clock = _Clock()
+
+        def sleep(seconds):
+            clock.now += seconds
+
         stack = build_provider_stack(SimulatedLLM(seed=4), rate=100.0,
-                                     clock=_Clock(), seed=4,
+                                     clock=clock, sleep=sleep, seed=4,
                                      registry=MetricsRegistry())
         assert stack.complete(prompt) == bare
-        assert stack.complete(prompt) == bare  # memory-cache path
+        assert stack.complete(prompt) == bare  # waits out the token bucket
+        assert clock.now == pytest.approx(0.01)
 
     def test_absorbs_a_flaky_upstream_byte_identically(self):
         prompt = build_interpretation_prompt(
@@ -407,9 +290,9 @@ class TestBuildProviderStack:
                                      seed=2, registry=MetricsRegistry())
         assert stack.complete(prompt) == golden
 
-    def test_a_pickled_stack_completes_like_the_original(self):
-        """A shard process gets a pickled copy of the provider stack: the
-        locks are rebuilt on load and completions do not change."""
+    def test_a_pickled_stack_completes_like_the_original(self, tmp_path):
+        """A shard process gets a pickled copy of the provider stack, warm
+        cache included: the copy answers exactly like the original."""
         import pickle
 
         from repro.llm.factory import resolve_provider
@@ -417,10 +300,9 @@ class TestBuildProviderStack:
         prompts = [build_interpretation_prompt("bgl", line) for line in (
             "rts panic! - stopping execution, reason 1",
             "ciod: error reading message prefix after lostconnection")]
-        original = resolve_provider("simulated", middleware=True)
-        original.complete(prompts[0])  # a warm memory tier pickles too
+        original = resolve_provider(f"cached:path={tmp_path / 'cache.json'}")
+        original.complete(prompts[0])  # a warm cache pickles too
         copy = pickle.loads(pickle.dumps(original))
-        assert copy._lock is not original._lock
         assert [copy.complete(p) for p in prompts] == \
             [original.complete(p) for p in prompts]
         assert copy.complete_batch(prompts) == original.complete_batch(prompts)
@@ -432,8 +314,7 @@ class TestBuildProviderStack:
             "bgl", "rts panic! - stopping execution, reason 1")
         outage = FlakyLLM(error_rate=1.0, seed=0)
         registry = MetricsRegistry()
-        stack = build_provider_stack(outage, memory_cache=False,
-                                     unhealthy_after=1, cooldown=1e9,
+        stack = build_provider_stack(outage, unhealthy_after=1, cooldown=1e9,
                                      max_retries=1, clock=_Clock(),
                                      registry=registry)
         got = [stack.complete(prompt) for _ in range(5)]
