@@ -385,7 +385,7 @@ def _print_runtime_summary(runtime, records: int, reports: int) -> None:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     from .logs import load_records
-    from .runtime import render_reports, report_sort_key
+    from .runtime import render_reports
 
     records = load_records(args.logs)
     if not records:
@@ -401,7 +401,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         # stop() drains; under process it also reaps the worker
         # processes.
         reports = runtime.stop()
-        reports.sort(key=report_sort_key)
         rendered = render_reports(reports)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -415,7 +414,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .logs import load_records
-    from .runtime import render_reports, report_sort_key
+    from .runtime import render_reports
 
     records = load_records(args.logs)
     if not records:
@@ -432,7 +431,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             runtime.submit(record)
         reports = runtime.stop()
         elapsed = clock() - started
-        reports.sort(key=report_sort_key)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(render_reports(reports))

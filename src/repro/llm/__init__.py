@@ -4,8 +4,8 @@ Ships a :class:`SimulatedLLM` stand-in for ChatGPT-4o plus the LEI
 pipeline (prompting, interpretation, operator review/regeneration) and
 the production provider stack: every LLM the pipeline talks to is an
 :class:`LLMProvider` (``complete`` / ``complete_batch``), composed with
-traffic-control middleware — circuit breaker, hedged retries, rate
-limiting (:mod:`repro.llm.middleware`) — memoized by one persistent
+traffic-control middleware — a circuit breaker over bounded retries
+(:mod:`repro.llm.middleware`) — memoized by one persistent
 cache (:class:`CachedLLM`), and selected by one CLI-wide spec grammar
 (:mod:`repro.llm.factory`).
 """
@@ -16,10 +16,8 @@ from .simulated import SimulatedLLM, fallback_rewrite, normalize_tokens
 from .cache import CachedLLM
 from .middleware import (
     CircuitBreakerMiddleware,
-    HedgedRetryMiddleware,
     ProviderMiddleware,
-    RateLimitExceeded,
-    RateLimitMiddleware,
+    RetryMiddleware,
     build_provider_stack,
     pattern_fallback,
 )
@@ -37,9 +35,8 @@ __all__ = [
     "CachedLLM",
     "build_interpretation_prompt", "extract_log_from_prompt", "SYSTEM_DESCRIPTIONS",
     "SimulatedLLM", "normalize_tokens", "fallback_rewrite",
-    "ProviderMiddleware", "CircuitBreakerMiddleware", "HedgedRetryMiddleware",
-    "RateLimitMiddleware",
-    "RateLimitExceeded", "build_provider_stack", "pattern_fallback",
+    "ProviderMiddleware", "CircuitBreakerMiddleware", "RetryMiddleware",
+    "build_provider_stack", "pattern_fallback",
     "EventInterpreter", "InterpretationReport", "review_interpretation",
     "DEFAULT_SPEC", "parse_provider_spec", "provider_from_spec",
     "default_provider", "resolve_provider",

@@ -114,9 +114,7 @@ def default_provider(seed: int = 0) -> LLMProvider:
 
 
 def resolve_provider(spec: str | None, *, seed: int = 0,
-                     middleware: bool = True,
-                     sleep: Callable[[float], None] | None = None,
-                     ) -> LLMProvider:
+                     middleware: bool = True) -> LLMProvider:
     """Resolve CLI flags into a ready-to-use provider.
 
     ``middleware=False`` skips the traffic-control stack (the spec'd
@@ -124,5 +122,5 @@ def resolve_provider(spec: str | None, *, seed: int = 0,
     """
     provider = provider_from_spec(spec or DEFAULT_SPEC, seed=seed)
     if middleware:
-        provider = build_provider_stack(provider, seed=seed, sleep=sleep)
+        provider = build_provider_stack(provider, seed=seed)
     return provider

@@ -54,10 +54,7 @@ METRIC_NAMES = frozenset({
     "llm.provider.breaker.opened",
     "llm.provider.breaker.probes",
     "llm.provider.degraded",
-    "llm.provider.hedged",
     "llm.provider.retries",
-    "llm.provider.throttle_wait_seconds",
-    "llm.provider.throttled",
     # repro.core.onboard — shadow-gated live onboarding
     "onboard.promoted",
     "onboard.rejected",

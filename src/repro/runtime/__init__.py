@@ -57,7 +57,7 @@ from .replay import render_reports, replay_records, report_sort_key
 from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingWindow
 from .shard import UnifiedLog, normalize_record
-from .supervisor import RespawnPolicy, WorkerSupervisor
+from .supervisor import WorkerSupervisor
 from .worker import (
     EnsembleWorker,
     FlakyWorker,
@@ -73,7 +73,7 @@ __all__ = [
     "ShardRouter",
     "UnifiedLog", "normalize_record",
     "MicroBatchScheduler", "PendingWindow",
-    "WorkerSupervisor", "RespawnPolicy", "WorkerError",
+    "WorkerSupervisor", "WorkerError",
     "ModelWorker", "SyntheticWorker", "EnsembleWorker", "FlakyWorker", "message_event",
     "admission_event_fn",
     "ProcessShardExecutor",

@@ -136,16 +136,11 @@ class InferenceRuntime:
                  shards: int = 1, window: int = 10, step: int = 5,
                  max_batch: int = 16, max_latency: float | None = None,
                  backpressure: str = "block",
-                 poll_interval: float = 0.05,
                  executor: str = "sync",
-                 respawn_policy=None,
                  supervisor_options: dict | None = None,
-                 fallback_threshold: float = 0.5,
-                 max_patterns: int = 100_000,
                  registry: MetricsRegistry | None = None,
                  prefix: str = "runtime",
-                 on_report: Callable[[AnomalyReport], None] | None = None,
-                 gate: bool = True):
+                 on_report: Callable[[AnomalyReport], None] | None = None):
         if executor not in ("sync", "process"):
             raise ValueError(f"unknown executor {executor!r}; "
                              "expected sync|process")
@@ -182,15 +177,11 @@ class InferenceRuntime:
 
             self._process = ProcessShardExecutor(
                 worker_factory, shards=shards,
-                event_fn=event_fn, emit=self._emit, gate=gate,
+                event_fn=event_fn, emit=self._emit,
                 window=window, step=step, max_batch=max_batch,
                 max_latency=max_latency,
                 supervisor_options=supervisor_options,
-                fallback_threshold=fallback_threshold,
-                max_patterns=max_patterns,
                 registry=registry, prefix=prefix,
-                poll_interval=poll_interval,
-                respawn_policy=respawn_policy,
             )
             return
         for index in range(shards):
@@ -203,9 +194,7 @@ class InferenceRuntime:
                 event_fn=event_fn, emit=self._emit, registry=registry,
                 window=window, step=step,
                 max_batch=max_batch, max_latency=max_latency,
-                fallback_threshold=fallback_threshold,
-                max_patterns=max_patterns,
-                prefix=prefix, spans=True, gate=gate,
+                prefix=prefix, spans=True,
             ))
 
     # ------------------------------------------------------------------
@@ -234,12 +223,10 @@ class InferenceRuntime:
     def from_ensemble(cls, ensemble, **kwargs) -> "InferenceRuntime":
         """Build a runtime over a :class:`repro.detectors.Ensemble`.
 
-        The pattern gate is forced off: rate- and novelty-based members
-        (EWMA, LOF) derive their verdicts from per-system rolling state,
-        so memoizing a window pattern's first verdict would both starve
-        the baselines and serve stale answers.  Every window reaches the
-        ensemble, one micro-batch per
-        :meth:`~repro.detectors.Ensemble.score_windows` call; its rule
+        Its :class:`~repro.runtime.worker.EnsembleWorker` is ungated
+        (``gated = False``), so every window reaches the ensemble, one
+        micro-batch per :meth:`~repro.detectors.Ensemble.score_windows`
+        call; its rule
         and LOF members reuse the per-line work of each system's previous
         window.  When the ensemble has a live model member, records
         are admitted through that pipeline's per-system parse, as in
@@ -251,7 +238,6 @@ class InferenceRuntime:
         loads its own copy — per-system state plus system-sticky routing
         keeps replay byte-identical across shard counts and executors.
         """
-        kwargs["gate"] = False
         return cls(lambda index: EnsembleWorker(ensemble),
                    event_fn=admission_event_fn(ensemble.pipeline), **kwargs)
 
@@ -371,7 +357,7 @@ class InferenceRuntime:
                                "runtimes score on submit() and drain()")
         self._process.ensure_started()
 
-    def stop(self, timeout: float | None = 30.0) -> list[AnomalyReport]:
+    def stop(self) -> list[AnomalyReport]:
         """Finish the stream and return its reports.
 
         Process mode drains and reaps the shard processes; sync mode
@@ -379,5 +365,5 @@ class InferenceRuntime:
         """
         if self._process is None:
             return self.drain()
-        self._process.stop(timeout)
+        self._process.stop()
         return self._sorted_reports()

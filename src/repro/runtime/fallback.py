@@ -19,13 +19,15 @@ from .scheduler import PendingWindow
 
 __all__ = ["PatternFallback"]
 
+# Degraded windows score 1.0 (an alarming id) or 0.0 against this.
+THRESHOLD = 0.5
+
 
 class PatternFallback:
     """Scores novel windows from remembered verdicts while degraded."""
 
-    def __init__(self, library, threshold: float = 0.5):
+    def __init__(self, library):
         self.library = library
-        self.threshold = threshold
         self._alarming: frozenset[int] = frozenset()
         self._built_from = -1
 
@@ -49,7 +51,7 @@ class PatternFallback:
         report = build_report(
             system=pending.system,
             score=score,
-            threshold=self.threshold,
+            threshold=THRESHOLD,
             messages=messages,
             interpretations=messages,
             timestamps=[entry.timestamp for entry in pending.window],

@@ -11,7 +11,7 @@ must open, probe and close the way a supervised worker does:
   ``cooldown`` seconds (by the injected clock) have elapsed.
 * **half-open probe** — the first call after the cooldown is a probe:
   success closes the breaker, failure doubles the cooldown (capped at
-  ``backoff_cap``, 16x by default).
+  ``BACKOFF_CAP``, 16x).
 
 The monitor is pure bookkeeping: it never reads a clock on its own
 (every transition takes ``now`` from the caller) and never counts
@@ -25,21 +25,20 @@ from __future__ import annotations
 
 __all__ = ["HealthMonitor"]
 
+# Most a failed probe may stretch the cooldown: 16x the base.
+BACKOFF_CAP = 16
+
 
 class HealthMonitor:
     """Failure-streak / cooldown / probe state shared by degradation points."""
 
-    def __init__(self, *, unhealthy_after: int = 3, cooldown: float = 1.0,
-                 backoff_cap: int = 16):
+    def __init__(self, *, unhealthy_after: int = 3, cooldown: float = 1.0):
         if unhealthy_after <= 0:
             raise ValueError(f"unhealthy_after must be positive, got {unhealthy_after}")
         if cooldown < 0:
             raise ValueError(f"cooldown must be non-negative, got {cooldown}")
-        if backoff_cap < 1:
-            raise ValueError(f"backoff_cap must be >= 1, got {backoff_cap}")
         self.unhealthy_after = unhealthy_after
         self.cooldown = cooldown
-        self.backoff_cap = backoff_cap
         self.healthy = True
         self.bad_streak = 0
         self.probe_failures = 0
@@ -92,5 +91,5 @@ class HealthMonitor:
     def probe_failed(self, now: float) -> None:
         """Half-open probe failed: stay open, back the cooldown off."""
         self.probe_failures += 1
-        backoff = self.cooldown * min(2 ** self.probe_failures, self.backoff_cap)
+        backoff = self.cooldown * min(2 ** self.probe_failures, BACKOFF_CAP)
         self.retry_at = now + backoff

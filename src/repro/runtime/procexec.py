@@ -51,10 +51,12 @@ This module runs each shard in its own **worker process**:
   swap at its position.  The respawned child recomputes every window
   with the weights the first child scored it with; the parent
   deduplicates on window id, so nothing is lost and nothing is emitted
-  twice.  If respawning is
-  exhausted (:class:`~repro.runtime.supervisor.RespawnPolicy`), the
+  twice.  After ``_SPAWN_ATTEMPTS`` consecutive failed launches, or
+  once a shard has been respawned ``_MAX_RESTARTS`` times over the run
+  (so a crash-looping worker cannot refeed its journal forever), the
   shard degrades to a parent-side pattern-library fallback — the same
-  degraded path an unhealthy in-process worker takes.
+  degraded path an unhealthy in-process worker takes, gated exactly as
+  the served worker was.
 
 The ``multiprocessing`` constructions here are the only ones the
 project permits — the ``direct-process`` lint rule enforces that.
@@ -73,8 +75,7 @@ from typing import NamedTuple
 from ..obs import MetricsRegistry, use_registry
 from ..testing.faultpoints import fault_point
 from .shard import ShardState
-from .supervisor import RespawnPolicy, WorkerSupervisor
-from .worker import WorkerError
+from .supervisor import WorkerSupervisor
 
 __all__ = ["ProcessShardExecutor", "WireRecord"]
 
@@ -87,6 +88,19 @@ _CHUNK = 32
 # still in the parent cannot be scored: its window must reach the child
 # with most of the budget left.
 _SHIP_AGE_SHARE = 0.25
+# Consecutive failed launches of one shard process before the shard is
+# abandoned to the parent-side fallback, and respawns one shard may use
+# over the whole run.
+_SPAWN_ATTEMPTS = 3
+_MAX_RESTARTS = 8
+# A draining parent waits this long per read of a shard's output queue
+# (then checks the child is alive), and at most _DRAIN_TIMEOUT for the
+# shard's drain ack.
+_POLL_INTERVAL = 0.05
+_DRAIN_TIMEOUT = 60.0
+# Per-join grace for a shard process to exit at stop before (and after)
+# it is terminated.
+_JOIN_TIMEOUT = 30.0
 
 
 class WireRecord(NamedTuple):
@@ -98,15 +112,6 @@ class WireRecord(NamedTuple):
     system: str
     host: str
     message: str
-
-
-class _AbandonedWorker:
-    """Worker for a shard whose process cannot be kept alive: every
-    batch fails, so the supervisor degrades it and the shard answers
-    from the pattern-library fallback."""
-
-    def score_batch(self, batch):
-        raise WorkerError("shard process abandoned after repeated failures")
 
 
 class _ShardSlot:
@@ -150,16 +155,11 @@ class ProcessShardExecutor:
     :class:`~repro.runtime.engine.InferenceRuntime`."""
 
     def __init__(self, worker_factory, *, shards: int,
-                 event_fn, emit, gate: bool = True,
+                 event_fn, emit,
                  window: int = 10, step: int = 5, max_batch: int = 16,
                  max_latency: float | None = None,
                  supervisor_options: dict | None = None,
-                 fallback_threshold: float = 0.5,
-                 max_patterns: int = 100_000,
-                 registry=None, prefix: str = "runtime",
-                 poll_interval: float = 0.05,
-                 drain_timeout: float = 60.0,
-                 respawn_policy: RespawnPolicy | None = None):
+                 registry=None, prefix: str = "runtime"):
         import multiprocessing
 
         self._emit = emit
@@ -167,22 +167,21 @@ class ProcessShardExecutor:
         # copy of the hook's pipeline; the parent calls it only for the
         # degraded fallback.
         self._event_fn = event_fn
-        self._gate = gate
+        # Kept for an abandoned shard's parent-side replica, which never
+        # scores but gates and fuses lanes as its served worker does.
+        self._workers = [worker_factory(index) for index in range(shards)]
         self._snapshot = pickle.dumps(
-            [(worker_factory(index), event_fn) for index in range(shards)],
+            [(worker, event_fn) for worker in self._workers],
             protocol=pickle.HIGHEST_PROTOCOL)
         self._registry = registry
         self._clock = registry.clock
         self._prefix = prefix
-        self._poll_interval = poll_interval
-        self._drain_timeout = drain_timeout
         # Age-bounded shipping: ``_oldest`` is never later than the
         # earliest ``buffered_at`` of a non-empty buffer, so one
         # comparison per submit tells whether any buffer is due.
         self._ship_age = (None if max_latency is None
                           else max_latency * _SHIP_AGE_SHARE)
         self._oldest = float("inf")
-        self._policy = respawn_policy or RespawnPolicy()
         # The injected clock/sleep hooks tests wire into supervisors are
         # closures — not reliably picklable, and meaningless in a child
         # that keeps its own time.  Children get the sanitized rest.
@@ -193,9 +192,7 @@ class ProcessShardExecutor:
         # parent-side fallback.
         self._shard_params = {
             "window": window, "step": step, "max_batch": max_batch,
-            "max_latency": max_latency,
-            "fallback_threshold": fallback_threshold,
-            "max_patterns": max_patterns, "prefix": prefix,
+            "max_latency": max_latency, "prefix": prefix,
         }
         self._supervisor_options = dict(supervisor_options or {})
         # Fork hands a child its worker bytes without a pipe copy; spawn
@@ -217,8 +214,7 @@ class ProcessShardExecutor:
     def _child_args(self) -> tuple:
         """What a shard process starts from: the worker snapshot and the
         shard and supervisor settings."""
-        return (self._snapshot, self._gate, self._shard_params,
-                self._child_options)
+        return (self._snapshot, self._shard_params, self._child_options)
 
     def ensure_started(self) -> None:
         if self._started:
@@ -232,7 +228,7 @@ class ProcessShardExecutor:
     def _spawn(self, slot: _ShardSlot) -> None:
         """Launch ``slot``'s worker process on a fresh epoch; abandons
         the shard to the degraded fallback when attempts run out."""
-        for _attempt in range(self._policy.max_spawn_attempts):
+        for _attempt in range(_SPAWN_ATTEMPTS):
             try:
                 fault_point("runtime.proc.spawn")
                 slot.epoch += 1
@@ -294,24 +290,23 @@ class ProcessShardExecutor:
 
     def _abandon(self, slot: _ShardSlot) -> None:
         """Give up on ``slot``'s process: serve it from a parent-side
-        degraded shard (pattern-library fallback), refed from the
-        journal so no admitted record is lost."""
+        replica of the shard over its served worker, degraded for good
+        (every window is answered by the pattern-library fallback), and
+        refed from the journal so no admitted record is lost."""
         self._abandon_ipc(slot)
         slot.process = None
         self._refresh_live()
-        options = dict(self._supervisor_options)
-        options.update(max_retries=0, unhealthy_after=1,
-                       cooldown=float("inf"))
         scope = f".shard{slot.index}"
         supervisor = WorkerSupervisor(
-            _AbandonedWorker(), registry=self._registry,
-            prefix=self._prefix, scope=scope, **options)
+            self._workers[slot.index], registry=self._registry,
+            prefix=self._prefix, scope=scope, **self._supervisor_options)
+        supervisor.force_unhealthy(cooldown=float("inf"))
         slot.fallback = ShardState(
             slot.index, supervisor,
             event_fn=self._event_fn,
             emit=lambda report, _slot=slot: self._accept(_slot, report),
             registry=self._registry, scope=scope, spans=False,
-            gate=self._gate, **self._shard_params,
+            **self._shard_params,
         )
         slot.buffer = []
         for record in slot.journal:
@@ -329,7 +324,7 @@ class ProcessShardExecutor:
             self._abandon_ipc(slot)
             slot.process = None
             slot.buffer = []
-            if slot.restarts >= self._policy.max_restarts:
+            if slot.restarts >= _MAX_RESTARTS:
                 self._abandon(slot)
                 return
             slot.restarts += 1
@@ -525,7 +520,7 @@ class ProcessShardExecutor:
 
     def _drain_slot(self, slot: _ShardSlot) -> None:
         while slot.fallback is None:
-            deadline = self._clock() + self._drain_timeout
+            deadline = self._clock() + _DRAIN_TIMEOUT
             self._flush(slot)
             if slot.fallback is not None:
                 break
@@ -541,14 +536,14 @@ class ProcessShardExecutor:
             failed = False
             while not acked and not failed:
                 try:
-                    message = slot.out_q.get(timeout=self._poll_interval)
+                    message = slot.out_q.get(timeout=_POLL_INTERVAL)
                 except queue.Empty:
                     if not slot.process.is_alive():
                         failed = True
                     elif self._clock() > deadline:
                         raise RuntimeError(
                             f"shard {slot.index} process did not drain "
-                            f"within {self._drain_timeout}s")
+                            f"within {_DRAIN_TIMEOUT}s")
                     continue
                 except (OSError, EOFError):
                     failed = True
@@ -572,24 +567,23 @@ class ProcessShardExecutor:
         """Records admitted but not yet handed to a worker process."""
         return [len(slot.buffer) for slot in self._slots]
 
-    def stop(self, timeout: float | None = 30.0) -> None:
+    def stop(self) -> None:
         """Drain and stop every worker process."""
         if self._stopped:
             return
         if self._started:
             self.drain()
         self._stopped = True
-        join_timeout = timeout if timeout is not None else 30.0
         for slot in self._slots:
             if slot.process is not None and slot.process.is_alive():
                 # A torn pipe just means the child is already gone; the
                 # join/terminate ladder below reaps it either way.
                 with contextlib.suppress(OSError, ValueError):
                     slot.inbox.send(("stop",))
-                slot.process.join(timeout=join_timeout)
+                slot.process.join(timeout=_JOIN_TIMEOUT)
                 if slot.process.is_alive():
                     slot.process.terminate()
-                    slot.process.join(timeout=join_timeout)
+                    slot.process.join(timeout=_JOIN_TIMEOUT)
             slot.process = None
             self._abandon_ipc(slot)
         self._refresh_live()
@@ -639,7 +633,7 @@ def _registry_reset(registry) -> None:
 
 
 def _shard_process_main(index: int, epoch: int, snapshot: bytes,
-                        gate: bool, params: dict, supervisor_options: dict,
+                        params: dict, supervisor_options: dict,
                         inbox, out_q, produced) -> None:
     """One shard's whole life inside its worker process.
 
@@ -673,7 +667,7 @@ def _shard_process_main(index: int, epoch: int, snapshot: bytes,
             shard = ShardState(
                 index, supervisor,
                 event_fn=event_fn, emit=reports.append, registry=registry,
-                scope=scope, spans=False, gate=gate, **params,
+                scope=scope, spans=False, **params,
             )
             clock = registry.clock
             while True:

@@ -22,7 +22,10 @@ A shard owns every stage of its systems' traffic after routing:
    Known patterns resolve immediately; windows whose pattern is already
    awaiting a verdict become *followers* (they resolve silently when the
    batch lands, exactly like the duplicate-dedup of the original online
-   service); novel patterns join the micro-batch scheduler.
+   service); novel patterns join the micro-batch scheduler.  Gating is a
+   property of the worker, read like ``fuse_lanes``: a worker whose
+   class sets ``gated = False`` (the detector ensemble) gets every
+   window, and its verdicts are never memoized.
 4. **Scoring** — due batches go through the
    :class:`~repro.runtime.supervisor.WorkerSupervisor`: size-triggered
    chunks one lane at a time; a latency-triggered flush (every lane's
@@ -107,19 +110,17 @@ class ShardState:
                  registry,
                  window: int = 10, step: int = 5,
                  max_batch: int = 16, max_latency: float | None = None,
-                 fallback_threshold: float = 0.5,
-                 max_patterns: int = 100_000,
                  prefix: str = "runtime", scope: str = "",
-                 spans: bool = False, gate: bool = True):
+                 spans: bool = False):
         if window <= 0 or step <= 0:
             raise ValueError("window and step must be positive")
         self.index = index
         self.supervisor = supervisor
         # Rate- and novelty-based workers (detector ensembles) must see
-        # every window: with ``gate=False`` the pattern library neither
+        # every window: for an ungated worker the pattern library neither
         # short-circuits repeats nor absorbs followers, and verdicts are
         # not memoized.
-        self.gate = gate
+        self.gate = getattr(supervisor.worker, "gated", True)
         self.scheduler = MicroBatchScheduler(max_batch, max_latency)
         self._fuse_lanes = getattr(supervisor.worker, "fuse_lanes", False)
         self.window = window
@@ -130,14 +131,13 @@ class ShardState:
         self._spans = spans
         self._prefix = prefix
         self._tracer = registry.tracer
-        self._max_patterns = max_patterns
-        self._fallback_threshold = fallback_threshold
         self._assembly: dict[str, list] = {}
         self._window_index: dict[str, int] = {}
         self.libraries: dict[str, PatternLibrary] = {}
         self._fallbacks: dict[str, PatternFallback] = {}
-        # (system, pattern) -> follower window ids awaiting the verdict.
-        self._awaiting: dict[tuple[str, tuple[int, ...]], list[str]] = {}
+        # (system, pattern) keys whose verdict is on its way through the
+        # scheduler: later windows of the same key are followers.
+        self._awaiting: set[tuple[str, tuple[int, ...]]] = set()
         # ``scope`` suffixes metric names per shard (``.shard<i>``) where
         # shard processes ship their registries home, so the merged
         # counters stay per shard; synchronous engines pass "" and keep
@@ -158,11 +158,9 @@ class ShardState:
     def _library_of(self, system: str) -> PatternLibrary:
         library = self.libraries.get(system)
         if library is None:
-            library = PatternLibrary(max_patterns=self._max_patterns)
+            library = PatternLibrary()
             self.libraries[system] = library
-            self._fallbacks[system] = PatternFallback(
-                library, threshold=self._fallback_threshold
-            )
+            self._fallbacks[system] = PatternFallback(library)
         return library
 
     def ingest(self, record, admitted_at: float | None = None) -> None:
@@ -206,10 +204,9 @@ class ShardState:
         if key in self._awaiting:
             # Follower: the verdict is already on its way through the
             # scheduler; this window never reaches the model.
-            self._awaiting[key].append(f"{system}:{index}")
             self._latency.observe(gate_seconds)
             return
-        self._awaiting[key] = []
+        self._awaiting.add(key)
         self.scheduler.add(PendingWindow(
             system=system, index=index, window=window_entries,
             pattern=pattern, enqueued_at=enqueued_at,
@@ -270,7 +267,7 @@ class ShardState:
             if self.gate:
                 library = self._library_of(pending.system)
                 library.remember(pending.pattern, report.is_anomalous)
-            self._awaiting.pop((pending.system, pending.pattern), None)
+            self._awaiting.discard((pending.system, pending.pattern))
             self._latency.observe(pending.gate_seconds + share)
             if report.is_anomalous:
                 self._anomalies.inc()
@@ -292,7 +289,7 @@ class ShardState:
             self._degraded.inc()
             # Degraded verdicts are not remembered: the model re-judges
             # these patterns after recovery.
-            self._awaiting.pop((pending.system, pending.pattern), None)
+            self._awaiting.discard((pending.system, pending.pattern))
             self._latency.observe(pending.gate_seconds + share)
             if report.is_anomalous:
                 self._anomalies.inc()

@@ -28,7 +28,6 @@ timeout accounting and ``repro.obs`` counters around it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from ..core.report import AnomalyReport
@@ -38,30 +37,12 @@ from .health import HealthMonitor
 from .scheduler import PendingWindow
 from .worker import InferenceWorker
 
-__all__ = ["RespawnPolicy", "WorkerSupervisor"]
+__all__ = ["WorkerSupervisor"]
 
-
-@dataclass(frozen=True)
-class RespawnPolicy:
-    """How hard the process executor fights to keep a shard alive.
-
-    ``max_spawn_attempts`` bounds consecutive failed process launches
-    (spawn faults, fork errors) before the shard is abandoned to the
-    parent-side pattern-library fallback; ``max_restarts`` bounds how
-    many times one shard may be respawned over the run, so a
-    crash-looping worker cannot refeed its journal forever.
-    """
-
-    max_spawn_attempts: int = 3
-    max_restarts: int = 8
-
-    def __post_init__(self) -> None:
-        if self.max_spawn_attempts < 1:
-            raise ValueError(
-                f"max_spawn_attempts must be >= 1, got {self.max_spawn_attempts}")
-        if self.max_restarts < 0:
-            raise ValueError(
-                f"max_restarts must be >= 0, got {self.max_restarts}")
+# Retry backoff: ``min(BACKOFF_BASE * 2**n, BACKOFF_CAP)`` seconds
+# before retry n+1.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 1.0
 
 
 def _no_sleep(_seconds: float) -> None:
@@ -73,8 +54,7 @@ class WorkerSupervisor:
 
     def __init__(self, worker: InferenceWorker, *,
                  clock: Callable[[], float] | None = None,
-                 max_retries: int = 2, backoff_base: float = 0.05,
-                 backoff_cap: float = 1.0, timeout: float | None = None,
+                 max_retries: int = 2, timeout: float | None = None,
                  unhealthy_after: int = 3, cooldown: float = 1.0,
                  sleep: Callable[[float], None] | None = None,
                  registry=None, prefix: str = "runtime", scope: str = ""):
@@ -83,8 +63,6 @@ class WorkerSupervisor:
         registry = registry if registry is not None else get_registry()
         self.worker = worker
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.timeout = timeout
         self.monitor = HealthMonitor(unhealthy_after=unhealthy_after,
                                      cooldown=cooldown)
@@ -150,8 +128,8 @@ class WorkerSupervisor:
                 self.last_error = exc
                 if attempt + 1 < attempts:
                     self._retries.inc()
-                    self._sleep(min(self.backoff_base * (2 ** attempt),
-                                    self.backoff_cap))
+                    self._sleep(min(BACKOFF_BASE * (2 ** attempt),
+                                    BACKOFF_CAP))
                 continue
             if self.timeout is not None and elapsed > self.timeout:
                 # Cooperative timeout: keep the (late) result, count the

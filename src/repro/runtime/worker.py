@@ -47,6 +47,11 @@ class InferenceWorker(Protocol):
     a latency flush as one batch; other workers get that flush lane by
     lane, oldest head first, so the oldest windows' reports do not wait
     on the younger lanes' scoring.
+
+    A worker whose class sets ``gated = False`` gets every window: its
+    shard's pattern library neither answers repeats nor absorbs
+    followers, and its verdicts are not memoized.  Workers are gated
+    unless they say otherwise.
     """
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
@@ -120,7 +125,14 @@ class EnsembleWorker:
     of one system must reach it in stream order — submit-order admission
     into system-sticky shards, and lanes that keep arrival order, already
     guarantee that for every shard count.
+
+    Ungated: rate- and novelty-based members (EWMA, LOF) derive their
+    verdicts from per-system rolling state, so a memoized first verdict
+    for a window pattern would both starve their baselines and serve
+    stale answers.
     """
+
+    gated = False
 
     def __init__(self, ensemble):
         self.ensemble = ensemble

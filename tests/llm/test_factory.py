@@ -10,7 +10,7 @@ from repro.llm.factory import (
     provider_from_spec,
     resolve_provider,
 )
-from repro.llm.middleware import CircuitBreakerMiddleware, HedgedRetryMiddleware
+from repro.llm.middleware import CircuitBreakerMiddleware, RetryMiddleware
 
 
 class TestSpecGrammar:
@@ -108,7 +108,7 @@ class TestResolveProvider:
         while hasattr(chain[-1], "inner"):
             chain.append(chain[-1].inner)
         assert [type(layer) for layer in chain] == [
-            CircuitBreakerMiddleware, HedgedRetryMiddleware, CachedLLM,
+            CircuitBreakerMiddleware, RetryMiddleware, CachedLLM,
             SimulatedLLM]
         # A repeated prompt is memoized by CachedLLM and nowhere above it.
         cache = chain[2]

@@ -4,9 +4,7 @@ import pytest
 
 from repro.llm.middleware import (
     CircuitBreakerMiddleware,
-    HedgedRetryMiddleware,
-    RateLimitExceeded,
-    RateLimitMiddleware,
+    RetryMiddleware,
     build_provider_stack,
     pattern_fallback,
 )
@@ -90,10 +88,9 @@ class TestCircuitBreaker:
 
     def test_custom_fallback_and_batch_degradation(self):
         inner, clock = _Counting(fail_first=99), _Clock()
-        breaker, registry = self._breaker(
-            inner, clock, fallback=lambda prompt: f"degraded<{prompt}>")
+        breaker, registry = self._breaker(inner, clock)
         got = breaker.complete_batch(["a", "b", "c"])
-        assert got == ["degraded<a>", "degraded<b>", "degraded<c>"]
+        assert got == [pattern_fallback(p) for p in ("a", "b", "c")]
         assert inner.calls == 2  # opened after 2; third never went upstream
         assert registry.counter("llm.provider.degraded").value == 3.0
 
@@ -108,42 +105,31 @@ class TestCircuitBreaker:
         assert breaker.monitor.healthy
 
 
-class TestHedgedRetry:
+class TestRetry:
     def test_retries_within_budget_succeed(self):
         inner = _Counting(fail_first=2)
         registry = MetricsRegistry()
-        retry = HedgedRetryMiddleware(inner, max_retries=2, sleep=lambda s: None,
-                                      registry=registry)
+        retry = RetryMiddleware(inner, max_retries=2, sleep=lambda s: None,
+                                registry=registry)
         assert retry.complete("p") == "ok: p"
         assert inner.calls == 3
         assert registry.counter("llm.provider.retries").value == 2.0
 
     def test_budget_exhaustion_raises_the_last_error(self):
-        retry = HedgedRetryMiddleware(_Counting(fail_first=99), max_retries=2,
-                                      registry=MetricsRegistry())
+        retry = RetryMiddleware(_Counting(fail_first=99), max_retries=2,
+                                registry=MetricsRegistry())
         with pytest.raises(ProviderError, match="call 3"):
             retry.complete("p")
 
-    def test_odd_retries_go_to_the_hedge(self):
-        primary = _Counting(fail_first=99)
-        hedge = _Counting(answer="hedge")
-        registry = MetricsRegistry()
-        retry = HedgedRetryMiddleware(primary, hedge=hedge, max_retries=1,
-                                      registry=registry)
-        assert retry.complete("p") == "hedge: p"
-        assert primary.calls == 1 and hedge.calls == 1
-        assert registry.counter("llm.provider.hedged").value == 1.0
-
     def test_backoff_is_jittered_exponential_and_capped(self):
         pauses = []
-        retry = HedgedRetryMiddleware(
-            _Counting(fail_first=99), max_retries=6, backoff_base=0.1,
-            backoff_cap=0.8, jitter=0.5, seed=0, sleep=pauses.append,
-            registry=MetricsRegistry())
+        retry = RetryMiddleware(
+            _Counting(fail_first=99), max_retries=6, seed=0,
+            sleep=pauses.append, registry=MetricsRegistry())
         with pytest.raises(ProviderError):
             retry.complete("p")
         assert len(pauses) == 6
-        bases = [0.1, 0.2, 0.4, 0.8, 0.8, 0.8]  # doubling, capped
+        bases = [0.05, 0.1, 0.2, 0.4, 0.8, 1.0]  # doubling, capped
         for pause, base in zip(pauses, bases):
             assert base <= pause <= base * 1.5
 
@@ -157,110 +143,35 @@ class TestHedgedRetry:
                 raise ValueError("permanent")
 
         broken = Broken()
-        retry = HedgedRetryMiddleware(broken, max_retries=5,
-                                      registry=MetricsRegistry())
+        retry = RetryMiddleware(broken, max_retries=5,
+                                registry=MetricsRegistry())
         with pytest.raises(ValueError):
             retry.complete("p")
         assert broken.calls == 1
 
     def test_validates_knobs(self):
         with pytest.raises(ValueError, match="max_retries"):
-            HedgedRetryMiddleware(_Counting(), max_retries=-1,
-                                  registry=MetricsRegistry())
-        with pytest.raises(ValueError, match="jitter"):
-            HedgedRetryMiddleware(_Counting(), jitter=-0.1,
-                                  registry=MetricsRegistry())
-
-
-class TestRateLimit:
-    def _bucket(self, inner, clock, **kwargs):
-        registry = MetricsRegistry()
-        return RateLimitMiddleware(inner, clock=clock, registry=registry,
-                                   **kwargs), registry
-
-    def test_burst_then_refill_at_rate(self):
-        inner, clock = _Counting(), _Clock()
-        pauses = []
-        bucket, registry = self._bucket(inner, clock, rate=2.0, burst=2.0,
-                                        sleep=pauses.append)
-        bucket.complete("a")
-        bucket.complete("b")  # burst exhausted
-        assert pauses == []
-
-        # Third call must wait for one token: 0.5s at 2 tokens/s.  The
-        # injected sleep advances the fake clock like a real wait would.
-        def sleeping(seconds):
-            pauses.append(seconds)
-            clock.now += seconds
-
-        bucket._sleep = sleeping
-        bucket.complete("c")
-        assert pauses == [pytest.approx(0.5)]
-        assert registry.counter("llm.provider.throttled").value == 1.0
-        assert registry.counter(
-            "llm.provider.throttle_wait_seconds").value == pytest.approx(0.5)
-
-    def test_non_blocking_mode_raises(self):
-        bucket, registry = self._bucket(_Counting(), _Clock(), rate=1.0,
-                                        block=False)
-        bucket.complete("a")
-        with pytest.raises(RateLimitExceeded, match="token bucket empty"):
-            bucket.complete("b")
-        # RateLimitExceeded is a ProviderError: the retry tier backs off.
-        assert isinstance(RateLimitExceeded("x"), ProviderError)
-
-    def test_backwards_clock_never_mints_tokens(self):
-        clock = _Clock(now=1000.0)
-        bucket, _ = self._bucket(_Counting(), clock, rate=1.0, burst=1.0,
-                                 block=False)
-        bucket.complete("a")
-        clock.now = 0.0  # NTP step backwards
-        assert bucket.tokens == 0.0
-        with pytest.raises(RateLimitExceeded):
-            bucket.complete("b")
-        # Nor does recovering to just short of the origin mint any.
-        clock.now = 999.0
-        assert bucket.tokens == 0.0
-        clock.now = 1001.0  # one second past the origin -> one token
-        assert bucket.tokens == 1.0
-        assert bucket.complete("c") == "ok: c"
-
-    def test_batch_pays_one_token_per_prompt(self):
-        bucket, _ = self._bucket(_Counting(), _Clock(), rate=1.0, burst=3.0,
-                                 block=False)
-        assert bucket.complete_batch(["a", "b", "c"]) == \
-            ["ok: a", "ok: b", "ok: c"]
-        with pytest.raises(RateLimitExceeded):
-            bucket.complete("d")
-
-    def test_validates_knobs(self):
-        with pytest.raises(ValueError, match="rate"):
-            RateLimitMiddleware(_Counting(), rate=0.0,
-                                registry=MetricsRegistry())
-        with pytest.raises(ValueError, match="burst"):
-            RateLimitMiddleware(_Counting(), rate=1.0, burst=0.5,
-                                registry=MetricsRegistry())
+            RetryMiddleware(_Counting(), max_retries=-1,
+                            registry=MetricsRegistry())
 
 
 class TestBuildProviderStack:
     def test_nests_in_contract_order(self):
         inner = _Counting()
-        stack = build_provider_stack(inner, rate=10.0,
-                                     registry=MetricsRegistry())
+        stack = build_provider_stack(inner, registry=MetricsRegistry())
         layers = []
         layer = stack
         while hasattr(layer, "inner"):
             layers.append(type(layer))
             layer = layer.inner
-        assert layers == [CircuitBreakerMiddleware, HedgedRetryMiddleware,
-                          RateLimitMiddleware]
+        assert layers == [CircuitBreakerMiddleware, RetryMiddleware]
         assert layer is inner
 
     def test_switches_remove_tiers(self):
         inner = _Counting()
         stack = build_provider_stack(inner, breaker=False,
                                      registry=MetricsRegistry())
-        assert isinstance(stack, HedgedRetryMiddleware)
+        assert isinstance(stack, RetryMiddleware)
         assert stack.inner is inner
         assert build_provider_stack(inner, breaker=False, max_retries=0,
                                     registry=MetricsRegistry()) is inner
@@ -269,17 +180,10 @@ class TestBuildProviderStack:
         prompt = build_interpretation_prompt(
             "bgl", "rts panic! - stopping execution, reason 1")
         bare = SimulatedLLM(seed=4).complete(prompt)
-        clock = _Clock()
-
-        def sleep(seconds):
-            clock.now += seconds
-
-        stack = build_provider_stack(SimulatedLLM(seed=4), rate=100.0,
-                                     clock=clock, sleep=sleep, seed=4,
-                                     registry=MetricsRegistry())
+        stack = build_provider_stack(SimulatedLLM(seed=4), clock=_Clock(),
+                                     seed=4, registry=MetricsRegistry())
         assert stack.complete(prompt) == bare
-        assert stack.complete(prompt) == bare  # waits out the token bucket
-        assert clock.now == pytest.approx(0.01)
+        assert stack.complete(prompt) == bare
 
     def test_absorbs_a_flaky_upstream_byte_identically(self):
         prompt = build_interpretation_prompt(

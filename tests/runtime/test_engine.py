@@ -123,6 +123,9 @@ class TestLatencyFlush:
     @staticmethod
     def flushed(worker_class):
         class Recording(worker_class):
+            # Ungated, so every completed window reaches a batch.
+            gated = False
+
             def score_batch(self, batch):
                 batches.append([p.window_id for p in batch])
                 return super().score_batch(batch)
@@ -131,7 +134,7 @@ class TestLatencyFlush:
         clock = FakeClock()
         runtime = sync_runtime(1, worker_factory=lambda index: Recording(),
                                max_batch=16, max_latency=0.5,
-                               gate=False, registry=MetricsRegistry(clock=clock))
+                               registry=MetricsRegistry(clock=clock))
         records = multi_system_stream(systems=3, lines=20)
         # svc-00 completes its first window alone and waits 250 ms;
         # then svc-01 and svc-02 complete theirs, and 250 ms later the

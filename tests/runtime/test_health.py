@@ -11,8 +11,6 @@ class TestValidation:
             HealthMonitor(unhealthy_after=0)
         with pytest.raises(ValueError, match="cooldown"):
             HealthMonitor(cooldown=-1.0)
-        with pytest.raises(ValueError, match="backoff_cap"):
-            HealthMonitor(backoff_cap=0)
 
 
 class TestClosedState:
@@ -76,5 +74,5 @@ class TestOpenState:
         monitor = self._open(cooldown=1.0)
         for attempt in range(10):
             monitor.probe_failed(float(attempt))
-        # 2**10 >> backoff_cap: the multiplier pins at 16x.
+        # 2**10 >> BACKOFF_CAP: the multiplier pins at 16x.
         assert monitor.retry_at == 9.0 + 16.0

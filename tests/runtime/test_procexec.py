@@ -315,6 +315,71 @@ class TestCrashRecovery:
         assert registry.counter("runtime.proc.spawn_failures").value == 1
         assert registry.counter("runtime.proc.spawned").value == 2
 
+    @pytest.mark.parametrize("served", ["model", "ensemble"])
+    def test_an_abandoned_shard_gates_as_its_served_worker(
+            self, served, fitted_logsynergy, tmp_path):
+        """Shard 0 exhausts its spawn attempts, so the parent serves it
+        from a degraded replica that gates as the served worker would:
+        followers of a model runtime stay silent, an ensemble runtime
+        answers every window.  The bytes equal a sync runtime whose
+        shard 0 is degraded from the first record."""
+        from collections import Counter
+
+        from repro.core import LogSynergy
+        from repro.detectors import ensemble_from_spec
+
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+        records = six_system_model_stream(lines=90)
+
+        def build(executor: str, registry):
+            options = dict(executor=executor, shards=2, max_batch=4,
+                           max_latency=None, registry=registry)
+            # Both admit through the pipeline's parse, so window patterns
+            # repeat and a gate would find followers.
+            pipeline = LogSynergy.load_pipeline(tmp_path / "pipe")
+            if served == "model":
+                return InferenceRuntime.from_model(pipeline, **options)
+            return InferenceRuntime.from_ensemble(
+                ensemble_from_spec("ewma,lof,rules,model:max",
+                                   pipeline=pipeline, registry=registry),
+                **options)
+
+        sync = build("sync", MetricsRegistry())
+        sync.shards[0].supervisor.force_unhealthy(cooldown=float("inf"))
+        for record in records:
+            sync.submit(record)
+        golden_reports = sync.drain()
+        golden = render_reports(golden_reports)
+
+        plan = FaultPlan((
+            FaultSpec("runtime.proc.spawn", "raise", start=0, count=3),
+        ), seed=0)
+        registry = MetricsRegistry()
+        with FaultInjector(plan, registry=registry) as injector:
+            runtime = build("process", registry)
+            try:
+                for record in records:
+                    runtime.submit(record)
+                reports = runtime.drain()
+            finally:
+                runtime.stop()
+        assert injector.total_fired == 3
+        assert runtime._process._slots[0].fallback is not None
+        assert registry.counter("runtime.proc.spawned").value == 1
+        assert render_reports(reports) == golden
+
+        # Not vacuous: shard 0's windows are answered degraded, every one
+        # when ungated, none of the followers when gated.
+        lines = Counter(record.system for record in records)
+        windows = sum((count - 10) // 5 + 1 for system, count in lines.items()
+                      if sync.router.shard_of(system) == 0)
+        degraded = sum(1 for report in golden_reports
+                       if report.metadata.get("degraded"))
+        if served == "model":
+            assert 0 < degraded < windows
+        else:
+            assert degraded == windows
+
 
 class TestWeightSwap:
     """Promoted weights reach every shard process, respawns included."""

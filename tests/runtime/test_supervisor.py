@@ -27,7 +27,7 @@ class TestRetries:
     def test_transient_failure_is_retried_with_backoff(self, fake_clock):
         worker = FlakyWorker(SyntheticWorker(), failures=2)
         supervisor, sleeps, registry = make_supervisor(
-            worker, fake_clock, max_retries=2, backoff_base=0.05,
+            worker, fake_clock, max_retries=2,
         )
         reports = supervisor.score_batch(batch_of())
         assert reports is not None and len(reports) == 2
