@@ -27,6 +27,7 @@ ceiling).
 """
 
 import dataclasses
+import json
 import os
 import statistics
 import sys
@@ -35,7 +36,7 @@ from repro.logs import LogGenerator
 from repro.obs import MetricsRegistry
 from repro.runtime import InferenceRuntime, SyntheticWorker, message_event
 
-from common import emit, emit_json
+from common import REPO_ROOT, emit, emit_json
 
 SYSTEMS = 8
 LINES_PER_SYSTEM = 900
@@ -209,7 +210,12 @@ def test_runtime_throughput_scaling():
     lines.append(f"cpu process@8 vs sync@8     : {cpu_speedup:.2f}x "
                  f"(recorded; needs >= 2 cores to exceed 1x)")
     emit("runtime_throughput", "\n".join(lines))
+    # bench_replay_stages.py owns the ``replay_stages`` block; keep it.
+    committed = REPO_ROOT / "BENCH_runtime.json"
+    stages = (json.loads(committed.read_text()).get("replay_stages")
+              if committed.exists() else None)
     emit_json("runtime", {
+        **({"replay_stages": stages} if stages else {}),
         "benchmark": "runtime_throughput",
         "workload": {
             "systems": SYSTEMS,

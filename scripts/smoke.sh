@@ -55,6 +55,10 @@ grep -q "fwd self" <<<"$profile_out" \
 # Fused kernels must not be slower than the seed composition.
 PYTHONPATH=src python benchmarks/bench_train_throughput.py --smoke
 
+# Replay-stage timers (admission, batched forward) over a small fitted
+# pipeline must run end to end.
+PYTHONPATH=src python benchmarks/bench_replay_stages.py --smoke
+
 # LLM interpretation cache: CachedLLM over the provider middleware stack
 # must cut upstream LLM calls versus the cache-cold baseline.
 PYTHONPATH=src python benchmarks/bench_llm_traffic.py --smoke

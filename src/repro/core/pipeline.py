@@ -402,12 +402,11 @@ class LogSynergy:
         ``system`` names the system of every window, or gives one name
         per window for a batch that mixes systems.  ``grid`` holds each
         window's event ids (from :meth:`event_id_of`), parallel to its
-        raw ``windows``; nothing is parsed again.  Each row is gathered
-        through its own system's featurizer, then one model call scores
-        each window-length group.  Returns one report per window, in
+        raw ``windows``; nothing is parsed again.  The scores come from
+        :meth:`score_event_ids`.  Returns one report per window, in
         input order, labelled with that window's system.
         """
-        model = self._require_fitted()
+        self._require_fitted()
         if len(grid) != len(windows):
             raise ValueError(
                 f"event-id grid has {len(grid)} rows for {len(windows)} windows")
@@ -416,14 +415,37 @@ class LogSynergy:
                 f"timestamps batch has {len(timestamps)} entries for "
                 f"{len(windows)} windows"
             )
-        systems = [system] * len(grid) if isinstance(system, str) else list(system)
-        if len(systems) != len(grid):
-            raise ValueError(
-                f"{len(systems)} systems given for {len(grid)} windows")
-        if not windows:
-            return []
-        with trace("detect.batch", windows=len(windows)):
-            scores = np.zeros(len(grid), dtype=np.float64)
+        systems = self._systems_of(system, grid)
+        scores = self.score_event_ids(systems, grid)
+        reports: list[AnomalyReport] = []
+        for index, messages in enumerate(windows):
+            featurizer = self._featurizer(systems[index])
+            reports.append(build_report(
+                system=systems[index],
+                score=float(scores[index]),
+                threshold=self.config.threshold,
+                messages=messages,
+                interpretations=[featurizer.interpretation_of(event_id)
+                                 for event_id in grid[index]],
+                timestamps=timestamps[index] if timestamps is not None else None,
+            ))
+        return reports
+
+    def score_event_ids(self, system: str | Sequence[str],
+                        grid: list[list[int]]) -> np.ndarray:
+        """Anomaly scores (float64, one per row) of event-id windows,
+        with no reports built: the scores of :meth:`score_event_windows`.
+
+        ``system`` is as there.  Each row is gathered through its own
+        system's featurizer, then one model call scores each
+        window-length group.
+        """
+        model = self._require_fitted()
+        systems = self._systems_of(system, grid)
+        scores = np.zeros(len(grid), dtype=np.float64)
+        if not grid:
+            return scores
+        with trace("detect.batch", windows=len(grid)):
             by_length: dict[int, list[int]] = {}
             for index, ids in enumerate(grid):
                 by_length.setdefault(len(ids), []).append(index)
@@ -432,20 +454,15 @@ class LogSynergy:
                     self._gather_rows(systems, grid, indices))
                 for i, probability in zip(indices, probabilities):
                     scores[i] = float(probability)
+        return scores
 
-            reports: list[AnomalyReport] = []
-            for index, messages in enumerate(windows):
-                featurizer = self._featurizer(systems[index])
-                reports.append(build_report(
-                    system=systems[index],
-                    score=float(scores[index]),
-                    threshold=self.config.threshold,
-                    messages=messages,
-                    interpretations=[featurizer.interpretation_of(event_id)
-                                     for event_id in grid[index]],
-                    timestamps=timestamps[index] if timestamps is not None else None,
-                ))
-        return reports
+    @staticmethod
+    def _systems_of(system: str | Sequence[str], grid: list[list[int]]) -> list[str]:
+        systems = [system] * len(grid) if isinstance(system, str) else list(system)
+        if len(systems) != len(grid):
+            raise ValueError(
+                f"{len(systems)} systems given for {len(grid)} windows")
+        return systems
 
     def _gather_rows(self, systems: list[str], grid: list[list[int]],
                      indices: list[int]) -> np.ndarray:

@@ -14,7 +14,8 @@ A live member parses nothing itself: it scores the ``event_id`` each
 window entry was stamped with by the runtime's admission parse (the
 window's own system's featurizer, see
 :meth:`~repro.runtime.InferenceRuntime.from_ensemble`), one forward per
-batch through :meth:`~repro.core.pipeline.LogSynergy.score_event_windows`.
+batch through :meth:`~repro.core.pipeline.LogSynergy.score_event_ids`,
+which builds no reports: the ensemble reads only the scores.
 """
 
 from __future__ import annotations
@@ -51,12 +52,11 @@ class ModelDetector(Detector):
                 "ids stamped by the runtime's admission parse "
                 "(InferenceRuntime.from_ensemble with a fitted pipeline)"
             ) from exc
-        messages = [[entry.message for entry in window] for window in windows]
         try:
-            reports = self.pipeline.score_event_windows(system, grid, messages)
+            scores = self.pipeline.score_event_ids(system, grid)
         except Exception as exc:  # lint: disable=blanket-except
             # A dying model must degrade this member, not kill the
             # portfolio: the ensemble catches DetectorError and keeps
             # the unsupervised members live.
             raise DetectorError(f"learned model failed to score: {exc}") from exc
-        return [max(0.0, min(1.0, float(report.score))) for report in reports]
+        return [max(0.0, min(1.0, float(score))) for score in scores]

@@ -24,7 +24,10 @@ and :func:`attention` lives in array-level helpers (:func:`linear_forward`,
 :func:`layer_norm_forward`, :func:`gelu_forward`, :func:`attention_weights`).
 The autograd nodes call them, and so does the tape-free inference plan of
 :meth:`repro.core.model.LogSynergyModel.predict_proba`, so both run one copy
-of the math and score bit-identically.
+of the math and score bit-identically.  Their last-axis reductions avoid
+numpy's slow short-axis ``max``/``mean`` wrappers with rewrites that are
+exact to the bit (see :func:`_last_axis_max` and
+:func:`layer_norm_forward`).
 
 Each kernel dispatches on the module-level fused switch so callers (the
 ``LSTM``/``GRU``/``BiLSTM``/``MultiHeadAttention`` modules and
@@ -350,9 +353,24 @@ def attention_weights(q: np.ndarray, k: np.ndarray, scale: float,
     scores = q @ np.swapaxes(k, -1, -2) * scale
     if additive_mask is not None:
         scores = scores + additive_mask
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    exp = np.exp(scores - _last_axis_max(scores))
+    return exp / np.add.reduce(exp, axis=-1, keepdims=True)
+
+
+def _last_axis_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` as a chain of ``np.maximum``
+    over the last axis's columns.
+
+    numpy's reduction over a short last axis is several times slower
+    than a few elementwise passes.  The max is order-free, NaN
+    propagates either way, and the chain can differ only in the sign of
+    a zero peak, which the softmax's ``x - peak`` then ``exp`` maps to
+    1 either way; the softmax is ``np.array_equal`` to the reduction's.
+    """
+    peak = x[..., 0].copy()
+    for column in range(1, x.shape[-1]):
+        np.maximum(peak, x[..., column], out=peak)
+    return peak[..., None]
 
 
 @profiled_op
@@ -407,7 +425,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 # ----------------------------------------------------------------------
 def linear_forward(x: np.ndarray, weight: np.ndarray,
                    bias: np.ndarray | None = None) -> np.ndarray:
-    """``x W^T (+ b)`` on arrays: the forward arithmetic of :func:`linear`."""
+    """``x W^T (+ b)`` on arrays: the forward arithmetic of :func:`linear`.
+
+    A 3-D ``x`` stays a batched matmul: reshaping it to 2-D first lets
+    BLAS block the sums differently and changes the last bit of some
+    outputs (a (9, 17, 64) input against a (32, 64) weight does).
+    """
     value = x @ weight.T
     if bias is not None:
         value = value + bias
@@ -499,10 +522,19 @@ def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                        eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Last-axis layer normalization on arrays: ``(value, normalized,
     inv_std)``, the forward arithmetic of :func:`layer_norm` plus the
-    terms its backward reuses."""
-    mean = x.mean(axis=-1, keepdims=True)
+    terms its backward reuses.
+
+    The means are ``np.add.reduce(...) / n``: the same sum as
+    ``np.mean``, which then divides a float32 sum in float64 and rounds
+    back.  Division rounded to float64 and then to float32 equals the
+    float32 division (53 >= 2 * 24 + 2 bits), so both are exact to the
+    bit, and skipping ``np.mean``'s wrapper saves most of its cost on a
+    short last axis.
+    """
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / n
     centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     normalized = centered * inv_std
     return normalized * gamma + beta, normalized, inv_std

@@ -17,12 +17,16 @@ from dataclasses import dataclass
 from ..obs import get_registry
 from .masking import WILDCARD, mask_message
 
-__all__ = ["LogTemplate", "DrainParser", "ParseResult", "ROUTE_MEMO_CAP"]
+__all__ = ["LogTemplate", "DrainParser", "ParseResult", "ROUTE_MEMO_CAP", "MATCH_MEMO_CAP"]
 
 # Most route-memo entries a parser keeps: a stream whose leading tokens
 # never repeat (hex ids, user names) clears the memo when it fills
 # rather than growing it for the life of the process.
 ROUTE_MEMO_CAP = 4096
+
+# Most match-memo entries a parser keeps (masked text -> chosen
+# template); cleared when full, like the route memo.
+MATCH_MEMO_CAP = 4096
 
 
 @dataclass
@@ -51,11 +55,14 @@ class ParseResult:
 
 
 class _Node:
-    __slots__ = ("children", "groups")
+    __slots__ = ("children", "groups", "version")
 
     def __init__(self):
         self.children: dict[str, _Node] = {}
         self.groups: list[LogTemplate] = []
+        # Bumped whenever a leaf gains a group or one of its groups'
+        # tokens change: the match memo's staleness check.
+        self.version = 0
 
 
 def _has_digit(token: str) -> bool:
@@ -90,6 +97,10 @@ class DrainParser:
         self._length_roots: dict[int, _Node] = {}
         # (token count, first ``depth`` tokens) -> leaf; never serialized.
         self._route_memo: dict[tuple, _Node] = {}
+        # Masked text -> (leaf, leaf version, template, token count), and
+        # token -> masked token; per parser, never serialized.
+        self._match_memo: dict[str, tuple[_Node, int, LogTemplate, int]] = {}
+        self._mask_memo: dict[str, str] = {}
         self._templates: dict[int, LogTemplate] = {}
         self._next_id = 0
         registry = get_registry()
@@ -158,15 +169,37 @@ class DrainParser:
         equal = sum(1 for a, b in zip(template_tokens, tokens) if a == b and a != WILDCARD)
         return equal / non_wild
 
-    def _parse(self, message: str) -> tuple[LogTemplate, list[str], str | None]:
+    def _parse(self, message: str) -> tuple[LogTemplate, list[str] | None, str | None]:
         """Match one message into the tree, creating or generalizing a
-        template; returns the template, the message's tokens and its
-        masked text (``None`` when the parser does not mask)."""
-        masked = mask_message(message) if self.mask else None
-        tokens = (message if masked is None else masked).split()
-        if not tokens:
-            tokens = ["<EMPTY>"]
+        template; returns the template, the message's tokens (``None``
+        when the match memo answered) and its masked text (``None`` when
+        the parser does not mask).
+
+        The match memo is exact.  After a parse of text ``t`` chose
+        template ``T`` in leaf ``L``, ``T`` has similarity 1.0 with
+        ``t``'s tokens: it was created from them, or generalized at every
+        position that disagrees.  Every group before ``T`` in ``L``
+        scored below 1.0: below ``T``'s similarity when the scan chose
+        ``T``, below the threshold when ``T`` was created.  Groups after
+        ``T`` cannot displace it under the scan's strict ``>``.  Generalizing
+        ``T`` again with the same tokens is a no-op.  So while ``L``'s
+        version is unchanged (no group added, no group's tokens changed),
+        ``t`` chooses ``T`` again and leaves the tree as it is: a hit
+        skips split, route and the similarity scan, and only bumps
+        ``T.count`` and the ``drain.*`` metrics.
+        """
+        masked = mask_message(message, memo=self._mask_memo) if self.mask else None
+        text = message if masked is None else masked
         self._parse_counter.inc()
+        memo = self._match_memo.get(text)
+        if memo is not None:
+            leaf, version, template, length = memo
+            if leaf.version == version:
+                self._depth_histogram.observe(min(self.depth, length))
+                template.count += 1
+                return template, None, masked
+
+        tokens = text.split() or ["<EMPTY>"]
         self._depth_histogram.observe(min(self.depth, len(tokens)))
         leaf = self._route(tokens)
 
@@ -178,24 +211,32 @@ class DrainParser:
                 best, best_sim = group, sim
 
         if best is None or best_sim < self.similarity_threshold:
-            template = LogTemplate(template_id=self._next_id, tokens=list(tokens), count=1)
+            best = LogTemplate(template_id=self._next_id, tokens=list(tokens), count=1)
             self._next_id += 1
-            leaf.groups.append(template)
-            self._templates[template.template_id] = template
+            leaf.groups.append(best)
+            leaf.version += 1
+            self._templates[best.template_id] = best
             self._template_counter.inc()
-            return template, tokens, masked
-
-        # Generalize: disagreeing positions become wildcards.
-        if best.tokens != tokens:
-            best.tokens = [
-                a if a == b else WILDCARD for a, b in zip(best.tokens, tokens)
-            ]
-        best.count += 1
+        else:
+            # Generalize: disagreeing positions become wildcards.
+            if best.tokens != tokens:
+                generalized = [
+                    a if a == b else WILDCARD for a, b in zip(best.tokens, tokens)
+                ]
+                if generalized != best.tokens:
+                    best.tokens = generalized
+                    leaf.version += 1
+            best.count += 1
+        if len(self._match_memo) >= MATCH_MEMO_CAP:
+            self._match_memo.clear()
+        self._match_memo[text] = (leaf, leaf.version, best, len(tokens))
         return best, tokens, masked
 
     def parse(self, message: str) -> ParseResult:
         """Parse one message, creating or generalizing a template."""
-        template, tokens, _ = self._parse(message)
+        template, tokens, masked = self._parse(message)
+        if tokens is None:
+            tokens = (message if masked is None else masked).split()
         return ParseResult(template=template,
                            parameters=tuple(template.parameters_of(tokens)))
 

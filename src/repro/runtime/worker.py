@@ -129,7 +129,9 @@ class EnsembleWorker:
     Ungated: rate- and novelty-based members (EWMA, LOF) derive their
     verdicts from per-system rolling state, so a memoized first verdict
     for a window pattern would both starve their baselines and serve
-    stale answers.
+    stale answers.  An ungated shard emits only anomalous reports and
+    remembers no verdict, so windows at or below the threshold get a
+    score-only report: no messages, interpretations or timestamps.
     """
 
     gated = False
@@ -148,17 +150,20 @@ class EnsembleWorker:
                 system, [batch[position].window for position in positions])
             for position, score in zip(positions, column):
                 scores[position] = score
-        reports = [
-            build_report(
+        threshold = float(self.ensemble.threshold)
+        reports = []
+        for pending, score in zip(batch, scores):
+            # Windows at or below the threshold are never emitted, so
+            # their reports carry the verdict alone.
+            window = pending.window if float(score) > threshold else ()
+            reports.append(build_report(
                 system=pending.system,
                 score=score,
-                threshold=self.ensemble.threshold,
-                messages=[entry.message for entry in pending.window],
-                interpretations=[entry.message for entry in pending.window],
-                timestamps=[entry.timestamp for entry in pending.window],
-            )
-            for pending, score in zip(batch, scores)
-        ]
+                threshold=threshold,
+                messages=[entry.message for entry in window],
+                interpretations=[entry.message for entry in window],
+                timestamps=[entry.timestamp for entry in window],
+            ))
         reports = fault_point("runtime.worker.result", reports)
         return None if reports is DROPPED else reports
 

@@ -447,7 +447,7 @@ class TestModelDetector:
         class ExplodingPipeline:
             model = object()
 
-            def score_event_windows(self, system, grid, windows):
+            def score_event_ids(self, system, grid):
                 raise RuntimeError("featurizer corrupted")
 
         detector = ModelDetector(pipeline=ExplodingPipeline())
@@ -456,14 +456,11 @@ class TestModelDetector:
             detector.score_window("sys", stamped_window(["boot ok"] * 10))
 
     def test_report_score_is_clamped(self):
-        class Report:
-            score = 7.5
-
         class Pipeline:
             model = object()
 
-            def score_event_windows(self, system, grid, windows):
-                return [Report() for _ in grid]
+            def score_event_ids(self, system, grid):
+                return [7.5 for _ in grid]
 
         detector = ModelDetector(pipeline=Pipeline())
         score = detector.score_window("sys", stamped_window(["x"] * 10))
@@ -472,27 +469,23 @@ class TestModelDetector:
     def test_batch_scores_the_stamped_ids_in_one_call(self):
         calls = []
 
-        class Report:
-            def __init__(self, score):
-                self.score = score
-
         class Pipeline:
             model = object()
 
-            def score_event_windows(self, system, grid, windows):
-                calls.append((system, grid, windows))
-                return [Report(0.1 * len(ids)) for ids in grid]
+            def score_event_ids(self, system, grid):
+                calls.append((system, grid))
+                return [0.1 * len(ids) for ids in grid]
 
         detector = ModelDetector(pipeline=Pipeline())
         windows = [stamped_window(["a", "b"]), stamped_window(["c"])]
         assert detector.score_windows("sys", windows) == pytest.approx([0.2, 0.1])
-        assert calls == [("sys", [[0, 1], [0]], [["a", "b"], ["c"]])]
+        assert calls == [("sys", [[0, 1], [0]])]
 
     def test_unstamped_entries_are_a_clear_detector_error(self):
         class Pipeline:
             model = object()
 
-            def score_event_windows(self, system, grid, windows):
+            def score_event_ids(self, system, grid):
                 raise AssertionError("must not be reached")
 
         detector = ModelDetector(pipeline=Pipeline())

@@ -371,3 +371,94 @@ class TestLossParity:
                 np.array([0, 1]),
             )
         assert not loss.requires_grad
+
+
+# The forward formulas as they were before the reductions were rewritten;
+# the rewritten kernels must reproduce them bit for bit.
+def _reduce_attention_weights(q, k, scale, additive_mask=None):
+    scores = q @ np.swapaxes(k, -1, -2) * scale
+    if additive_mask is not None:
+        scores = scores + additive_mask
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _reduce_layer_norm_forward(x, gamma, beta, eps):
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    normalized = centered * inv_std
+    return normalized * gamma + beta, normalized, inv_std
+
+
+_SPECIALS = (np.nan, np.inf, -np.inf, -0.0, 0.0)
+
+
+def _salted(rng, shape, dtype):
+    """Normal draws at a random scale, with a few specials on some rows."""
+    x = (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+    if rng.random() < 0.5:
+        flat = x.reshape(-1)
+        for position in rng.integers(0, flat.size, size=rng.integers(1, 4)):
+            flat[position] = _SPECIALS[rng.integers(len(_SPECIALS))]
+    return x
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestExactReductions:
+    """The kernels' reductions (a ``np.maximum`` chain for the softmax
+    peak, ``np.add.reduce`` for sums and ``np.add.reduce / n`` for the
+    layer-norm means) score exactly like the ``max``/``sum``/``mean``
+    formulas they replace."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_weights(self, dtype):
+        rng = np.random.default_rng(11)
+        with np.errstate(all="ignore"):
+            for _ in range(150):
+                batch, heads = rng.integers(1, 16), rng.integers(1, 5)
+                seq, d_head = rng.integers(1, 13), rng.integers(1, 17)
+                q = _salted(rng, (batch, heads, seq, d_head), dtype)
+                k = _salted(rng, (batch, heads, seq, d_head), dtype)
+                scale = dtype(1.0 / np.sqrt(d_head))
+                mask = None
+                if rng.random() < 0.5:
+                    mask = np.where(rng.random((seq, seq)) < 0.3, -np.inf,
+                                    0.0).astype(dtype)
+                    mask[rng.integers(seq)] = -np.inf  # one row fully masked
+                _assert_bitwise(
+                    kernels.attention_weights(q, k, scale, mask),
+                    _reduce_attention_weights(q, k, scale, mask))
+
+    def test_attention_weights_on_rows_of_specials(self):
+        q = np.ones((1, 1, 4, 1), dtype=np.float32)
+        k = np.ones((1, 1, 4, 1), dtype=np.float32)
+        mask = np.array([[np.nan, 0.0, 1.0, -0.0],
+                         [np.inf, 0.0, 2.0, -1.0],
+                         [-np.inf, -np.inf, -np.inf, -np.inf],
+                         [-0.0, -0.0, 0.0, -0.0]], dtype=np.float32)
+        with np.errstate(all="ignore"):
+            _assert_bitwise(kernels.attention_weights(q, k, np.float32(1.0), mask),
+                            _reduce_attention_weights(q, k, np.float32(1.0), mask))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_forward(self, dtype):
+        rng = np.random.default_rng(12)
+        with np.errstate(all="ignore"):
+            for _ in range(150):
+                shape = tuple(rng.integers(1, 12, size=rng.integers(1, 4)))
+                shape += (int(rng.integers(1, 70)),)
+                x = _salted(rng, shape, dtype)
+                gamma = rng.standard_normal(shape[-1]).astype(dtype)
+                beta = rng.standard_normal(shape[-1]).astype(dtype)
+                got = kernels.layer_norm_forward(x, gamma, beta, 1e-5)
+                want = _reduce_layer_norm_forward(x, gamma, beta, 1e-5)
+                for got_part, want_part in zip(got, want):
+                    _assert_bitwise(got_part, want_part)

@@ -1,10 +1,13 @@
 """Drain parser tests."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.logs import PROFILES, LogGenerator
 from repro.logs.generator import generate_logs
-from repro.parsing.drain import ROUTE_MEMO_CAP, DrainParser
+from repro.parsing.drain import MATCH_MEMO_CAP, ROUTE_MEMO_CAP, DrainParser
 from repro.parsing.masking import WILDCARD, mask_message
 
 
@@ -180,3 +183,87 @@ class TestRouteMemo:
     def test_a_parser_that_does_not_mask_returns_no_masked_text(self):
         parser = DrainParser(mask=False)
         assert parser.parse_id("node 7 link up") == (0, None)
+
+
+class _Cleared(DrainParser):
+    """Forgets both memos before every parse: the match memo's reference."""
+
+    def _parse(self, message):
+        self._match_memo.clear()
+        self._mask_memo.clear()
+        return super()._parse(message)
+
+
+def _assert_same_parses(messages, make=DrainParser, **options):
+    memoized, reference = make(**options), _Cleared(**options)
+    for message in messages:
+        got, want = memoized.parse(message), reference.parse(message)
+        assert got.template.template_id == want.template.template_id, message
+        assert got.parameters == want.parameters, message
+        assert memoized.parse_id(message) == reference.parse_id(message)
+    assert memoized.to_dict() == reference.to_dict()
+    return memoized
+
+
+class TestMatchMemo:
+    @pytest.mark.parametrize("scenario", [None, "volume-burst"])
+    def test_equals_a_parser_without_memos_on_generated_streams(self, scenario):
+        for index, system in enumerate(PROFILES):
+            records = LogGenerator(system, seed=index,
+                                   scenario=scenario).generate(1500)
+            parser = _assert_same_parses([r.message for r in records])
+            assert parser._match_memo
+
+    def test_an_earlier_group_generalizing_between_two_hits(self):
+        """``a b p q r`` is memoized on its own group; then the leaf's first
+        group generalizes until it matches that text fully and, being
+        first, must win the next parse."""
+        messages = ["a b c d e", "a b p q r", "a b p q r", "a b c d s",
+                    "a b c t u", "a b p q r", "a b v w z", "a b p q r",
+                    "a b p q r"]
+        parser = _assert_same_parses(messages, similarity_threshold=0.6)
+        assert parser.parse_id("a b p q r")[0] == 0
+
+    def test_the_memoized_group_generalizing_or_the_leaf_gaining_a_group(self):
+        messages = ["job on alpha west", "job on alpha west",
+                    "job on alpha east", "job on alpha west",
+                    "job on zeta north", "job on alpha west",
+                    "job on zeta north", "job on alpha east"]
+        _assert_same_parses(messages, similarity_threshold=0.7)
+
+    def test_the_first_of_equally_similar_groups_wins(self):
+        parser = DrainParser(similarity_threshold=0.7)
+        first = parser.parse_id("a b x y")[0]
+        second = parser.parse_id("a b z w")[0]
+        assert first != second
+        for _ in range(2):  # cold, then from the memo
+            assert parser.parse_id("a b x w")[0] == first
+
+    def test_memos_belong_to_one_parser(self):
+        left, right = DrainParser(), DrainParser()
+        assert left.parse_id("disk full on node")[0] == 0
+        assert right.parse_id("fan speed low now")[0] == 0
+        assert right.parse_id("disk full on node")[0] == 1
+        assert left.parse_id("fan speed low now")[0] == 1
+        assert left._match_memo is not right._match_memo
+        assert left._mask_memo is not right._mask_memo
+
+    def test_a_pickled_warm_parser_parses_identically(self):
+        messages = [r.message for r in generate_logs("thunderbird", 3000, seed=5)]
+        warm = DrainParser()
+        for message in messages[:1500]:
+            warm.parse_id(message)
+        assert warm._match_memo
+        copy = pickle.loads(pickle.dumps(warm))
+        for message in messages[1500:]:
+            assert copy.parse_id(message) == warm.parse_id(message)
+        assert copy.to_dict() == warm.to_dict()
+
+    def test_memo_stays_at_or_under_its_cap(self):
+        parser = DrainParser()
+        largest = 0
+        for index in range(MATCH_MEMO_CAP + 500):
+            parser.parse_id(f"{_word(index)} session opened")
+            largest = max(largest, len(parser._match_memo),
+                          len(parser._mask_memo))
+        assert largest == MATCH_MEMO_CAP  # filled, then cleared

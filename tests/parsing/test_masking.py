@@ -3,7 +3,7 @@
 import pytest
 
 from repro.logs import PROFILES, SCENARIOS, LogGenerator
-from repro.parsing.masking import DEFAULT_MASKS, WILDCARD, mask_message
+from repro.parsing.masking import DEFAULT_MASKS, MASK_MEMO_CAP, WILDCARD, mask_message
 
 
 class TestMasking:
@@ -82,3 +82,56 @@ class TestGuardedMasking:
         for uuid in ("deadbeef-cafe-babe-face-decafbadface",
                      "123E4567-E89B-12D3-A456-426614174000"):
             assert mask_message(f"id {uuid} ok") == f"id {WILDCARD} ok"
+
+
+class TestTokenMasking:
+    """With a memo, masking runs one space-separated token at a time; the
+    output must equal the reference chain, which masks the whole text."""
+
+    @pytest.mark.parametrize("scenario", [None, "volume-burst"])
+    def test_matches_reference_chain_on_generated_streams(self, scenario):
+        memo = {}
+        for index, system in enumerate(PROFILES):
+            records = LogGenerator(system, seed=index,
+                                   scenario=scenario).generate(1500)
+            for record in records:
+                for text in (record.message, record.raw):
+                    assert mask_message(text, memo=memo) == mask_message(text), text
+        assert memo
+
+    @pytest.mark.parametrize("message", [
+        "",
+        " ",
+        "two  spaces  between",
+        " leading and trailing ",
+        "tab\tinside 10.0.0.1\tand\t7",
+        "\t42\t",
+        "lease deadbeef-cafe-babe-face-decafbadface renewed",
+        "open /var/log/app failed",
+        "read /10.0.0.1/x failed",
+        "iface eth0x1f up 0x1f",
+        "peer 10.0.0.7:80 down 10.0.0.7:",
+        "arabic ٣ and ٣٤ superscript ² and x²",
+        "12 1.5 1. .5 -3 3- 0 007",
+        "<*> already masked 1",
+    ])
+    def test_matches_reference_chain_on_edge_cases(self, message):
+        memo = {}
+        for _ in range(2):  # cold, then every token from the memo
+            assert mask_message(message, memo=memo) == mask_message(message)
+
+    def test_only_tokens_without_digits_enter_the_memo(self):
+        memo = {}
+        assert mask_message("retry 17 of 2.5 at /var/log", memo=memo) == (
+            f"retry {WILDCARD} of {WILDCARD} at {WILDCARD}")
+        assert memo == {"retry": "retry", "of": "of", "at": "at",
+                        "/var/log": WILDCARD}
+
+    def test_memo_stays_at_or_under_its_cap(self):
+        memo = {}
+        largest = 0
+        for index in range(MASK_MEMO_CAP + 500):
+            word = "".join(chr(ord("a") + int(d)) for d in str(index))
+            mask_message(f"user u{word} at node-{index % 7}", memo=memo)
+            largest = max(largest, len(memo))
+        assert largest == MASK_MEMO_CAP  # filled, then cleared
