@@ -63,8 +63,8 @@ def test_deployment_online_pipeline(benchmark):
         f"model invocations           : {stats.model_invocations}",
         f"pattern-library skip rate   : {stats.model_skip_rate:.2%}",
         f"anomaly alerts raised       : {stats.anomalies_raised}",
-        f"window latency p50 / p95    : {latency.percentile(0.5) * 1e3:.2f} ms "
-        f"/ {latency.percentile(0.95) * 1e3:.2f} ms",
+        f"window latency mean / max   : {latency.mean * 1e3:.2f} ms "
+        f"/ {latency.max * 1e3:.2f} ms",
         "",
         "Deployment-efficiency comparison (Section VI-C1):",
         f"rule-based timeline         : {speedup['rule_based_hours']:,.0f} engineer-hours",

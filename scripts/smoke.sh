@@ -12,7 +12,9 @@
 # seeded fault-injection fuzz pass (twice — the violation
 # report must be byte-identical, with the unarmed-hook overhead guard),
 # a checkpointed train/SIGKILL/resume byte-diff against an uninterrupted
-# run plus the onboarding crash invariant and cost benchmark,
+# run, model-directory replays (model and model-member ensemble) whose
+# bytes must match across executors, the onboarding crash invariant and
+# cost benchmark,
 # then the test suite.
 set -euo pipefail
 
@@ -252,6 +254,23 @@ fi
 cmp -s "$ckpt_root/serve_sync.txt" "$ckpt_root/serve_proc.txt" \
     || { echo "smoke: model-directory replay diverged between executors" >&2
          exit 1; }
+# An ensemble with a live model member admits each record through that
+# pipeline's parse (in each shard process, under the process executor);
+# the bytes must still be the synchronous engine's.
+PYTHONPATH=src python -m repro.cli replay \
+    --logs examples/data/replay_sample.jsonl --model-dir "$ckpt_root/ref" \
+    --detectors ewma,lof,rules,model:max --shards 1 \
+    --out "$ckpt_root/ensemble_sync.txt" >/dev/null
+PYTHONPATH=src python -m repro.cli replay \
+    --logs examples/data/replay_sample.jsonl --model-dir "$ckpt_root/ref" \
+    --detectors ewma,lof,rules,model:max --executor process --shards 2 \
+    --out "$ckpt_root/ensemble_proc.txt" >/dev/null
+test -s "$ckpt_root/ensemble_sync.txt" \
+    || { echo "smoke: model-member ensemble replay produced no reports" >&2
+         exit 1; }
+cmp -s "$ckpt_root/ensemble_sync.txt" "$ckpt_root/ensemble_proc.txt" \
+    || { echo "smoke: model-member ensemble replay diverged between" \
+         "executors" >&2; exit 1; }
 set +e
 PYTHONPATH=src python -m repro.cli train "${train_args[@]}" \
     --model-dir "$ckpt_root/resumed" --checkpoint-dir "$ckpt_root/ckpt" \

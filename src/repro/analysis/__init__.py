@@ -14,10 +14,9 @@ cross-system transfer results *before* any epoch runs.
   excepts, Module subclass conventions) with per-line/per-file
   suppression comments and a registry for adding rules.
 * :mod:`repro.analysis.flow` — whole-program passes over a project
-  symbol table (:mod:`.symbols`), call graph (:mod:`.callgraph`) and
-  forward dataflow engine (:mod:`.dataflow`): determinism of everything
-  reachable from the replay/serve/fuzz entry points, lock discipline in
-  every lock-owning class, and registry/catalog drift.  Findings live in
+  symbol table (:mod:`.symbols`) and call graph (:mod:`.callgraph`):
+  determinism of everything reachable from the replay/serve/fuzz entry
+  points, and registry/catalog drift.  Findings live in
   the ``flow/`` rule namespace, with JSON/SARIF output and a baseline
   file (:mod:`.output`) for the CI gate.
 

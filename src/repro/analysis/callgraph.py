@@ -23,6 +23,7 @@ can report *how* a flagged function is reachable, not just that it is.
 from __future__ import annotations
 
 import ast
+import heapq
 from dataclasses import dataclass
 
 from .symbols import ClassSymbol, FunctionSymbol, SymbolTable, _dotted
@@ -133,26 +134,23 @@ class CallGraph:
 
     def reachable(self, entries: list[str]) -> dict[str, tuple[str, ...]]:
         """Every function reachable from ``entries``, mapped to one
-        witness call chain (entry → … → function).  The chain lattice
-        (shorter wins, then lexicographic) is solved on the
-        :class:`~repro.analysis.dataflow.ForwardDataflow` engine, so the
-        witness each function reports is deterministic.  Entries not
-        present in the table are ignored.
+        witness call chain (entry → … → function): the shortest, then
+        lexicographically first.  Appending a callee keeps that order,
+        so a best-first search settles each function at its first pop.
+        Entries not present in the table are ignored.
         """
-        from .dataflow import ForwardDataflow
-
-        def successors(node: str):
-            for site in self.edges.get(node, []):
-                yield site.callee, site.callee
-
-        flow: ForwardDataflow[str, tuple[str, ...]] = ForwardDataflow(
-            successors=successors,
-            transfer=lambda chain, callee: chain + (callee,),
-            join=lambda old, new: min(old, new, key=lambda c: (len(c), c)),
-        )
-        seeds = {entry: (entry,) for entry in sorted(entries)
-                 if entry in self.table.functions}
-        return flow.solve(seeds)
+        heap = [(1, (entry,)) for entry in sorted(entries)
+                if entry in self.table.functions]
+        chains: dict[str, tuple[str, ...]] = {}
+        while heap:
+            length, chain = heapq.heappop(heap)
+            if chain[-1] in chains:
+                continue
+            chains[chain[-1]] = chain
+            for site in self.edges.get(chain[-1], []):
+                if site.callee not in chains:
+                    heapq.heappush(heap, (length + 1, chain + (site.callee,)))
+        return chains
 
     def edge_count(self) -> int:
         return sum(len(sites) for sites in self.edges.values())

@@ -349,7 +349,7 @@ def _build_runtime(args: argparse.Namespace, **extra):
     ``--executor`` builds the same workers: a process runtime ships each
     shard process a pickled copy of its worker.
     """
-    from .runtime import InferenceRuntime, SyntheticWorker, message_event
+    from .runtime import InferenceRuntime, SyntheticWorker
 
     common = dict(shards=args.shards, window=args.window, step=args.step,
                   max_batch=args.max_batch, executor=args.executor, **extra)
@@ -370,10 +370,7 @@ def _build_runtime(args: argparse.Namespace, **extra):
         return InferenceRuntime.from_ensemble(ensemble, **common)
     if model is not None:
         return InferenceRuntime.from_model(model, **common)
-    return InferenceRuntime(
-        lambda index: SyntheticWorker(threshold=args.threshold),
-        event_fn=message_event, **common,
-    )
+    return InferenceRuntime(SyntheticWorker(threshold=args.threshold), **common)
 
 
 def _print_runtime_summary(runtime, records: int, reports: int) -> None:

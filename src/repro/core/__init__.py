@@ -18,7 +18,6 @@ from .controller import (
     CheckpointEvery,
     ComposedController,
     ControllerError,
-    LearningRateController,
     StopAfter,
     TrainingController,
     compose,
@@ -39,8 +38,7 @@ __all__ = [
     "LogSynergyTrainer", "TrainingBatch", "TrainingHistory",
     "CheckpointEntry", "CheckpointStore",
     "CONTINUE", "PAUSE", "STOP", "TrainingController", "ComposedController",
-    "ControllerError", "CheckpointEvery", "StopAfter",
-    "LearningRateController", "compose",
+    "ControllerError", "CheckpointEvery", "StopAfter", "compose",
     "OnboardingResult", "OnboardingSession",
     "AnomalyReport", "build_report",
     "EventAttribution", "WindowExplanation", "explain_window",

@@ -13,9 +13,7 @@ returning an action:
 * :data:`STOP` — halt and discard the partial epoch: the run is over.
 
 Hooks may also act imperatively — write a checkpoint through a
-:class:`~repro.core.checkpoint.CheckpointStore` they own, or adjust the
-learning rate via ``trainer.set_learning_rate`` (the LR is part of the
-checkpointed optimizer state, so adjustments survive resume).
+:class:`~repro.core.checkpoint.CheckpointStore` they own.
 
 An exception escaping a hook marks the run failed
 (``trainer.run_failed``) and surfaces as :class:`ControllerError`; the
@@ -28,7 +26,7 @@ from __future__ import annotations
 __all__ = [
     "CONTINUE", "PAUSE", "STOP",
     "ControllerError", "TrainingController", "ComposedController",
-    "CheckpointEvery", "StopAfter", "LearningRateController", "compose",
+    "CheckpointEvery", "StopAfter", "compose",
 ]
 
 CONTINUE = "continue"
@@ -170,17 +168,4 @@ class StopAfter(TrainingController):
     def on_epoch_end(self, trainer, epoch, metrics):
         if self.epochs is not None and epoch + 1 >= self.epochs:
             return self.action
-        return None
-
-
-class LearningRateController(TrainingController):
-    """Applies ``schedule(epoch) -> lr`` to the main optimizer at each
-    epoch start.  Deterministic under resume: the LR travels in the
-    checkpoint and the schedule re-applies the same value."""
-
-    def __init__(self, schedule):
-        self.schedule = schedule
-
-    def on_epoch_start(self, trainer, epoch):
-        trainer.set_learning_rate(float(self.schedule(epoch)))
         return None

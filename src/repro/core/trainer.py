@@ -208,13 +208,6 @@ class LogSynergyTrainer:
         """Optimizer steps taken across the whole run, resume included."""
         return self._step
 
-    def set_learning_rate(self, lr: float) -> None:
-        """Adjust the main optimizer's learning rate (controller hook
-        surface); the value travels in the checkpointed optimizer state."""
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.optimizer.lr = float(lr)
-
     def _dispatch(self, controller, hook: str, *args) -> str:
         if controller is None:
             return CONTINUE

@@ -158,22 +158,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        """Bucket-upper-bound estimate of the ``q`` quantile (0 < q <= 1)."""
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for index, bucket_count in enumerate(self.bucket_counts):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if index < len(self.boundaries):
-                    return self.boundaries[index]
-                return self.max
-        return self.max  # pragma: no cover - cumulative always reaches count
-
     def __reduce__(self):
         return _active_metric, ("histogram", self.name, *self.boundaries)
 

@@ -66,9 +66,6 @@ class NullHistogram:
         # Never reads the clock: disabled observability costs nothing.
         return _NULL_TIMER
 
-    def percentile(self, q: float) -> float:
-        return 0.0
-
 
 class _NullSpan:
     __slots__ = ()

@@ -12,11 +12,11 @@ the model's batch-first ``score_event_windows``/``predict_proba`` path:
   independent of the shard count.
 * :func:`normalize_record` / :class:`UnifiedLog` — the formatting stage:
   the one record normal form every shard window is built from.  Each
-  record is parsed once here, by the per-record ``event_fn(system,
-  message)`` hook (:func:`admission_event_fn`) — for the learned model,
-  alone or as an ensemble member, the record's own system featurizer —
-  and its event id rides the window to the gate (pattern = sorted id
-  set) and the batched forward; nothing parses it again.  The masked
+  record is parsed once here, by the worker's ``event_fn(system,
+  message)`` hook — for the learned model, alone or as an ensemble
+  member, the record's own system featurizer — and its event id rides
+  the window to the gate (pattern = sorted id set) and the batched
+  forward; nothing parses it again.  The masked
   text that parse produced rides along as ``UnifiedLog.masked`` for the
   LOF member, so nothing masks it again either.
 * :class:`PatternLibrary` — the §VI-A pattern gate's per-system
@@ -32,14 +32,16 @@ the model's batch-first ``score_event_windows``/``predict_proba`` path:
   backoff, and a health state machine.  While a shard's model worker is
   unhealthy its traffic falls back to the :class:`PatternFallback`
   known-pattern fast path instead of dropping detections.
-* :class:`InferenceRuntime` — the engine tying it together, with two
-  executors: the deterministic synchronous one (``submit``/``drain`` on
+* :class:`InferenceRuntime` — the engine tying it together, built from
+  one worker.  A worker says how its records are admitted, whether it
+  is gated, whether it fuses lanes, and which pipeline a swap loads.
+  Two executors: the deterministic synchronous one (``submit``/``drain`` on
   the caller's thread, used by ``repro replay`` and ``repro serve``;
   ``submit`` ingests each record straight into its shard, with no
   buffer in between) and the process one below.
 * :class:`ProcessShardExecutor` — the ``executor="process"`` mode: one
-  worker process per shard, each loading a pickled snapshot of the
-  worker ``worker_factory`` built for it, supervised with journal-refeed
+  worker process per shard, each loading its own copy of the runtime's
+  worker from one pickled snapshot, supervised with journal-refeed
   crash recovery, and deduplicated on window id so replay output stays
   byte-identical to sync mode.  It holds the only ``multiprocessing``
   constructions the project permits (see the ``direct-process`` lint
@@ -64,7 +66,6 @@ from .worker import (
     ModelWorker,
     SyntheticWorker,
     WorkerError,
-    admission_event_fn,
     message_event,
 )
 
@@ -75,7 +76,6 @@ __all__ = [
     "MicroBatchScheduler", "PendingWindow",
     "WorkerSupervisor", "WorkerError",
     "ModelWorker", "SyntheticWorker", "EnsembleWorker", "FlakyWorker", "message_event",
-    "admission_event_fn",
     "ProcessShardExecutor",
     "PatternFallback", "PatternLibrary", "PatternStats",
     "replay_records", "render_reports", "report_sort_key",

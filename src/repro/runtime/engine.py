@@ -17,11 +17,16 @@ oldest window overdue.
 
 **Process** (``executor="process"``) — ``start`` / ``stop``; each shard
 runs in its own worker process (:mod:`repro.runtime.procexec`), which
-loads a pickled snapshot of the worker ``worker_factory`` built for it.
-It overlaps scoring across cores past the GIL and keeps the
-deterministic-output contract: replay output is byte-identical to sync
-mode (see the procexec module docstring for the argument).  Both
-executors build their workers through the same ``worker_factory``.
+loads a pickled snapshot of the runtime's worker.  It overlaps scoring
+across cores past the GIL and keeps the deterministic-output contract:
+replay output is byte-identical to sync mode (see the procexec module
+docstring for the argument).
+
+Both executors are built from one worker.  A worker says how its
+records are admitted, whether it is gated, whether it fuses lanes, and
+which pipeline a swap loads (see :mod:`repro.runtime.worker`); sync
+shards share it, each behind its own supervisor, and each shard process
+loads its own copy.
 
 Admission never sheds under either executor: ``block`` is the only
 ``backpressure`` policy.  A caller that wants to shed load does so
@@ -39,7 +44,7 @@ from ..testing.faultpoints import DROPPED, fault_point
 from .router import ShardRouter
 from .shard import ShardState
 from .supervisor import WorkerSupervisor
-from .worker import EnsembleWorker, InferenceWorker, ModelWorker, admission_event_fn
+from .worker import EnsembleWorker, InferenceWorker, ModelWorker
 
 __all__ = ["InferenceRuntime", "RuntimeStats"]
 
@@ -128,11 +133,9 @@ class RuntimeStats:
 
 
 class InferenceRuntime:
-    """Sharded micro-batching front-end over inference workers."""
+    """Sharded micro-batching front-end over one inference worker."""
 
-    def __init__(self,
-                 worker_factory: Callable[[int], InferenceWorker], *,
-                 event_fn: Callable[[str, str], tuple[int, str | None]],
+    def __init__(self, worker: InferenceWorker, *,
                  shards: int = 1, window: int = 10, step: int = 5,
                  max_batch: int = 16, max_latency: float | None = None,
                  backpressure: str = "block",
@@ -148,8 +151,8 @@ class InferenceRuntime:
             raise ValueError(
                 f"unsupported backpressure policy {backpressure!r}: "
                 "admission never sheds, so 'block' is the only one")
-        if worker_factory is None:
-            raise ValueError("InferenceRuntime requires a worker_factory")
+        if worker is None:
+            raise ValueError("InferenceRuntime requires a worker")
         if registry is None:
             active = get_registry()
             # Stats must stay readable with observability off, so fall
@@ -163,8 +166,7 @@ class InferenceRuntime:
         self._clock = registry.clock
         self._on_report = on_report
         self._reports: list[AnomalyReport] = []
-        # The pipeline weight swaps load into; wired by from_model.
-        self.serving = None
+        self._worker = worker
         # Always empty: no executor runs shard code on a thread of its
         # own.  Kept because benchmark harnesses count its entries.
         self.shard_errors: list[BaseException] = []
@@ -176,8 +178,7 @@ class InferenceRuntime:
             from .procexec import ProcessShardExecutor
 
             self._process = ProcessShardExecutor(
-                worker_factory, shards=shards,
-                event_fn=event_fn, emit=self._emit,
+                worker, shards=shards, emit=self._emit,
                 window=window, step=step, max_batch=max_batch,
                 max_latency=max_latency,
                 supervisor_options=supervisor_options,
@@ -186,12 +187,11 @@ class InferenceRuntime:
             return
         for index in range(shards):
             supervisor = WorkerSupervisor(
-                worker_factory(index), registry=registry,
+                worker, registry=registry,
                 prefix=prefix, **(supervisor_options or {}),
             )
             self.shards.append(ShardState(
-                index, supervisor,
-                event_fn=event_fn, emit=self._emit, registry=registry,
+                index, supervisor, emit=self._emit, registry=registry,
                 window=window, step=step,
                 max_batch=max_batch, max_latency=max_latency,
                 prefix=prefix, spans=True,
@@ -200,46 +200,36 @@ class InferenceRuntime:
     # ------------------------------------------------------------------
     @classmethod
     def from_model(cls, model, **kwargs) -> "InferenceRuntime":
-        """Build a runtime over a fitted LogSynergy model.
-
-        Each record is parsed once, at admission, by its own system's
-        featurizer (:meth:`~repro.core.pipeline.LogSynergy.event_id_of`);
-        the gate keys on the window's event-id set and a
-        :class:`ModelWorker` per shard scores the carried ids.
-
-        With ``executor="process"`` every shard process loads its own
-        copy of the worker, pipeline and interpreter included, and parses
-        there; the parent's hook only serves a shard degraded to the
-        parent-side fallback.
+        """Build a runtime over a fitted LogSynergy model: its
+        :class:`ModelWorker` admits each record through its own system's
+        featurizer, the gate keys on the window's event-id set, and the
+        worker scores the carried ids.  Under ``executor="process"`` each
+        shard process parses with its own copy of the pipeline.
         """
-        if model.model is None:
-            raise ValueError("InferenceRuntime requires a fitted LogSynergy model")
-        runtime = cls(lambda index: ModelWorker(model),
-                      event_fn=admission_event_fn(model), **kwargs)
-        runtime.serving = model
-        return runtime
+        return cls(ModelWorker(model), **kwargs)
 
     @classmethod
     def from_ensemble(cls, ensemble, **kwargs) -> "InferenceRuntime":
         """Build a runtime over a :class:`repro.detectors.Ensemble`.
 
-        Its :class:`~repro.runtime.worker.EnsembleWorker` is ungated
-        (``gated = False``), so every window reaches the ensemble, one
-        micro-batch per :meth:`~repro.detectors.Ensemble.score_windows`
-        call; its rule
-        and LOF members reuse the per-line work of each system's previous
-        window.  When the ensemble has a live model member, records
-        are admitted through that pipeline's per-system parse, as in
-        :meth:`from_model`, and the member scores the stamped ids with
-        one forward per batch; otherwise admission uses
-        :func:`~repro.runtime.worker.message_event` (see
-        :func:`~repro.runtime.worker.admission_event_fn`).  One ensemble
-        instance is shared by all sync shards, and each shard process
-        loads its own copy — per-system state plus system-sticky routing
-        keeps replay byte-identical across shard counts and executors.
+        Its :class:`~repro.runtime.worker.EnsembleWorker` is ungated, so
+        every window reaches the ensemble, one micro-batch per
+        :meth:`~repro.detectors.Ensemble.score_windows` call, and it
+        admits through a live model member's pipeline when there is one.
+        One ensemble instance is shared by all sync shards, and each
+        shard process loads its own copy — per-system state plus
+        system-sticky routing keeps replay byte-identical across shard
+        counts and executors.
         """
-        return cls(lambda index: EnsembleWorker(ensemble),
-                   event_fn=admission_event_fn(ensemble.pipeline), **kwargs)
+        return cls(EnsembleWorker(ensemble), **kwargs)
+
+    @property
+    def serving(self):
+        """The pipeline weight swaps load into: a :class:`ModelWorker`'s
+        model, else ``None``."""
+        if isinstance(self._worker, ModelWorker):
+            return self._worker.model
+        return None
 
     # ------------------------------------------------------------------
     def swap_weights(self, state: dict) -> None:
@@ -252,10 +242,11 @@ class InferenceRuntime:
         and a state that does not fit raises before any shard process
         sees it.  Process mode then swaps every shard process.
         """
-        if self.serving is None:
+        serving = self.serving
+        if serving is None:
             raise RuntimeError(
                 "swap_weights requires a runtime built with from_model")
-        self.serving.model.load_state_dict(state)
+        serving.model.load_state_dict(state)
         if self._process is not None:
             self._process.swap_weights(state)
         self.registry.counter(f"{self.prefix}.weight_swaps").inc()

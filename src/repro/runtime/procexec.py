@@ -4,16 +4,13 @@ The synchronous engine scores every shard on the caller's thread, so
 neither inference latency nor CPU-bound scoring overlaps across shards.
 This module runs each shard in its own **worker process**:
 
-* **Warm start from a pickled worker** — the executor builds each
-  shard's worker through the same ``worker_factory`` the sync engine
-  uses and pickles every shard's worker, with the admission hook, once
-  and together, so objects the workers share (one pipeline, one
-  ensemble) are stored once: a frozen snapshot that later changes to
-  the parent's objects (an onboarding run parsing day-0 logs adds Drain
-  templates) cannot reach.  Every spawn and respawn, under fork or
-  spawn, loads those bytes and keeps its own shard's worker.  Metrics
-  inside the worker unpickle into the child's registry, whose deltas
-  ship home.
+* **Warm start from a pickled worker** — the executor pickles the
+  runtime's one worker once, admission hook and pipeline included: a
+  frozen snapshot that later changes to the parent's objects (an
+  onboarding run parsing day-0 logs adds Drain templates) cannot reach.
+  Every spawn and respawn, under fork or spawn, loads its own copy from
+  those bytes.  Metrics inside the worker unpickle into the child's
+  registry, whose deltas ship home.
 * **Determinism by construction** — routing stays system-sticky, records
   cross the pipe as compact :class:`WireRecord` tuples in submit order,
   and each child runs the same :class:`~repro.runtime.shard.ShardState`
@@ -33,8 +30,9 @@ This module runs each shard in its own **worker process**:
 * **One latency deadline per shard, from admission** — records reach a
   child over a one-way pipe written from the caller's thread (no feeder
   thread, and ``submit`` blocks while a lagging child's pipe is full).
-  A shard's buffer ships when it holds ``_CHUNK`` records or, under a
-  ``max_latency`` budget, once its oldest record has waited
+  A shard's unshipped records (the tail of its journal the child has
+  not been sent) ship when there are ``_CHUNK`` of them or, under a
+  ``max_latency`` budget, once the oldest has waited
   ``_SHIP_AGE_SHARE`` of that budget.  Each shipment carries that
   record's age, a duration, so no clock is shared across processes: the
   child counts the budget of the windows it completes from its receive
@@ -82,7 +80,7 @@ __all__ = ["ProcessShardExecutor", "WireRecord"]
 # Records per IPC message: amortizes pickling/pipe overhead without
 # letting the parent run far ahead of a crashed child.
 _CHUNK = 32
-# Under a latency budget, a partial buffer ships once its oldest record
+# Under a latency budget, a partial chunk ships once its oldest record
 # has waited this share of ``max_latency``.  The budget counts from
 # admission and the child wakes on its own at the deadline, but a record
 # still in the parent cannot be scored: its window must reach the child
@@ -118,7 +116,7 @@ class _ShardSlot:
     """Parent-side bookkeeping for one worker process."""
 
     __slots__ = ("index", "process", "inbox", "out_q", "produced", "consumed",
-                 "epoch", "journal", "swaps", "buffer", "buffered_at",
+                 "epoch", "journal", "swaps", "shipped", "buffered_at",
                  "emitted", "restarts", "fallback")
 
     def __init__(self, index: int):
@@ -139,8 +137,10 @@ class _ShardSlot:
         # it: the refeed replays it there, so a respawn scores every
         # window with the weights the first child used.
         self.swaps: list[tuple[int, dict]] = []
-        self.buffer: list[WireRecord] = []
-        # When the oldest record in ``buffer`` was buffered (read only
+        # How much of the journal the current child has been sent;
+        # ``journal[shipped:]`` is still waiting in the parent.
+        self.shipped = 0
+        # When the oldest unshipped record was journaled (read only
         # under a latency budget).
         self.buffered_at = 0.0
         # Window ids already emitted to the engine (membership checks
@@ -154,8 +154,7 @@ class ProcessShardExecutor:
     """Drives one worker process per shard for an
     :class:`~repro.runtime.engine.InferenceRuntime`."""
 
-    def __init__(self, worker_factory, *, shards: int,
-                 event_fn, emit,
+    def __init__(self, worker, *, shards: int, emit,
                  window: int = 10, step: int = 5, max_batch: int = 16,
                  max_latency: float | None = None,
                  supervisor_options: dict | None = None,
@@ -163,22 +162,16 @@ class ProcessShardExecutor:
         import multiprocessing
 
         self._emit = emit
-        # Pickled with each worker, so a child parses through its own
-        # copy of the hook's pipeline; the parent calls it only for the
-        # degraded fallback.
-        self._event_fn = event_fn
         # Kept for an abandoned shard's parent-side replica, which never
-        # scores but gates and fuses lanes as its served worker does.
-        self._workers = [worker_factory(index) for index in range(shards)]
-        self._snapshot = pickle.dumps(
-            [(worker, event_fn) for worker in self._workers],
-            protocol=pickle.HIGHEST_PROTOCOL)
+        # scores but admits, gates and fuses lanes as the served worker.
+        self._worker = worker
+        self._snapshot = pickle.dumps(worker, protocol=pickle.HIGHEST_PROTOCOL)
         self._registry = registry
         self._clock = registry.clock
         self._prefix = prefix
         # Age-bounded shipping: ``_oldest`` is never later than the
-        # earliest ``buffered_at`` of a non-empty buffer, so one
-        # comparison per submit tells whether any buffer is due.
+        # earliest ``buffered_at`` of a shard with unshipped records, so
+        # one comparison per submit tells whether any shard is due.
         self._ship_age = (None if max_latency is None
                           else max_latency * _SHIP_AGE_SHARE)
         self._oldest = float("inf")
@@ -290,7 +283,7 @@ class ProcessShardExecutor:
 
     def _abandon(self, slot: _ShardSlot) -> None:
         """Give up on ``slot``'s process: serve it from a parent-side
-        replica of the shard over its served worker, degraded for good
+        replica of the shard over the served worker, degraded for good
         (every window is answered by the pattern-library fallback), and
         refed from the journal so no admitted record is lost."""
         self._abandon_ipc(slot)
@@ -298,17 +291,15 @@ class ProcessShardExecutor:
         self._refresh_live()
         scope = f".shard{slot.index}"
         supervisor = WorkerSupervisor(
-            self._workers[slot.index], registry=self._registry,
+            self._worker, registry=self._registry,
             prefix=self._prefix, scope=scope, **self._supervisor_options)
         supervisor.force_unhealthy(cooldown=float("inf"))
         slot.fallback = ShardState(
             slot.index, supervisor,
-            event_fn=self._event_fn,
             emit=lambda report, _slot=slot: self._accept(_slot, report),
             registry=self._registry, scope=scope, spans=False,
             **self._shard_params,
         )
-        slot.buffer = []
         for record in slot.journal:
             slot.fallback.ingest(record)
             slot.fallback.flush_ready(self._clock())
@@ -323,7 +314,6 @@ class ProcessShardExecutor:
                 slot.process.join(timeout=1.0)
             self._abandon_ipc(slot)
             slot.process = None
-            slot.buffer = []
             if slot.restarts >= _MAX_RESTARTS:
                 self._abandon(slot)
                 return
@@ -343,14 +333,15 @@ class ProcessShardExecutor:
                     start = position
             except OSError:
                 continue
+            slot.shipped = len(slot.journal)
             self._refed.inc(len(slot.journal))
             return
 
     def swap_weights(self, model_state: dict) -> None:
         """Promote new model weights into every shard process.
 
-        Each shard's buffer ships first, so every record journaled so
-        far is scored with the old weights; the state then ships
+        Each shard's unshipped records ship first, so every record
+        journaled so far is scored with the old weights; the state then ships
         in-band and is journaled at that position for the refeed.  The
         caller has already checked the state against the served model
         (:meth:`~repro.runtime.engine.InferenceRuntime.swap_weights`).
@@ -378,11 +369,11 @@ class ProcessShardExecutor:
 
     # ------------------------------------------------------------------
     def submit(self, index: int, record) -> None:
-        """Journal and buffer one record for shard ``index``.
+        """Journal one record for shard ``index``.
 
-        The buffer ships when it holds ``_CHUNK`` records; under a
-        latency budget every shard's buffer also ships once its oldest
-        record has waited ``_SHIP_AGE_SHARE`` of ``max_latency``.  A
+        A shard's unshipped records ship once there are ``_CHUNK`` of
+        them; under a latency budget every shard's also ship once the
+        oldest has waited ``_SHIP_AGE_SHARE`` of ``max_latency``.  A
         send blocks while the child's pipe is full.  Every shard's
         finished reports are collected on the way out.
         """
@@ -401,10 +392,10 @@ class ProcessShardExecutor:
             # exercises).
             if fault_point("runtime.proc.death", False):
                 self._kill(slot)
-            slot.buffer.append(wire)
-            if len(slot.buffer) >= _CHUNK:
+            unshipped = len(slot.journal) - slot.shipped
+            if unshipped >= _CHUNK:
                 self._flush(slot)
-            elif now is not None and len(slot.buffer) == 1:
+            elif now is not None and unshipped == 1:
                 slot.buffered_at = now
                 if now < self._oldest:
                     self._oldest = now
@@ -414,11 +405,11 @@ class ProcessShardExecutor:
             self._poll_out(other)
 
     def _ship_aged(self, now: float) -> None:
-        """Ship every buffer whose oldest record is due; reset
-        ``_oldest`` to the earliest buffer left waiting."""
+        """Ship every shard whose oldest unshipped record is due; reset
+        ``_oldest`` to the earliest one left waiting."""
         oldest = float("inf")
         for slot in self._slots:
-            if not slot.buffer:
+            if slot.fallback is not None or slot.shipped == len(slot.journal):
                 continue
             if now - slot.buffered_at >= self._ship_age:
                 self._flush(slot)
@@ -427,20 +418,21 @@ class ProcessShardExecutor:
         self._oldest = oldest
 
     def _flush(self, slot: _ShardSlot) -> None:
-        if not slot.buffer or slot.fallback is not None:
+        """Send the journal's unshipped tail to the shard's child."""
+        if slot.shipped == len(slot.journal) or slot.fallback is not None:
             return
-        # How long the oldest buffered record has been admitted: the
+        # How long the oldest unshipped record has been admitted: the
         # child's latency budget for these records counts from there.
         age = (0.0 if self._ship_age is None
                else self._clock() - slot.buffered_at)
         try:
-            slot.inbox.send(("recs", slot.buffer, age))
+            slot.inbox.send(("recs", slot.journal[slot.shipped:], age))
         except OSError:
-            # BrokenPipeError: the child is gone.  The buffer is in the
-            # journal, so the refeed delivers it.
+            # BrokenPipeError: the child is gone.  The refeed sends the
+            # whole journal, these records included.
             self._recover(slot)
             return
-        slot.buffer = []
+        slot.shipped = len(slot.journal)
 
     def _poll_out(self, slot: _ShardSlot) -> None:
         """Opportunistically ship finished reports upward (non-blocking),
@@ -564,8 +556,11 @@ class ProcessShardExecutor:
             slot.fallback.score_batch(batch)
 
     def queue_depths(self) -> list[int]:
-        """Records admitted but not yet handed to a worker process."""
-        return [len(slot.buffer) for slot in self._slots]
+        """Records admitted but not yet handed to a worker process (0
+        for an abandoned shard, which ingests on submit)."""
+        return [0 if slot.fallback is not None
+                else len(slot.journal) - slot.shipped
+                for slot in self._slots]
 
     def stop(self) -> None:
         """Drain and stop every worker process."""
@@ -658,15 +653,14 @@ def _shard_process_main(index: int, epoch: int, snapshot: bytes,
         with use_registry(registry):
             # Under this registry, so the worker's metrics unpickle into
             # the one whose deltas each drain ack ships home.
-            worker, event_fn = pickle.loads(snapshot)[index]
+            worker = pickle.loads(snapshot)
             scope = f".shard{index}"
             supervisor = WorkerSupervisor(
                 worker, registry=registry, prefix=params["prefix"],
                 scope=scope, **supervisor_options)
             reports: list = []
             shard = ShardState(
-                index, supervisor,
-                event_fn=event_fn, emit=reports.append, registry=registry,
+                index, supervisor, emit=reports.append, registry=registry,
                 scope=scope, spans=False, **params,
             )
             clock = registry.clock

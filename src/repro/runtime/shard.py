@@ -4,15 +4,15 @@ A shard owns every stage of its systems' traffic after routing:
 
 1. **Admission** — each record is normalized (:func:`normalize_record`,
    the one owner of the record normal form) and parsed exactly once:
-   the per-record ``event_fn(system, message)`` hook returns its event
-   id and, when the parse masked the message, the masked text, and both
+   the worker's ``event_fn(system, message)`` hook returns its event id
+   and, when the parse masked the message, the masked text, and both
    are stamped on the :class:`UnifiedLog` entry.  For the learned model
    that hook is the record's *own* system featurizer (its Drain parser,
    §III-B); a system never spans shards, so each featurizer sees only
    its system's records, in that system's order, for any shard count or
    executor.  A hook that does not parse
-   (:func:`~repro.runtime.worker.message_event`) masks nothing and
-   stamps ``masked=None``.
+   (:func:`~repro.runtime.worker.message_event`, the default for a
+   worker without one) masks nothing and stamps ``masked=None``.
 2. **Windowing** — entries are assembled into the production sliding
    window per system; the event ids and masked texts ride the window
    from here on, and nothing downstream parses or masks them again.
@@ -54,6 +54,7 @@ from .fallback import PatternFallback
 from .pattern_library import PatternLibrary
 from .scheduler import MicroBatchScheduler, PendingWindow
 from .supervisor import WorkerSupervisor
+from .worker import message_event
 
 __all__ = ["ShardState", "BATCH_SIZE_BUCKETS", "UnifiedLog", "normalize_record"]
 
@@ -101,7 +102,6 @@ class ShardState:
     fallback replica of it)."""
 
     def __init__(self, index: int, supervisor: WorkerSupervisor, *,
-                 event_fn: Callable[[str, str], tuple[int, str | None]],
                  emit: Callable[[AnomalyReport], None],
                  registry,
                  window: int = 10, step: int = 5,
@@ -112,16 +112,17 @@ class ShardState:
             raise ValueError("window and step must be positive")
         self.index = index
         self.supervisor = supervisor
+        worker = supervisor.worker
         # Rate- and novelty-based workers (detector ensembles) must see
         # every window: for an ungated worker the pattern library neither
         # short-circuits repeats nor absorbs followers, and verdicts are
         # not memoized.
-        self.gate = getattr(supervisor.worker, "gated", True)
+        self.gate = getattr(worker, "gated", True)
         self.scheduler = MicroBatchScheduler(max_batch, max_latency)
-        self._fuse_lanes = getattr(supervisor.worker, "fuse_lanes", False)
+        self._fuse_lanes = getattr(worker, "fuse_lanes", False)
+        self._event_fn = getattr(worker, "event_fn", message_event)
         self.window = window
         self.step = step
-        self._event_fn = event_fn
         self._emit = emit
         self._clock = registry.clock
         self._spans = spans

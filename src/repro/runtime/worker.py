@@ -16,13 +16,18 @@ Three implementations:
   LogGPT identify as the production bottleneck).
 * :class:`FlakyWorker` — fault injection: raises
   :class:`WorkerError` for a scripted number of calls, then delegates.
+
+A worker says how its records are admitted (``event_fn``), whether it
+is gated (``gated``), whether it fuses lanes (``fuse_lanes``) and which
+pipeline a swap loads (:class:`ModelWorker`'s ``model``); the runtime
+and its shards read all four from the one worker they are built from.
 """
 
 from __future__ import annotations
 
 import time
 import zlib
-from typing import Callable, Protocol
+from typing import Protocol
 
 from ..core.report import AnomalyReport, build_report
 from ..testing.faultpoints import DROPPED, fault_point
@@ -31,7 +36,6 @@ from .scheduler import PendingWindow
 __all__ = [
     "WorkerError", "InferenceWorker", "ModelWorker", "SyntheticWorker",
     "EnsembleWorker", "FlakyWorker", "message_event",
-    "admission_event_fn",
 ]
 
 
@@ -52,6 +56,11 @@ class InferenceWorker(Protocol):
     shard's pattern library neither answers repeats nor absorbs
     followers, and its verdicts are not memoized.  Workers are gated
     unless they say otherwise.
+
+    ``event_fn(system, message) -> (event id, masked text or None)`` is
+    the worker's admission hook: each record is parsed by it once, and
+    the ids it stamps are what the worker scores.  A worker without one
+    is admitted through :func:`message_event`.
     """
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
@@ -70,22 +79,13 @@ def message_event(system: str, message: str) -> tuple[int, None]:
     return zlib.crc32(message.encode("utf-8")) % 4096, None
 
 
-def admission_event_fn(pipeline) -> Callable[[str, str], tuple[int, str | None]]:
-    """The runtime's per-record admission hook: ``(system, message) ->
-    (event id, masked text or None)``.
-
-    With a fitted pipeline it is the pipeline's per-system parse
-    (:meth:`~repro.core.pipeline.LogSynergy.event_id_of`), so the model
-    scores the ids stamped here and the LOF member embeds the masked
-    text the parse produced; without one it is :func:`message_event`.
-    """
-    if pipeline is None:
-        return message_event
-    return pipeline.event_id_of
-
-
 class ModelWorker:
-    """Scores batches through LogSynergy's batch-first detection path."""
+    """Scores batches through LogSynergy's batch-first detection path.
+
+    Records are admitted through the pipeline's own per-system parse
+    (:meth:`~repro.core.pipeline.LogSynergy.event_id_of`), and ``model``
+    is the pipeline a weight swap loads into.
+    """
 
     fuse_lanes = True
 
@@ -93,6 +93,7 @@ class ModelWorker:
         if model.model is None:
             raise ValueError("ModelWorker requires a fitted LogSynergy model")
         self.model = model
+        self.event_fn = model.event_id_of
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
         fault_point("runtime.worker.score")
@@ -132,12 +133,20 @@ class EnsembleWorker:
     stale answers.  An ungated shard emits only anomalous reports and
     remembers no verdict, so windows at or below the threshold get a
     score-only report: no messages, interpretations or timestamps.
+
+    With a live model member, records are admitted through that
+    pipeline's per-system parse, so the member scores the stamped ids
+    and the LOF member embeds the masked text the parse produced;
+    otherwise through :func:`message_event`.
     """
 
     gated = False
 
     def __init__(self, ensemble):
         self.ensemble = ensemble
+        pipeline = ensemble.pipeline
+        self.event_fn = (message_event if pipeline is None
+                         else pipeline.event_id_of)
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
         fault_point("runtime.worker.score")
@@ -184,6 +193,7 @@ class SyntheticWorker:
     """
 
     fuse_lanes = True
+    event_fn = staticmethod(message_event)
 
     def __init__(self, threshold: float = 0.5, cost: tuple | None = None):
         if cost is not None and cost[0] not in ("sleep", "spin"):
@@ -191,7 +201,6 @@ class SyntheticWorker:
                 f"unknown cost spec kind {cost[0]!r}; expected sleep|spin")
         self.threshold = threshold
         self.cost = cost
-        self.batches_scored = 0
 
     def _pay_cost(self) -> None:
         kind, amount = self.cost
@@ -212,7 +221,6 @@ class SyntheticWorker:
         fault_point("runtime.worker.score")
         if self.cost is not None:
             self._pay_cost()
-        self.batches_scored += 1
         reports = []
         for pending in batch:
             reports.append(build_report(
@@ -228,10 +236,12 @@ class SyntheticWorker:
 
 
 class FlakyWorker:
-    """Fault injection wrapper: fail the next N calls, then delegate."""
+    """Fault injection wrapper: fail the next N calls, then delegate.
+    Records are admitted through the inner worker's hook."""
 
     def __init__(self, inner: InferenceWorker, failures: int = 0):
         self.inner = inner
+        self.event_fn = getattr(inner, "event_fn", message_event)
         self.failures_remaining = failures
         self.calls = 0
 

@@ -71,7 +71,7 @@ from ..llm.providers import FlakyLLM, ProviderError
 from ..llm.simulated import SimulatedLLM, normalize_tokens
 from ..logs.events import EventKind, concepts_for_system
 from ..obs import MetricsRegistry, use_registry
-from ..runtime import InferenceRuntime, SyntheticWorker, message_event
+from ..runtime import InferenceRuntime, SyntheticWorker
 from ..runtime.replay import render_reports
 from .fuzzer import FuzzedStream
 from .plan import FaultInjector, FaultPlan, FaultSpec
@@ -169,8 +169,7 @@ def _run_replay(context: CheckContext, *, shards: int,
     registry = registry if registry is not None else MetricsRegistry()
     executor = context.executor if executor is None else executor
     runtime = InferenceRuntime(
-        lambda index: SyntheticWorker(threshold=0.5),
-        event_fn=message_event, executor=executor,
+        SyntheticWorker(threshold=0.5), executor=executor,
         shards=shards, window=context.window, step=context.step,
         max_batch=context.max_batch, max_latency=None, registry=registry,
         supervisor_options=supervisor_options,

@@ -137,7 +137,29 @@ class TestReachability:
             ),
         })
         chains = cg.reachable(["pkg.a.ping"])
-        assert set(chains) == {"pkg.a.ping", "pkg.a.pong"}
+        assert chains == {"pkg.a.ping": ("pkg.a.ping",),
+                          "pkg.a.pong": ("pkg.a.ping", "pkg.a.pong")}
+
+    def test_two_entries_tie_break_lexicographically(self, make_tree):
+        cg = graph(make_tree, {
+            "src/pkg/a.py": (
+                "def x():\n    shared()\n\n"
+                "def y():\n    shared()\n\n"
+                "def shared():\n    pass\n"
+            ),
+        })
+        first = cg.reachable(["pkg.a.x", "pkg.a.y"])
+        assert first == cg.reachable(["pkg.a.y", "pkg.a.x"])
+        assert first["pkg.a.shared"] == ("pkg.a.x", "pkg.a.shared")
+        # An entry keeps its own one-element chain even when another
+        # entry reaches it.
+        cg = graph(make_tree, {
+            "src/pkg/b.py": (
+                "def x():\n    y()\n\n"
+                "def y():\n    pass\n"
+            ),
+        })
+        assert cg.reachable(["pkg.b.x", "pkg.b.y"])["pkg.b.y"] == ("pkg.b.y",)
 
     def test_unknown_entry_ignored(self, make_tree):
         cg = graph(make_tree, self.FILES)

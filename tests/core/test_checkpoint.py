@@ -133,6 +133,16 @@ class TestResumeEquivalence:
         with pytest.raises(ValueError, match="topology mismatch"):
             fresh.restore_checkpoint(arrays, meta)
 
+    def test_lr_travels_in_checkpoint(self):
+        _, trainer = _make()
+        trainer.optimizer.lr = 3e-4
+        trainer.fit(_toy_data(), epochs=1)
+        arrays, meta = trainer.checkpoint_state()
+        assert meta["optimizers"]["opt"]["lr"] == pytest.approx(3e-4)
+        _, fresh = _make(seed=5)
+        fresh.restore_checkpoint(arrays, meta)
+        assert fresh.optimizer.lr == pytest.approx(3e-4)
+
 
 class TestStoreDurability:
     def _store(self, tmp_path, **kwargs):

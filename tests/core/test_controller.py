@@ -10,7 +10,7 @@ from repro.core.checkpoint import CheckpointStore
 from repro.core.controller import (
     CONTINUE, PAUSE, STOP,
     CheckpointEvery, ComposedController, ControllerError,
-    LearningRateController, StopAfter, TrainingController, compose,
+    StopAfter, TrainingController, compose,
 )
 from repro.core.model import LogSynergyModel
 from repro.core.trainer import LogSynergyTrainer, TrainingBatch
@@ -252,34 +252,3 @@ class TestFailurePath:
             trainer.fit(_toy_data(), epochs=1, controller=_Direct())
         assert trainer.run_failed
 
-
-class TestLearningRateController:
-    def test_schedule_applied_each_epoch(self):
-        seen = []
-
-        class _Spy(TrainingController):
-            def on_epoch_start(self, trainer, epoch):
-                seen.append((epoch, trainer.optimizer.lr))
-                return None
-
-        schedule = lambda epoch: 1e-3 * (0.5 ** epoch)
-        composed = ComposedController(
-            [LearningRateController(schedule), _Spy()])
-        _, trainer = _make()
-        trainer.fit(_toy_data(), epochs=3, controller=composed)
-        assert [lr for _, lr in seen] == [1e-3, 5e-4, 2.5e-4]
-
-    def test_lr_travels_in_checkpoint(self):
-        _, trainer = _make()
-        trainer.set_learning_rate(3e-4)
-        trainer.fit(_toy_data(), epochs=1)
-        arrays, meta = trainer.checkpoint_state()
-        assert meta["optimizers"]["opt"]["lr"] == pytest.approx(3e-4)
-        _, fresh = _make(seed=5)
-        fresh.restore_checkpoint(arrays, meta)
-        assert fresh.optimizer.lr == pytest.approx(3e-4)
-
-    def test_set_learning_rate_validates(self):
-        _, trainer = _make()
-        with pytest.raises(ValueError, match="positive"):
-            trainer.set_learning_rate(0.0)

@@ -6,13 +6,12 @@ from repro.deploy import OnlineService
 from repro.logs.generator import LogGenerator
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    InferenceRuntime, RuntimeStats, SyntheticWorker, message_event,
+    InferenceRuntime, RuntimeStats, SyntheticWorker,
 )
 
 
 def _runtime(**kwargs) -> InferenceRuntime:
-    return InferenceRuntime(lambda index: SyntheticWorker(),
-                            event_fn=message_event, **kwargs)
+    return InferenceRuntime(SyntheticWorker(), **kwargs)
 
 
 class TestOverflow:

@@ -27,9 +27,8 @@ def _service(capacity: int) -> OnlineService:
 
 
 def _runtime(**kwargs) -> InferenceRuntime:
-    return InferenceRuntime(lambda index: SyntheticWorker(),
-                            event_fn=message_event,
-                            registry=MetricsRegistry(), **kwargs)
+    return InferenceRuntime(SyntheticWorker(), registry=MetricsRegistry(),
+                            **kwargs)
 
 
 class TestBoundedBuffer:

@@ -311,8 +311,8 @@ class TestMaskOnce:
         from repro.runtime import SyntheticWorker, message_event
 
         runtime = InferenceRuntime(
-            lambda index: SyntheticWorker(), event_fn=message_event,
-            shards=2, max_batch=8, registry=MetricsRegistry())
+            SyntheticWorker(), shards=2, max_batch=8,
+            registry=MetricsRegistry())
         records = self.records()
         calls = counting_masks(monkeypatch)
         for record in records:

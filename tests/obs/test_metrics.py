@@ -56,22 +56,9 @@ class TestHistogram:
         with pytest.raises(ValueError, match="sorted and distinct"):
             Histogram("h", boundaries=(1.0, 1.0))
 
-    def test_percentile_is_bucket_upper_bound(self):
-        histogram = Histogram("h", boundaries=(1.0, 2.0, 4.0))
-        for value in (0.5, 0.6, 1.5, 3.0):
-            histogram.observe(value)
-        assert histogram.percentile(0.5) == 1.0
-        assert histogram.percentile(0.75) == 2.0
-        # Overflow values report the observed max.
-        histogram.observe(50.0)
-        assert histogram.percentile(1.0) == 50.0
-        with pytest.raises(ValueError, match="quantile"):
-            histogram.percentile(0.0)
-
     def test_empty_histogram(self):
         histogram = Histogram("h")
         assert histogram.mean == 0.0
-        assert histogram.percentile(0.99) == 0.0
 
     def test_timer_observes_elapsed_from_injected_clock(self):
         histogram = Histogram("h", boundaries=(1.0, 5.0), clock=fake_clock(step=2.0))

@@ -8,17 +8,16 @@ from repro.logs.generator import LogGenerator
 from repro.obs import MetricsRegistry
 from repro.runtime import (
     FlakyWorker, InferenceRuntime, SyntheticWorker,
-    message_event, render_reports, report_sort_key,
+    render_reports, report_sort_key,
 )
 
 from .conftest import FakeClock, multi_system_stream
 
 
-def sync_runtime(shards: int = 1, worker_factory=None, **kwargs):
-    factory = worker_factory or (lambda index: SyntheticWorker())
+def sync_runtime(shards: int = 1, worker=None, **kwargs):
     kwargs.setdefault("registry", MetricsRegistry())
-    return InferenceRuntime(factory, event_fn=message_event,
-                            shards=shards, **kwargs)
+    return InferenceRuntime(worker or SyntheticWorker(), shards=shards,
+                            **kwargs)
 
 
 def run_sync(runtime, records):
@@ -132,7 +131,7 @@ class TestLatencyFlush:
 
         batches = []
         clock = FakeClock()
-        runtime = sync_runtime(1, worker_factory=lambda index: Recording(),
+        runtime = sync_runtime(1, worker=Recording(),
                                max_batch=16, max_latency=0.5,
                                registry=MetricsRegistry(clock=clock))
         records = multi_system_stream(systems=3, lines=20)
@@ -190,7 +189,7 @@ class TestGracefulDegradation:
         registry = MetricsRegistry(clock=clock)
         worker = FlakyWorker(SyntheticWorker())
         runtime = sync_runtime(
-            1, worker_factory=lambda i: worker, max_batch=4,
+            1, worker=worker, max_batch=4,
             registry=registry, supervisor_options={"cooldown": 10.0},
         )
         runtime.shards[0].supervisor.force_unhealthy()
@@ -213,8 +212,7 @@ class TestExecutorGuards:
         with pytest.raises(RuntimeError):
             runtime.start()
         process = InferenceRuntime(
-            lambda index: SyntheticWorker(), event_fn=message_event,
-            executor="process", registry=MetricsRegistry())
+            SyntheticWorker(), executor="process", registry=MetricsRegistry())
         with pytest.raises(RuntimeError):
             process.pump()
         process.stop()

@@ -9,8 +9,7 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    InferenceRuntime, SyntheticWorker, message_event,
-    render_reports, report_sort_key,
+    InferenceRuntime, SyntheticWorker, render_reports, report_sort_key,
 )
 from repro.testing import FaultInjector, FaultPlan, FaultSpec
 
@@ -27,8 +26,7 @@ def _run(records, *, supervisor_options=None, shards=2, max_batch=4,
          executor="sync"):
     registry = MetricsRegistry()
     runtime = InferenceRuntime(
-        lambda index: SyntheticWorker(), event_fn=message_event,
-        shards=shards, max_batch=max_batch, registry=registry,
+        SyntheticWorker(), shards=shards, max_batch=max_batch, registry=registry,
         supervisor_options=supervisor_options, executor=executor,
     )
     try:

@@ -12,7 +12,7 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.runtime import (
     InferenceRuntime, ProcessShardExecutor, SyntheticWorker,
-    message_event, render_reports, report_sort_key,
+    render_reports, report_sort_key,
 )
 from repro.testing.plan import FaultInjector, FaultPlan, FaultSpec
 
@@ -23,8 +23,7 @@ from .conftest import (
 
 def sync_replay(records, shards: int = 1, **kwargs):
     runtime = InferenceRuntime(
-        lambda index: SyntheticWorker(threshold=0.5),
-        event_fn=message_event, shards=shards, max_batch=4,
+        SyntheticWorker(threshold=0.5), shards=shards, max_batch=4,
         max_latency=None, backpressure="block",
         registry=MetricsRegistry(), **kwargs)
     for record in records:
@@ -34,14 +33,14 @@ def sync_replay(records, shards: int = 1, **kwargs):
     return render_reports(reports)
 
 
-def synthetic(index):
+def synthetic():
     return SyntheticWorker(threshold=0.5)
 
 
 def process_replay(records, shards: int, registry=None, **kwargs):
     registry = registry if registry is not None else MetricsRegistry()
     runtime = InferenceRuntime(
-        synthetic, event_fn=message_event, executor="process",
+        synthetic(), executor="process",
         shards=shards, max_batch=4, max_latency=None,
         backpressure="block", registry=registry, **kwargs)
     try:
@@ -497,12 +496,12 @@ class TestWeightSwap:
 
 
 class TestShipping:
-    """When a shard's buffered records cross the pipe to its child."""
+    """When a shard's unshipped journal tail crosses the pipe to its child."""
 
     @staticmethod
     def runtime(clock, max_latency):
         return InferenceRuntime(
-            synthetic, event_fn=message_event, executor="process",
+            synthetic(), executor="process",
             shards=2, max_batch=4, max_latency=max_latency,
             registry=MetricsRegistry(clock=clock))
 
@@ -560,7 +559,7 @@ class TestShipping:
         queue feeder thread appears in the parent."""
         before = set(threading.enumerate())
         runtime = InferenceRuntime(
-            synthetic, event_fn=message_event, executor="process",
+            synthetic(), executor="process",
             shards=2, max_batch=4, max_latency=0.05,
             registry=MetricsRegistry())
         try:
@@ -581,7 +580,7 @@ class TestShipping:
         golden = sync_replay(records, shards=2)
         registry = MetricsRegistry()
         runtime = InferenceRuntime(
-            synthetic, event_fn=message_event, executor="process",
+            synthetic(), executor="process",
             shards=2, max_batch=4, max_latency=None, registry=registry)
         executor = runtime._process
         victim = executor._slots[0]
@@ -596,7 +595,7 @@ class TestShipping:
             while restarts.value == 0:
                 runtime.submit(next(remaining))
             # Recovered at the flush, before any drain looked.
-            assert victim.buffer == []
+            assert victim.shipped == len(victim.journal)
             for record in remaining:
                 runtime.submit(record)
             reports = runtime.drain()
@@ -655,8 +654,8 @@ class TestOutputPoll:
                 return ("reports", 1, [])
 
         executor = ProcessShardExecutor(
-            synthetic, shards=1, event_fn=message_event,
-            emit=lambda report: None, registry=MetricsRegistry())
+            synthetic(), shards=1, emit=lambda report: None,
+            registry=MetricsRegistry())
         slot = executor._slots[0]
         slot.out_q = CountingQueue()
         slot.produced = executor._ctx.RawValue("Q", 0)
@@ -681,8 +680,8 @@ class TestDeadlineWake:
         from repro.runtime.procexec import WireRecord, _shard_process_main
 
         executor = ProcessShardExecutor(
-            lambda index: SyntheticWorker(threshold=-1.0), shards=1,
-            event_fn=message_event, emit=lambda report: None,
+            SyntheticWorker(threshold=-1.0), shards=1,
+            emit=lambda report: None,
             max_latency=0.5, registry=MetricsRegistry())
         ctx = executor._ctx
         inbox, send_end = ctx.Pipe(duplex=False)
@@ -722,8 +721,7 @@ class TestDeadlineWake:
         poll that B's submits run on every shard."""
         arrived = []
         runtime = InferenceRuntime(
-            lambda index: SyntheticWorker(threshold=-1.0),
-            event_fn=message_event, executor="process",
+            SyntheticWorker(threshold=-1.0), executor="process",
             shards=2, max_batch=16, max_latency=0.1,
             registry=MetricsRegistry(),
             on_report=lambda r: arrived.append(r.metadata["window_id"]))
@@ -747,18 +745,16 @@ class TestDeadlineWake:
 
 
 class TestValidationAndCleanup:
-    def test_process_requires_worker_factory(self):
-        with pytest.raises(ValueError, match="worker_factory"):
-            InferenceRuntime(None, event_fn=message_event,
-                             executor="process")
+    def test_process_requires_a_worker(self):
+        with pytest.raises(ValueError, match="requires a worker"):
+            InferenceRuntime(None, executor="process")
 
     def test_process_requires_block_backpressure(self):
         # One check for both executors: admission never sheds.
         for executor in ("sync", "process"):
             with pytest.raises(ValueError, match="backpressure.*block"):
                 InferenceRuntime(
-                    synthetic, event_fn=message_event,
-                    executor=executor, backpressure="reject")
+                    synthetic(), executor=executor, backpressure="reject")
 
     def test_from_ensemble_runs_under_process_executor(self):
         from repro.detectors import ensemble_from_spec
@@ -776,7 +772,7 @@ class TestValidationAndCleanup:
 
     def test_pump_raises_in_process_mode(self):
         runtime = InferenceRuntime(
-            synthetic, event_fn=message_event, executor="process",
+            synthetic(), executor="process",
             registry=MetricsRegistry())
         with pytest.raises(RuntimeError, match="pump"):
             runtime.pump()
@@ -786,7 +782,7 @@ class TestValidationAndCleanup:
         # The windows pending in worker processes are invisible to the
         # parent: the count must refuse rather than report 0.
         runtime = InferenceRuntime(
-            synthetic, event_fn=message_event, executor="process",
+            synthetic(), executor="process",
             max_batch=64, registry=MetricsRegistry())
         try:
             for record in multi_system_stream(systems=2, lines=40):

@@ -7,8 +7,8 @@ from repro.deploy import OnlineService
 from repro.logs.generator import LogGenerator
 from repro.obs import MetricsRegistry, use_registry
 from repro.runtime import (
-    InferenceRuntime, SyntheticWorker, message_event, render_reports,
-    replay_records, report_sort_key,
+    InferenceRuntime, SyntheticWorker, render_reports, replay_records,
+    report_sort_key,
 )
 
 from .conftest import multi_system_stream, six_system_model_stream
@@ -16,10 +16,7 @@ from .conftest import multi_system_stream, six_system_model_stream
 
 class TestRenderReports:
     def _reports(self):
-        runtime = InferenceRuntime(
-            lambda index: SyntheticWorker(), event_fn=message_event,
-            shards=2, max_batch=4,
-        )
+        runtime = InferenceRuntime(SyntheticWorker(), shards=2, max_batch=4)
         for record in multi_system_stream(systems=3, lines=120):
             runtime.submit(record)
         reports = runtime.drain()
