@@ -196,12 +196,13 @@ def test_runtime_throughput_scaling():
     lines.append(f"cpu process@8 vs sync@8     : {cpu_speedup:.2f}x "
                  f"(recorded; needs >= 2 cores to exceed 1x)")
     emit("runtime_throughput", "\n".join(lines))
-    # bench_replay_stages.py owns the ``replay_stages`` block; keep it.
+    # bench_replay_stages.py and bench_latency_budget.py own the
+    # ``replay_stages`` and ``latency_budget`` blocks; keep them.
     committed = REPO_ROOT / "BENCH_runtime.json"
-    stages = (json.loads(committed.read_text()).get("replay_stages")
-              if committed.exists() else None)
+    previous = json.loads(committed.read_text()) if committed.exists() else {}
     emit_json("runtime", {
-        **({"replay_stages": stages} if stages else {}),
+        **{key: previous[key] for key in ("replay_stages", "latency_budget")
+           if key in previous},
         "benchmark": "runtime_throughput",
         "workload": {
             "systems": SYSTEMS,

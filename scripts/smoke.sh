@@ -61,6 +61,10 @@ PYTHONPATH=src python benchmarks/bench_train_throughput.py --smoke
 # pipeline must run end to end.
 PYTHONPATH=src python benchmarks/bench_replay_stages.py --smoke
 
+# Paced sync model and ensemble streams under the 50 ms budget must
+# serve end to end and report their alert latency.
+PYTHONPATH=src python benchmarks/bench_latency_budget.py --smoke
+
 # LLM interpretation cache: CachedLLM over the provider middleware stack
 # must cut upstream LLM calls versus the cache-cold baseline.
 PYTHONPATH=src python benchmarks/bench_llm_traffic.py --smoke

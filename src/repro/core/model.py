@@ -8,10 +8,10 @@ predicts which system produced the sequence from ``F_s``.  The CLUB and
 DAAN modules attach during training only; online detection uses just
 ``F`` and ``C_anomaly`` (§III-E).
 
-Training runs the module tree over autograd :class:`~repro.nn.Tensor`\ s.
-Scoring does not: :meth:`LogSynergyModel.predict_proba` runs an inference
-plan, a straight-line numpy forward over the live parameter arrays that
-calls the same array-level kernels as the autograd nodes
+Training runs the module tree over autograd :class:`~repro.nn.Tensor`
+objects.  Scoring does not: :meth:`LogSynergyModel.predict_proba` runs an
+inference plan, a straight-line numpy forward over the live parameter
+arrays that calls the same array-level kernels as the autograd nodes
 (:mod:`repro.nn.kernels`), so its probabilities are bit-identical to the
 eval-mode module forward at a fraction of the per-call overhead.
 """

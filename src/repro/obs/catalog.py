@@ -91,6 +91,7 @@ METRIC_TEMPLATES = frozenset({
     "*.batch_size*",
     "*.batches*",
     "*.degraded_windows*",
+    "*.flush_lead_seconds*",
     "*.library_hits*",
     "*.model_invocations*",
     "*.window_seconds*",

@@ -12,8 +12,9 @@ canonical end-of-stream drain order — makes the output a pure function
 of the input stream: ``repro replay --shards N`` is byte-identical for
 every N.  This mode backs :class:`~repro.deploy.online.OnlineService`,
 ``repro replay`` and ``repro serve``, where the ``max_latency`` trigger
-flushes every lane of a shard on the submit that finds the shard's
-oldest window overdue.
+flushes every lane of a shard on the last submit to it whose flush still
+lands by the shard's oldest deadline: each shard measures the gap
+between the submits routed to it and what a latency flush costs.
 
 **Process** (``executor="process"``) — ``start`` / ``stop``; each shard
 runs in its own worker process (:mod:`repro.runtime.procexec`), which
@@ -290,8 +291,9 @@ class InferenceRuntime:
         """Admit one record to its shard.
 
         Sync ingests it there and scores whatever batches are then due
-        (full lanes, and every lane once the shard's oldest window is
-        past ``max_latency``); process hands it to the shard's worker
+        (full lanes, and every lane once the next submit to the shard
+        would come too late for its oldest window's flush to land
+        within ``max_latency``); process hands it to the shard's worker
         process.
         """
         if fault_point("runtime.admit", record) is DROPPED:

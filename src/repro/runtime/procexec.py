@@ -37,8 +37,11 @@ This module runs each shard in its own **worker process**:
   record's age, a duration, so no clock is shared across processes: the
   child counts the budget of the windows it completes from its receive
   time minus that age, sleeps on its inbox until the shard's oldest
-  deadline, and then scores every waiting lane (one batch for a model
-  worker) without waiting for more input.
+  deadline less the measured cost of a latency flush, and then scores
+  every waiting lane (one batch for a model worker) without waiting for
+  more input, so the flush lands by the deadline.  The child ships its
+  current lead (``runtime.flush_lead_seconds.shard<i>``) home in each
+  drain ack with its other gauges.
 * **Crash supervision with exactly-once output** — the parent keeps a
   per-shard journal of every record it ever sent, and of every weight
   swap at the journal position where the child received it.  A dead child
@@ -634,9 +637,11 @@ def _shard_process_main(index: int, epoch: int, snapshot: bytes,
 
     Loads its worker from the snapshot, then serves ``recs`` / ``swap`` /
     ``drain`` / ``stop`` messages.  While windows wait under a latency
-    budget it waits for input only until the shard's oldest deadline,
-    and at the deadline scores every waiting lane with no further
-    message.  Reports flow up tagged with the spawn epoch; the parent
+    budget it waits for input only until the shard's oldest deadline
+    less the measured cost of a latency flush
+    (:meth:`~repro.runtime.shard.ShardState.wake_at`), and then scores
+    every waiting lane with no further message, so the flush lands by
+    the deadline.  Reports flow up tagged with the spawn epoch; the parent
     ignores stale acks and deduplicates reports, so this function never
     needs to know whether it is a first launch or a post-crash respawn
     over a refed journal.
@@ -665,21 +670,21 @@ def _shard_process_main(index: int, epoch: int, snapshot: bytes,
             )
             clock = registry.clock
             while True:
-                deadline = shard.scheduler.oldest_deadline()
-                if deadline is None or inbox.poll(max(0.0, deadline - clock())):
+                wake = shard.wake_at()
+                if wake is None or inbox.poll(max(0.0, wake - clock())):
                     message = inbox.recv()
                 else:
-                    # The oldest window's budget is spent and no input
-                    # came: score every waiting lane now.
+                    # No input came, and scoring every waiting lane now
+                    # is what still lands by the oldest window's deadline.
                     message = ("deadline",)
                 kind = message[0]
                 if kind == "deadline":
-                    shard.flush_ready(clock())
+                    shard.flush_ready(clock(), timer=True)
                 elif kind == "recs":
                     admitted_at = clock() - message[2]
                     for record in message[1]:
                         shard.ingest(record, admitted_at)
-                    shard.flush_ready(clock())
+                    shard.flush_ready(clock(), timer=True)
                 elif kind == "drain":
                     # Residual lanes flush in the same canonical order
                     # the synchronous engine uses (sorted by system).

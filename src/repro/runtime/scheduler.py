@@ -8,8 +8,12 @@ is injected — the scheduler never reads wall time itself):
 * **latency** — once the oldest lane head of the whole shard has waited
   ``max_latency`` seconds, *every* lane flushes its remainder, lanes
   ordered oldest head first.  One deadline per shard is what lets the
-  owner sleep until :meth:`MicroBatchScheduler.oldest_deadline` and then
-  score everything waiting, in one call where the worker can.
+  owner sleep until :meth:`MicroBatchScheduler.oldest_deadline` (less
+  the time its flush takes) and then score everything waiting, in one
+  call where the worker can.  The owner decides how early: it passes
+  ``now + lead`` as the time to :meth:`~MicroBatchScheduler.expired` and
+  :meth:`~MicroBatchScheduler.ready_batches`, so the flush it starts
+  lands by the deadline (:meth:`repro.runtime.shard.ShardState.flush_ready`).
 
 ``drain`` flushes everything, in sorted system order.
 
@@ -93,7 +97,8 @@ class MicroBatchScheduler:
         return batches
 
     def expired(self, now: float) -> bool:
-        """Whether the shard's oldest lane head has used up its budget."""
+        """Whether the shard's oldest lane head has used up its budget by
+        ``now`` (the owner's flush horizon)."""
         return (self.max_latency is not None
                 and now - self._oldest_head >= self.max_latency)
 

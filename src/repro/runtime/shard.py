@@ -31,7 +31,9 @@ A shard owns every stage of its systems' traffic after routing:
    chunks one lane at a time; a latency-triggered flush (every lane's
    remainder, oldest head first) as one batch that mixes systems when
    the worker scores that in one call (``fuse_lanes``, e.g. one model
-   forward), else lane by lane.  A healthy worker
+   forward), else lane by lane.  The latency trigger fires at the last
+   chance whose flush still lands by the oldest window's deadline (see
+   :meth:`ShardState.flush_ready`).  A healthy worker
    returns model reports: verdicts are remembered, anomalous windows are
    emitted.  A degraded worker returns ``None``: every window in the
    batch is answered by the :class:`~repro.runtime.fallback.PatternFallback`
@@ -60,6 +62,10 @@ __all__ = ["ShardState", "BATCH_SIZE_BUCKETS", "UnifiedLog", "normalize_record"]
 
 # Micro-batch sizes are small integers; buckets at the powers of two.
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+# Weight of the newest sample in a shard's running estimates (EWMAs) of
+# what a latency flush costs and of how long its owner takes to call
+# ``flush_ready`` again; together they are the latency trigger's lead.
+LEAD_WEIGHT = 0.2
 
 
 class UnifiedLog(NamedTuple):
@@ -150,6 +156,15 @@ class ShardState:
         self._batch_size = registry.histogram(f"{prefix}.batch_size{scope}",
                                               boundaries=BATCH_SIZE_BUCKETS)
         self._batch_seconds = registry.histogram(f"{prefix}.batch_seconds{scope}")
+        # The latency trigger's lead (only under a budget): running
+        # estimates of a latency flush's cost and of the gap from the end
+        # of one flush_ready call to the next, None until first measured.
+        self._flush_cost: float | None = None
+        self._gap: float | None = None
+        self._done_at: float | None = None
+        self._lead_gauge = (
+            None if max_latency is None
+            else registry.gauge(f"{prefix}.flush_lead_seconds{scope}"))
 
     # ------------------------------------------------------------------
     def _library_of(self, system: str) -> PatternLibrary:
@@ -211,19 +226,62 @@ class ShardState:
         ))
 
     # ------------------------------------------------------------------
-    def flush_ready(self, now: float) -> None:
+    def flush_ready(self, now: float, *, timer: bool = False) -> None:
         """Score every batch due under the size / latency triggers.
 
         Size-triggered chunks score one lane at a time; a latency flush
         (every lane's remainder, oldest head first) scores as one batch
         for a worker that fuses lanes.
+
+        The latency trigger fires at the last chance whose flush still
+        lands by the oldest head's deadline: once ``now + lead`` reaches
+        it.  ``lead`` is the expected wait until the owner calls again
+        plus the expected cost of a latency flush, clamped to
+        ``[0, max_latency]``, and 0 until a latency flush has been
+        measured.  An owner that sleeps on its own timer until
+        :meth:`wake_at` (a shard process) passes ``timer=True`` and waits
+        0; any other owner gets control only when its next record is
+        routed here, so its wait is the measured gap between calls.
         """
-        fuse = self._fuse_lanes and self.scheduler.expired(now)
-        batches = self.scheduler.ready_batches(now)
-        if fuse and len(batches) > 1:
+        budget = self.scheduler.max_latency
+        horizon = now
+        if budget is not None:
+            if timer:
+                wait = 0.0
+            else:
+                if self._done_at is not None:
+                    self._gap = _ewma(self._gap,
+                                      min(now - self._done_at, budget))
+                wait = self._gap or 0.0
+            lead = self._lead(wait)
+            self._lead_gauge.set(lead)
+            horizon = now + lead
+        latency = budget is not None and self.scheduler.expired(horizon)
+        batches = self.scheduler.ready_batches(horizon)
+        if latency and self._fuse_lanes and len(batches) > 1:
             batches = [[pending for batch in batches for pending in batch]]
+        elapsed = 0.0
         for batch in batches:
-            self.score_batch(batch)
+            elapsed += self.score_batch(batch)
+        if budget is not None:
+            if latency:
+                self._flush_cost = _ewma(self._flush_cost, elapsed)
+            self._done_at = now + elapsed
+
+    def _lead(self, wait: float) -> float:
+        if self._flush_cost is None:
+            return 0.0
+        return min(wait + self._flush_cost, self.scheduler.max_latency)
+
+    def wake_at(self) -> float | None:
+        """When an owner on its own timer must next call
+        ``flush_ready(now, timer=True)``: the oldest head's deadline less
+        the expected cost of the flush (None when nothing waits or there
+        is no budget)."""
+        deadline = self.scheduler.oldest_deadline()
+        if deadline is None:
+            return None
+        return deadline - self._lead(0.0)
 
     def drain_batches(self) -> list[tuple[str, list[PendingWindow]]]:
         """Pop all residual batches (end of stream), tagged by system so
@@ -234,10 +292,11 @@ class ShardState:
         return len(self.scheduler)
 
     # ------------------------------------------------------------------
-    def score_batch(self, batch: list[PendingWindow]) -> None:
-        """Run one batch through the supervisor and resolve its windows."""
+    def score_batch(self, batch: list[PendingWindow]) -> float:
+        """Run one batch through the supervisor and resolve its windows;
+        returns how long the supervisor took, on the shard's clock."""
         if not batch:
-            return
+            return 0.0
         span = (self._tracer.span(f"{self._prefix}.flush", shard=self.index,
                                   system=batch[0].system, batch=len(batch))
                 if self._spans else None)
@@ -256,6 +315,7 @@ class ShardState:
             self._resolve_degraded(batch, share)
         else:
             self._resolve_scored(batch, reports, share)
+        return elapsed
 
     def _resolve_scored(self, batch: list[PendingWindow],
                         reports: list[AnomalyReport], share: float) -> None:
@@ -293,3 +353,9 @@ class ShardState:
             self._emit(dataclasses.replace(report, metadata={
                 **report.metadata, "window_id": pending.window_id,
             }))
+
+
+def _ewma(estimate: float | None, sample: float) -> float:
+    if estimate is None:
+        return sample
+    return estimate + LEAD_WEIGHT * (sample - estimate)

@@ -160,6 +160,99 @@ class TestLatencyFlush:
             [["svc-00:0"], ["svc-01:0"], ["svc-02:0"]]
 
 
+class TestLatencyBudget:
+    """Once a shard has measured one latency flush, it fires the trigger
+    at the last submit whose flush still lands by the oldest window's
+    deadline: every window is emitted within ``max_latency`` of its
+    enqueue time, scoring included.  Binary-exact costs keep the fake
+    clock free of rounding."""
+
+    BUDGET = 0.125
+    GAP = 1 / 128       # between submits
+    COST = 1 / 32       # per worker call
+
+    def emitted_latencies(self, fuse_lanes: bool):
+        clock = FakeClock()
+        enqueued = {}
+        cost = self.COST
+
+        class Timed(SyntheticWorker):
+            gated = False
+
+            def score_batch(self, batch):
+                for pending in batch:
+                    enqueued[pending.window_id] = pending.enqueued_at
+                clock.advance(cost)
+                return super().score_batch(batch)
+
+        Timed.fuse_lanes = fuse_lanes
+        emitted = []
+        registry = MetricsRegistry(clock=clock)
+        runtime = sync_runtime(
+            1, worker=Timed(threshold=-1.0), max_batch=16,
+            max_latency=self.BUDGET, registry=registry,
+            on_report=lambda r: emitted.append((r.metadata["window_id"],
+                                                clock())))
+        for record in multi_system_stream(systems=3, lines=120):
+            clock.advance(self.GAP)
+            runtime.submit(record)
+        first_flush = emitted[0][1]
+        latencies = [at - enqueued[window] for window, at in emitted
+                     if enqueued[window] > first_flush]
+        return latencies, registry
+
+    @pytest.mark.parametrize("fuse_lanes", [True, False],
+                             ids=["fused", "lane-by-lane"])
+    def test_every_window_is_emitted_within_the_budget(self, fuse_lanes):
+        latencies, _ = self.emitted_latencies(fuse_lanes)
+        assert len(latencies) > 50
+        assert max(latencies) <= self.BUDGET
+
+    def test_lead_gauge_is_the_gap_plus_the_flush_cost(self):
+        _, registry = self.emitted_latencies(fuse_lanes=True)
+        lead = registry.metrics()["runtime.flush_lead_seconds"].value
+        assert lead == pytest.approx(self.GAP + self.COST)
+
+    def test_no_budget_exports_no_lead(self):
+        registry = MetricsRegistry()
+        runtime = sync_runtime(1, registry=registry, max_batch=4)
+        run_sync(runtime, multi_system_stream(systems=2, lines=40))
+        assert "runtime.flush_lead_seconds" not in registry.metrics()
+
+    def test_a_timer_owner_wakes_a_flush_cost_before_the_deadline(self):
+        clock = FakeClock()
+        cost = self.COST
+
+        class Timed(SyntheticWorker):
+            def score_batch(self, batch):
+                clock.advance(cost)
+                return super().score_batch(batch)
+
+        runtime = sync_runtime(1, worker=Timed(), max_batch=16,
+                               max_latency=self.BUDGET,
+                               registry=MetricsRegistry(clock=clock))
+        shard = runtime.shards[0]
+        records = iter(multi_system_stream(systems=1, lines=40))
+        for _ in range(10):
+            shard.ingest(next(records))
+        # Nothing measured yet: wake at the deadline itself.
+        assert shard.wake_at() == shard.scheduler.oldest_deadline()
+        clock.advance(self.BUDGET)
+        shard.flush_ready(clock(), timer=True)
+        assert shard.pending_windows() == 0
+        for _ in range(5):
+            shard.ingest(next(records))
+        deadline = shard.scheduler.oldest_deadline()
+        assert shard.wake_at() == deadline - cost
+        clock.now = deadline - cost - self.GAP
+        shard.flush_ready(clock(), timer=True)
+        assert shard.pending_windows() == 1
+        clock.now = deadline - cost
+        shard.flush_ready(clock(), timer=True)
+        assert shard.pending_windows() == 0
+        assert clock() == deadline
+
+
 class TestGracefulDegradation:
     def test_unhealthy_shard_keeps_emitting_via_fallback(self):
         # svc-00..05 are dealt round-robin onto both shards.

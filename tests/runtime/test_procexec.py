@@ -1,5 +1,6 @@
 """Process executor: byte-identity to sync mode, crash recovery, stats."""
 
+import dataclasses
 import os
 import queue
 import signal
@@ -35,6 +36,18 @@ def sync_replay(records, shards: int = 1, **kwargs):
 
 def synthetic():
     return SyntheticWorker(threshold=0.5)
+
+
+class StampedSleeper(SyntheticWorker):
+    """Sleeps ``cost`` per batch; each report carries when its batch
+    started scoring (``perf_counter`` is one monotonic clock across
+    processes on Linux)."""
+
+    def score_batch(self, batch):
+        started = time.perf_counter()
+        return [dataclasses.replace(report, metadata={
+            **report.metadata, "scored_at": started})
+            for report in super().score_batch(batch)]
 
 
 def process_replay(records, shards: int, registry=None, **kwargs):
@@ -709,6 +722,54 @@ class TestDeadlineWake:
             assert produced.value == 2
             # The budget counted from admission, not from receipt.
             assert 0.05 <= waited < 0.4
+        finally:
+            send_end.send(("stop",))
+            process.join(timeout=10.0)
+            if process.is_alive():
+                process.kill()
+
+    def test_child_wakes_a_flush_cost_before_the_deadline(self):
+        """Once the child has timed one latency flush, it stops waiting
+        that long before the next deadline, so the flush lands by it; its
+        lead comes home with the drain ack."""
+        from repro.runtime.procexec import WireRecord, _shard_process_main
+
+        executor = ProcessShardExecutor(
+            StampedSleeper(threshold=-1.0, cost=("sleep", 0.2)), shards=1,
+            emit=lambda report: None,
+            max_latency=0.5, registry=MetricsRegistry())
+        ctx = executor._ctx
+        inbox, send_end = ctx.Pipe(duplex=False)
+        out_q = ctx.Queue()
+        produced = ctx.RawValue("Q", 0)
+        process = ctx.Process(
+            target=_shard_process_main,
+            args=(0, 1, *executor._child_args(), inbox, out_q, produced),
+            daemon=True)
+        process.start()
+        records = [WireRecord(r.timestamp, r.system, r.host, r.message)
+                   for r in multi_system_stream(systems=1, lines=15)]
+        try:
+            # The first window has no measured flush: scored at its
+            # deadline, which times the flush at about 0.2 s.
+            send_end.send(("recs", records[:10], 0.0))
+            kind, _epoch, reports = out_q.get(timeout=30.0)
+            assert kind == "reports"
+            # Five more records complete the second window.
+            sent = time.perf_counter()
+            send_end.send(("recs", records[10:], 0.0))
+            kind, _epoch, reports = out_q.get(timeout=5.0)
+            assert [r.metadata["window_id"] for r in reports] == ["svc-00:1"]
+            waited = reports[0].metadata["scored_at"] - sent
+            # Woken about 0.3 s in, not at the 0.5 s deadline.
+            assert 0.15 <= waited < 0.45
+            send_end.send(("drain", 1))
+            kind, _epoch, snapshot = out_q.get(timeout=30.0)
+            assert kind == "drained"
+            gauges = {name: value for name, metric_kind, value in snapshot
+                      if metric_kind == "gauge"}
+            assert gauges["runtime.flush_lead_seconds.shard0"] == \
+                pytest.approx(0.2, abs=0.1)
         finally:
             send_end.send(("stop",))
             process.join(timeout=10.0)
