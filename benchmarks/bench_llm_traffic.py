@@ -7,8 +7,8 @@ replays a skewed request stream against a simulated upstream endpoint
 (fixed per-call latency) two ways:
 
 * **cold** — the bare provider; every request pays the round-trip.
-* **warm** — :class:`~repro.llm.cache.CachedLLM` over the middleware
-  stack (breaker + retries); repeats are answered from the cache.
+* **warm** — :class:`~repro.llm.cache.CachedLLM` over the provider
+  supervisor (retries + breaker); repeats are answered from the cache.
 
 Written as a result block (benchmarks/results/llm_traffic.txt) and
 machine-readable as BENCH_llm.json at the repo root.
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.llm import (
-    CachedLLM, FlakyLLM, build_interpretation_prompt, build_provider_stack,
+    CachedLLM, FlakyLLM, ProviderSupervisor, build_interpretation_prompt,
 )
 from repro.logs import LogGenerator
 from repro.obs import MetricsRegistry
@@ -82,7 +82,7 @@ def _run_cold(stream: list[str], latency: float) -> dict:
 def _run_warm(stream: list[str], latency: float) -> dict:
     upstream = _upstream(latency)
     with tempfile.TemporaryDirectory() as scratch:
-        cache = CachedLLM(build_provider_stack(upstream),
+        cache = CachedLLM(ProviderSupervisor(upstream),
                           Path(scratch) / "interpretations.json",
                           autosave=False)
         started = time.perf_counter()

@@ -257,8 +257,8 @@ class FaultPointAllowlistRule(ConfinedRule):
 @register_rule
 class DirectLLMCallRule(ConfinedRule):
     """The LLM is a supervised dependency, not a convenience: calls that
-    bypass :mod:`repro.llm` skip the traffic-control middleware (breaker,
-    retries, rate limit), the persistent cache and the one spec grammar
+    bypass :mod:`repro.llm` skip the provider supervisor (retries,
+    breaker), the persistent cache and the one spec grammar
     operators configure.  ``repro.llm`` is the sanctioned construction
     site for providers; everything else takes an injected provider and
     never invokes ``.complete``/``.complete_batch`` on one directly."""
@@ -277,7 +277,7 @@ class DirectLLMCallRule(ConfinedRule):
 
     @staticmethod
     def _provider_class_names() -> frozenset[str]:
-        """Names of concrete provider/middleware classes in repro.llm.
+        """Names of concrete provider classes in repro.llm.
 
         Collected lazily from the package by real inheritance (MRO
         membership, not the structural ``__subclasshook__``), so new

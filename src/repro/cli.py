@@ -566,7 +566,7 @@ def _add_llm_flags(parser: argparse.ArgumentParser) -> None:
                              "cached:path=cache.json")
     parser.add_argument("--no-llm-stack", action="store_true",
                         help="use the spec'd provider bare, without the "
-                             "traffic-control middleware stack")
+                             "retry/breaker provider supervisor")
 
 
 def build_parser() -> argparse.ArgumentParser:

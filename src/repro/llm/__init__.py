@@ -4,7 +4,7 @@ Ships a :class:`SimulatedLLM` stand-in for ChatGPT-4o plus the LEI
 pipeline (prompting, interpretation, operator review/regeneration) and
 the production provider stack: every LLM the pipeline talks to is an
 :class:`LLMProvider` (``complete`` / ``complete_batch``), composed with
-traffic-control middleware — a circuit breaker over bounded retries
+one supervisor — bounded retries feeding a circuit breaker
 (:mod:`repro.llm.middleware`) — memoized by one persistent
 cache (:class:`CachedLLM`), and selected by one CLI-wide spec grammar
 (:mod:`repro.llm.factory`).
@@ -14,13 +14,7 @@ from .prompts import SYSTEM_DESCRIPTIONS, build_interpretation_prompt, extract_l
 from .providers import FlakyLLM, LLMProvider, ProviderError, garble
 from .simulated import SimulatedLLM, fallback_rewrite, normalize_tokens
 from .cache import CachedLLM
-from .middleware import (
-    CircuitBreakerMiddleware,
-    ProviderMiddleware,
-    RetryMiddleware,
-    build_provider_stack,
-    pattern_fallback,
-)
+from .middleware import ProviderSupervisor, pattern_fallback
 from .interpreter import EventInterpreter, InterpretationReport, review_interpretation
 from .factory import (
     DEFAULT_SPEC,
@@ -35,8 +29,7 @@ __all__ = [
     "CachedLLM",
     "build_interpretation_prompt", "extract_log_from_prompt", "SYSTEM_DESCRIPTIONS",
     "SimulatedLLM", "normalize_tokens", "fallback_rewrite",
-    "ProviderMiddleware", "CircuitBreakerMiddleware", "RetryMiddleware",
-    "build_provider_stack", "pattern_fallback",
+    "ProviderSupervisor", "pattern_fallback",
     "EventInterpreter", "InterpretationReport", "review_interpretation",
     "DEFAULT_SPEC", "parse_provider_spec", "provider_from_spec",
     "default_provider", "resolve_provider",

@@ -12,8 +12,8 @@ different provider is one flag everywhere::
 Grammar: ``name[:key=value[,key=value...]]``.  Values coerce to bool
 (``true``/``false``), int, float, then fall back to string, in that
 order.  :func:`provider_from_spec` builds the bare provider;
-:func:`resolve_provider` adds the CLI convenience — the middleware
-stack (see :func:`repro.llm.middleware.build_provider_stack`).
+:func:`resolve_provider` adds the CLI convenience — the provider
+supervisor (see :class:`repro.llm.middleware.ProviderSupervisor`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .cache import CachedLLM
-from .middleware import build_provider_stack
+from .middleware import ProviderSupervisor
 from .providers import FlakyLLM, LLMProvider
 from .simulated import SimulatedLLM
 
@@ -117,10 +117,10 @@ def resolve_provider(spec: str | None, *, seed: int = 0,
                      middleware: bool = True) -> LLMProvider:
     """Resolve CLI flags into a ready-to-use provider.
 
-    ``middleware=False`` skips the traffic-control stack (the spec'd
+    ``middleware=False`` skips the provider supervisor (the spec'd
     provider is used bare).
     """
     provider = provider_from_spec(spec or DEFAULT_SPEC, seed=seed)
     if middleware:
-        provider = build_provider_stack(provider, seed=seed)
+        provider = ProviderSupervisor(provider)
     return provider

@@ -9,7 +9,7 @@ contract is two methods:
 * ``complete_batch(prompts)`` — many prompts, order-preserving; the
   default implementation loops over ``complete`` so existing one-method
   clients inherit a correct batch path for free, while real endpoints
-  (or the middleware stack) override it with something smarter.
+  (or the provider supervisor) override it with something smarter.
 
 ``isinstance(x, LLMProvider)`` stays structural: anything with a
 callable ``complete`` qualifies, so duck-typed clients keep working.
@@ -17,7 +17,7 @@ callable ``complete`` qualifies, so duck-typed clients keep working.
 :class:`FlakyLLM` simulates the remote-endpoint failure modes a
 millions-of-users deployment must absorb — seeded latency/jitter,
 transient errors, and format-breaking hallucination bursts — so the
-middleware stack (:mod:`repro.llm.middleware`) and ``repro fuzz`` can be
+provider supervisor (:mod:`repro.llm.middleware`) and ``repro fuzz`` can be
 exercised against realistic misbehaviour, deterministically.
 """
 
@@ -36,7 +36,7 @@ __all__ = ["LLMProvider", "ProviderError", "FlakyLLM", "garble"]
 class ProviderError(RuntimeError):
     """A transient upstream failure (rate limit, 5xx, connection reset).
 
-    The retry/breaker middleware treats exactly this type as retryable;
+    The provider supervisor treats exactly this type as retryable;
     anything else propagates as a programming error.
     """
 
@@ -94,7 +94,7 @@ class FlakyLLM(LLMProvider):
     invariant pins down.
 
     The completion passes through the ``llm.provider.complete`` fault
-    point, so ``repro fuzz`` plans can attack the full middleware stack
+    point, so ``repro fuzz`` plans can attack the provider supervisor
     at the provider boundary.
     """
 

@@ -43,7 +43,7 @@ METRIC_NAMES = frozenset({
     "embedding.encoder.oov_evictions",
     "embedding.wordvectors.cache_hits",
     "embedding.wordvectors.cache_misses",
-    # repro.llm — response cache and provider middleware
+    # repro.llm — response cache and provider supervisor
     "llm.cache.entries",
     "llm.cache.hits",
     "llm.cache.invalidated",

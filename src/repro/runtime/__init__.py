@@ -28,8 +28,9 @@ the model's batch-first ``score_event_windows``/``predict_proba`` path:
   byte-identical for any shard count; the latency budget is one deadline
   per shard, at which every lane flushes (as one mixed batch for a
   worker that scores it in one call).
-* :class:`WorkerSupervisor` — timeout accounting, bounded retry with
-  backoff, and a health state machine.  While a shard's model worker is
+* :class:`WorkerSupervisor` — the worker fault points, timeout
+  accounting, bounded immediate retries, and a health state machine.
+  While a shard's model worker is
   unhealthy its traffic falls back to the :class:`PatternFallback`
   known-pattern fast path instead of dropping detections.
 * :class:`InferenceRuntime` — the engine tying it together, built from

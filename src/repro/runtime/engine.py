@@ -154,11 +154,16 @@ class InferenceRuntime:
                 "admission never sheds, so 'block' is the only one")
         if worker is None:
             raise ValueError("InferenceRuntime requires a worker")
+        # Flush spans go where someone can read them: a registry the
+        # caller passed, or the active one.
+        spans = True
         if registry is None:
             active = get_registry()
             # Stats must stay readable with observability off, so fall
-            # back to a private registry rather than the no-op one.
-            registry = active if active.enabled else MetricsRegistry()
+            # back to a private registry rather than the no-op one.  No
+            # one reads its spans, so its shards open none.
+            spans = active.enabled
+            registry = active if spans else MetricsRegistry()
         self.router = ShardRouter(shards)
         self.executor = executor
         self.registry = registry
@@ -195,7 +200,7 @@ class InferenceRuntime:
                 index, supervisor, emit=self._emit, registry=registry,
                 window=window, step=step,
                 max_batch=max_batch, max_latency=max_latency,
-                prefix=prefix, spans=True,
+                prefix=prefix, spans=spans,
             ))
 
     # ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Extracted from :class:`~repro.runtime.supervisor.WorkerSupervisor` so
 other degradation points can share the exact same semantics — most
-notably the LLM circuit breaker in :mod:`repro.llm.middleware`, which
+notably the LLM provider supervisor in :mod:`repro.llm.middleware`, which
 must open, probe and close the way a supervised worker does:
 
 * **closed/healthy** — consecutive failures accumulate in a streak;

@@ -73,7 +73,7 @@ import signal
 from datetime import datetime
 from typing import NamedTuple
 
-from ..obs import MetricsRegistry, use_registry
+from ..obs import NULL_REGISTRY, MetricsRegistry, use_registry
 from ..testing.faultpoints import fault_point
 from .shard import ShardState
 from .supervisor import WorkerSupervisor
@@ -178,12 +178,12 @@ class ProcessShardExecutor:
         self._ship_age = (None if max_latency is None
                           else max_latency * _SHIP_AGE_SHARE)
         self._oldest = float("inf")
-        # The injected clock/sleep hooks tests wire into supervisors are
-        # closures — not reliably picklable, and meaningless in a child
-        # that keeps its own time.  Children get the sanitized rest.
+        # The injected clock tests wire into supervisors is a closure —
+        # not reliably picklable, and meaningless in a child that keeps
+        # its own time.  Children get the sanitized rest.
         self._child_options = {
             key: value for key, value in (supervisor_options or {}).items()
-            if key not in ("clock", "sleep")}
+            if key != "clock"}
         # ShardState keyword arguments, shared by the child and the
         # parent-side fallback.
         self._shard_params = {
@@ -655,6 +655,9 @@ def _shard_process_main(index: int, epoch: int, snapshot: bytes,
 
     try:
         registry = MetricsRegistry()
+        # Drain acks ship metrics only, so a span the worker opens here
+        # is never read: keep none.
+        registry.tracer = NULL_REGISTRY.tracer
         with use_registry(registry):
             # Under this registry, so the worker's metrics unpickle into
             # the one whose deltas each drain ack ships home.

@@ -21,6 +21,8 @@ A worker says how its records are admitted (``event_fn``), whether it
 is gated (``gated``), whether it fuses lanes (``fuse_lanes``) and which
 pipeline a swap loads (:class:`ModelWorker`'s ``model``); the runtime
 and its shards read all four from the one worker they are built from.
+A worker carries no fault hooks: its supervisor fires the
+``runtime.worker.*`` fault points around every call.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import zlib
 from typing import Protocol
 
 from ..core.report import AnomalyReport, build_report
-from ..testing.faultpoints import DROPPED, fault_point
 from .scheduler import PendingWindow
 
 __all__ = [
@@ -96,17 +97,12 @@ class ModelWorker:
         self.event_fn = model.event_id_of
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
-        fault_point("runtime.worker.score")
         systems = [p.system for p in batch]
         grid = [[entry.event_id for entry in p.window] for p in batch]
         messages = [[entry.message for entry in p.window] for p in batch]
         timestamps = [[entry.timestamp for entry in p.window] for p in batch]
-        reports = self.model.score_event_windows(
+        return self.model.score_event_windows(
             systems, grid, messages, timestamps)
-        reports = fault_point("runtime.worker.result", reports)
-        # A dropped result degrades the batch (the supervisor treats a
-        # missing result like an exhausted retry budget).
-        return None if reports is DROPPED else reports
 
     def load_weights(self, state: dict) -> None:
         """Hot-swap the served model's weights (the promotion path)."""
@@ -149,7 +145,6 @@ class EnsembleWorker:
                          else pipeline.event_id_of)
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
-        fault_point("runtime.worker.score")
         positions_of: dict[str, list[int]] = {}
         for position, pending in enumerate(batch):
             positions_of.setdefault(pending.system, []).append(position)
@@ -173,8 +168,7 @@ class EnsembleWorker:
                 interpretations=[entry.message for entry in window],
                 timestamps=[entry.timestamp for entry in window],
             ))
-        reports = fault_point("runtime.worker.result", reports)
-        return None if reports is DROPPED else reports
+        return reports
 
 
 class SyntheticWorker:
@@ -218,7 +212,6 @@ class SyntheticWorker:
         return (digest % 1000) / 999.0
 
     def score_batch(self, batch: list[PendingWindow]) -> list[AnomalyReport]:
-        fault_point("runtime.worker.score")
         if self.cost is not None:
             self._pay_cost()
         reports = []
@@ -231,8 +224,7 @@ class SyntheticWorker:
                 interpretations=[entry.message for entry in pending.window],
                 timestamps=[entry.timestamp for entry in pending.window],
             ))
-        reports = fault_point("runtime.worker.result", reports)
-        return None if reports is DROPPED else reports
+        return reports
 
 
 class FlakyWorker:

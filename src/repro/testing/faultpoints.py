@@ -45,12 +45,12 @@ DROPPED = _Dropped()
 # host it.  The lint rule enforces this statically; FaultPlan validates
 # spec names against it at construction.
 FAULT_POINTS: dict[str, str] = {
-    # Inference workers: entry (raise/timeout) and result (corrupt).
-    "runtime.worker.score": "repro/runtime/worker.py",
-    "runtime.worker.result": "repro/runtime/worker.py",
-    # Supervisor attempt boundary: raise before the worker runs, or skew
-    # the injected clock so the attempt overruns its timeout budget.
-    "runtime.supervisor.attempt": "repro/runtime/supervisor.py",
+    # Inference workers, fired by their supervisor once per attempt:
+    # entry (raise before the worker runs, or a timeout that skews the
+    # injected clock so the attempt overruns its budget) and result
+    # (corrupt, or drop to degrade the batch).
+    "runtime.worker.score": "repro/runtime/supervisor.py",
+    "runtime.worker.result": "repro/runtime/supervisor.py",
     # Runtime admission, under either executor: a drop here is silent
     # ingress data loss.
     "runtime.admit": "repro/runtime/engine.py",
@@ -62,8 +62,8 @@ FAULT_POINTS: dict[str, str] = {
     "llm.cache.load": "repro/llm/cache.py",
     # LLM completions: hallucination bursts corrupt the returned text.
     "llm.simulated.complete": "repro/llm/simulated.py",
-    # Provider boundary: attack the middleware stack (breaker, retries)
-    # with corrupted upstream completions.
+    # Provider boundary: attack the provider supervisor (retries,
+    # breaker) with corrupted upstream completions.
     "llm.provider.complete": "repro/llm/providers.py",
     # Training step: corrupt the assembled loss (NaN/Inf injection).
     "core.trainer.loss": "repro/core/trainer.py",

@@ -32,6 +32,7 @@ from ..logs.events import EventKind, concepts_for_system
 from ..logs.generator import VOLUME_STORM_CONCEPT, LogRecord
 from ..logs.parameters import ParameterSampler
 from ..logs.scenarios import ScenarioProfile, get_scenario
+from ..logs.sequences import sliding_windows
 from ..logs.systems import get_profile
 
 __all__ = ["PlantedAnomaly", "FuzzedStream", "LogStreamFuzzer"]
@@ -77,18 +78,14 @@ class FuzzedStream:
                                ) -> dict[str, list[bool]]:
         """Ground-truth verdict per completed window, per system.
 
-        Mirrors the runtime's windowing exactly (consecutive
-        ``window``-sized views advanced by ``step``); a window is
-        anomalous when any of its lines is.
+        Windows by :func:`~repro.logs.sliding_windows`, which mirrors
+        the runtime's windowing exactly (consecutive ``window``-sized
+        views advanced by ``step``); a window is anomalous when any of
+        its lines is.
         """
-        labels: dict[str, list[bool]] = {}
-        for system, records in self.by_system().items():
-            flags = [record.is_anomalous for record in records]
-            verdicts = []
-            for start in range(0, len(flags) - window + 1, step):
-                verdicts.append(any(flags[start:start + window]))
-            labels[system] = verdicts
-        return labels
+        return {system: [bool(sequence.label)
+                         for sequence in sliding_windows(records, window, step)]
+                for system, records in self.by_system().items()}
 
 
 class LogStreamFuzzer:

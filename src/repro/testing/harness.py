@@ -246,8 +246,8 @@ def measure_fault_point_overhead(iterations: int = 200_000, repeats: int = 5,
         return best_seconds * 1e9 / iterations
 
     # Interleave a warmup of each before timing either.
-    _noop_hook("runtime.worker.score", None)
-    fault_point("runtime.worker.score", None)
+    for fn in (_noop_hook, fault_point):
+        fn("runtime.worker.score", None)
     return OverheadReport(
         iterations=iterations,
         hook_ns=best(fault_point),

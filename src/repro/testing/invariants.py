@@ -23,7 +23,7 @@ or against the fuzzer's planted ground truth:
 * ``hallucination-burst-bounded`` — format-breaking LLM output bursts
   are absorbed by the review/regeneration loop (§IV-E2).
 * ``flaky-provider-within-retry-budget-is-byte-identical`` — a flaky
-  LLM provider behind the middleware stack completes byte-identically
+  LLM provider behind the provider supervisor completes byte-identically
   to a fault-free run while errors stay within the retry budget, and a
   sustained outage degrades through the circuit breaker to the
   pattern-library fallback instead of raising.
@@ -65,11 +65,12 @@ from ..evaluation.metrics import binary_metrics
 from ..llm.cache import CachedLLM
 from ..llm.factory import provider_from_spec
 from ..llm.interpreter import EventInterpreter, review_interpretation
-from ..llm.middleware import build_provider_stack, pattern_fallback
+from ..llm.middleware import ProviderSupervisor, pattern_fallback
 from ..llm.prompts import build_interpretation_prompt
 from ..llm.providers import FlakyLLM, ProviderError
 from ..llm.simulated import SimulatedLLM, normalize_tokens
 from ..logs.events import EventKind, concepts_for_system
+from ..logs.sequences import sliding_windows
 from ..obs import MetricsRegistry, use_registry
 from ..runtime import InferenceRuntime, SyntheticWorker
 from ..runtime.replay import render_reports
@@ -107,8 +108,8 @@ class CheckContext:
     step: int = 5
     max_batch: int = 8
     f1_floor: float = 0.7
-    # ``--llm`` spec the provider invariants drive through the middleware
-    # stack; ``None`` uses their built-in flaky default.
+    # ``--llm`` spec the provider invariants drive through the provider
+    # supervisor; ``None`` uses their built-in flaky default.
     provider_spec: str | None = None
     # Runtime executor the replay invariants exercise ("sync" or
     # "process").  Checkers that arm in-process fault injectors pin
@@ -202,7 +203,7 @@ def check_transient_fault_equivalence(context: CheckContext) -> InvariantResult:
     golden, _, _ = _run_replay(context, shards=2, executor="sync")
     plan = FaultPlan((
         FaultSpec("runtime.worker.score", "raise", start=2, count=2),
-        FaultSpec("runtime.supervisor.attempt", "timeout", start=6, count=1,
+        FaultSpec("runtime.worker.score", "timeout", start=6, count=1,
                   seconds=30.0),
     ), seed=context.seed)
     registry = MetricsRegistry()
@@ -379,16 +380,16 @@ _INVARIANT_FLAKY = "flaky-provider-within-retry-budget-is-byte-identical"
 
 @_invariant(_INVARIANT_FLAKY, "llm")
 def check_flaky_provider(context: CheckContext) -> InvariantResult:
-    """Two-phase check of the provider middleware stack.
+    """Two-phase check of the provider supervisor.
 
-    Phase 1: a flaky provider behind the full stack, with upstream
+    Phase 1: a flaky provider behind the supervisor, with upstream
     errors inside the retry budget, must complete byte-identically to a
     fault-free run (FlakyLLM's error draws never consume the inner
     simulator's RNG, so golden output is well-defined).  Phase 2: a
     sustained outage (``error_rate=1.0``) must open the circuit breaker
     and degrade every completion to the pattern-library fallback — never
-    escape as an exception.  ``--break breaker`` removes the breaker
-    tier, letting phase 2's ProviderError through: the failure proves
+    escape as an exception.  ``--break breaker`` turns the breaker
+    off, letting phase 2's ProviderError through: the failure proves
     the invariant has teeth.
     """
     records = [r for r in context.stream.records if not r.is_anomalous][:20]
@@ -402,14 +403,15 @@ def check_flaky_provider(context: CheckContext) -> InvariantResult:
     golden = [SimulatedLLM(seed=context.seed).complete(p) for p in prompts]
     flaky = provider_from_spec(spec, seed=context.seed)
     registry = MetricsRegistry()
-    stack = build_provider_stack(flaky, max_retries=12, seed=context.seed,
-                                 clock=lambda: 0.0, registry=registry)
+    supervisor = ProviderSupervisor(flaky, max_retries=12,
+                                    clock=lambda: 0.0, registry=registry)
     try:
-        absorbed = [stack.complete(p) for p in prompts]
+        absorbed = [supervisor.complete(p) for p in prompts]
     except ProviderError as exc:
         return InvariantResult(
             _INVARIANT_FLAKY, False,
-            f"retry budget exhausted; upstream error escaped the stack: {exc}")
+            f"retry budget exhausted; upstream error escaped the "
+            f"supervisor: {exc}")
     errors = getattr(flaky, "errors", 0)
     if errors == 0:
         return InvariantResult(
@@ -426,17 +428,17 @@ def check_flaky_provider(context: CheckContext) -> InvariantResult:
     outage = FlakyLLM(error_rate=1.0, seed=context.seed)
     registry2 = MetricsRegistry()
     use_breaker = "breaker" not in context.broken
-    stack2 = build_provider_stack(outage, breaker=use_breaker,
-                                  unhealthy_after=2, cooldown=1e9,
-                                  max_retries=1, seed=context.seed,
-                                  clock=lambda: 0.0, registry=registry2)
+    supervisor2 = ProviderSupervisor(outage, max_retries=1,
+                                     breaker=use_breaker, unhealthy_after=2,
+                                     cooldown=1e9, clock=lambda: 0.0,
+                                     registry=registry2)
     try:
-        degraded = [stack2.complete(p) for p in prompts]
+        degraded = [supervisor2.complete(p) for p in prompts]
     except ProviderError as exc:
         return InvariantResult(
             _INVARIANT_FLAKY, False,
-            f"sustained outage escaped the stack as {type(exc).__name__} "
-            f"(circuit breaker disabled?): {exc}")
+            f"sustained outage escaped the supervisor as "
+            f"{type(exc).__name__} (circuit breaker disabled?): {exc}")
     expected = [pattern_fallback(p) for p in prompts]
     opened = registry2.counter("llm.provider.breaker.opened").value
     served = registry2.counter("llm.provider.degraded").value
@@ -559,25 +561,19 @@ def _day0_stream(context: CheckContext) -> FuzzedStream:
     return fuzzer.generate(context.seed)
 
 
-def _system_windows(records: list, window: int, step: int) -> list[list]:
-    return [records[start:start + window]
-            for start in range(0, len(records) - window + 1, step)]
-
-
 def _ensemble_f1(stream: FuzzedStream, spec: str, *,
                  window: int, step: int):
     """Score a fresh ensemble built from ``spec`` over a fuzzed stream;
     returns ``(f1, ensemble)`` so checkers can read member counters."""
     ensemble = ensemble_from_spec(spec, registry=MetricsRegistry())
-    truth = stream.expected_window_labels(window, step)
     y_true: list[int] = []
     y_pred: list[int] = []
     for system, records in stream.by_system().items():
+        sequences = sliding_windows(records, window, step)
         scores = ensemble.score_windows(
-            system, _system_windows(records, window, step))
-        for ordinal, score in enumerate(scores):
-            y_true.append(int(truth[system][ordinal]))
-            y_pred.append(int(score > ensemble.threshold))
+            system, [list(sequence.records) for sequence in sequences])
+        y_true.extend(sequence.label for sequence in sequences)
+        y_pred.extend(int(score > ensemble.threshold) for score in scores)
     if not any(y_true):
         return float("nan"), ensemble
     return binary_metrics(np.array(y_true), np.array(y_pred)).f1, ensemble

@@ -548,7 +548,7 @@ class TestFaultPointAllowlist:
 
     def test_registered_point_in_its_module_allowed(self):
         text = "reports = fault_point('runtime.worker.score', reports)\n"
-        assert self._codes(text, "src/repro/runtime/worker.py") == []
+        assert self._codes(text, "src/repro/runtime/supervisor.py") == []
 
     def test_registered_point_in_wrong_module_flagged(self):
         # Planted defect: a worker hook smuggled into the model code.

@@ -10,7 +10,7 @@ from repro.llm.factory import (
     provider_from_spec,
     resolve_provider,
 )
-from repro.llm.middleware import CircuitBreakerMiddleware, RetryMiddleware
+from repro.llm.middleware import ProviderSupervisor
 
 
 class TestSpecGrammar:
@@ -79,7 +79,7 @@ class TestProviderFromSpec:
 class TestResolveProvider:
     def test_default_spec_is_simulated_behind_the_stack(self):
         provider = resolve_provider(None, seed=5)
-        assert isinstance(provider, CircuitBreakerMiddleware)
+        assert isinstance(provider, ProviderSupervisor)
         assert DEFAULT_SPEC == "simulated"
         assert provider.complete("x") == default_provider(seed=5).complete("x")
 
@@ -90,7 +90,7 @@ class TestResolveProvider:
     def test_cache_sits_under_the_middleware_stack(self, tmp_path):
         path = tmp_path / "cache.json"
         provider = resolve_provider(f"cached:path={path}")
-        assert isinstance(provider, CircuitBreakerMiddleware)
+        assert isinstance(provider, ProviderSupervisor)
         layer = provider
         while not isinstance(layer, CachedLLM):
             layer = layer.inner
@@ -108,10 +108,9 @@ class TestResolveProvider:
         while hasattr(chain[-1], "inner"):
             chain.append(chain[-1].inner)
         assert [type(layer) for layer in chain] == [
-            CircuitBreakerMiddleware, RetryMiddleware, CachedLLM,
-            SimulatedLLM]
+            ProviderSupervisor, CachedLLM, SimulatedLLM]
         # A repeated prompt is memoized by CachedLLM and nowhere above it.
-        cache = chain[2]
+        cache = chain[1]
         prompt = build_interpretation_prompt("bgl", "rts panic! - reason 1")
         assert provider.complete(prompt) == provider.complete(prompt)
         assert (cache.misses, cache.hits) == (1, 1)

@@ -1,13 +1,8 @@
-"""Traffic-control middleware stack over LLM providers."""
+"""The provider supervisor: bounded retries feeding a circuit breaker."""
 
 import pytest
 
-from repro.llm.middleware import (
-    CircuitBreakerMiddleware,
-    RetryMiddleware,
-    build_provider_stack,
-    pattern_fallback,
-)
+from repro.llm.middleware import ProviderSupervisor, pattern_fallback
 from repro.llm.prompts import build_interpretation_prompt
 from repro.llm.providers import FlakyLLM, LLMProvider, ProviderError
 from repro.llm.simulated import SimulatedLLM, fallback_rewrite
@@ -42,8 +37,9 @@ class TestCircuitBreaker:
         registry = MetricsRegistry()
         kwargs.setdefault("unhealthy_after", 2)
         kwargs.setdefault("cooldown", 30.0)
-        return CircuitBreakerMiddleware(inner, clock=clock, registry=registry,
-                                        **kwargs), registry
+        # No retries: each prompt is one upstream attempt.
+        return ProviderSupervisor(inner, max_retries=0, clock=clock,
+                                  registry=registry, **kwargs), registry
 
     def test_opens_probes_and_closes_deterministically(self):
         inner, clock = _Counting(fail_first=3), _Clock()
@@ -76,7 +72,6 @@ class TestCircuitBreaker:
         # Degraded: two opening failures, one while open, the failed
         # probe, and one more while waiting out the doubled cooldown.
         assert registry.counter("llm.provider.degraded").value == 5.0
-        assert breaker.last_error is None
 
     def test_success_resets_the_failure_streak(self):
         inner, clock = _Counting(), _Clock()
@@ -106,32 +101,22 @@ class TestCircuitBreaker:
 
 
 class TestRetry:
+    def _retrying(self, inner, **kwargs):
+        registry = MetricsRegistry()
+        return ProviderSupervisor(inner, breaker=False, registry=registry,
+                                  **kwargs), registry
+
     def test_retries_within_budget_succeed(self):
         inner = _Counting(fail_first=2)
-        registry = MetricsRegistry()
-        retry = RetryMiddleware(inner, max_retries=2, sleep=lambda s: None,
-                                registry=registry)
+        retry, registry = self._retrying(inner, max_retries=2)
         assert retry.complete("p") == "ok: p"
         assert inner.calls == 3
         assert registry.counter("llm.provider.retries").value == 2.0
 
     def test_budget_exhaustion_raises_the_last_error(self):
-        retry = RetryMiddleware(_Counting(fail_first=99), max_retries=2,
-                                registry=MetricsRegistry())
+        retry, _ = self._retrying(_Counting(fail_first=99), max_retries=2)
         with pytest.raises(ProviderError, match="call 3"):
             retry.complete("p")
-
-    def test_backoff_is_jittered_exponential_and_capped(self):
-        pauses = []
-        retry = RetryMiddleware(
-            _Counting(fail_first=99), max_retries=6, seed=0,
-            sleep=pauses.append, registry=MetricsRegistry())
-        with pytest.raises(ProviderError):
-            retry.complete("p")
-        assert len(pauses) == 6
-        bases = [0.05, 0.1, 0.2, 0.4, 0.8, 1.0]  # doubling, capped
-        for pause, base in zip(pauses, bases):
-            assert base <= pause <= base * 1.5
 
     def test_only_provider_errors_are_retried(self):
         class Broken(LLMProvider):
@@ -143,60 +128,85 @@ class TestRetry:
                 raise ValueError("permanent")
 
         broken = Broken()
-        retry = RetryMiddleware(broken, max_retries=5,
-                                registry=MetricsRegistry())
+        retry, _ = self._retrying(broken, max_retries=5)
         with pytest.raises(ValueError):
             retry.complete("p")
         assert broken.calls == 1
 
     def test_validates_knobs(self):
         with pytest.raises(ValueError, match="max_retries"):
-            RetryMiddleware(_Counting(), max_retries=-1,
-                            registry=MetricsRegistry())
+            ProviderSupervisor(_Counting(), max_retries=-1,
+                               registry=MetricsRegistry())
 
 
 class TestBuildProviderStack:
+    """Retries and breaker composed in one supervisor."""
+
     def test_nests_in_contract_order(self):
-        inner = _Counting()
-        stack = build_provider_stack(inner, registry=MetricsRegistry())
-        layers = []
-        layer = stack
-        while hasattr(layer, "inner"):
-            layers.append(type(layer))
-            layer = layer.inner
-        assert layers == [CircuitBreakerMiddleware, RetryMiddleware]
-        assert layer is inner
+        # Retries come first: failures the budget absorbs never reach
+        # the breaker, so one bad prompt cannot open it.
+        inner, registry = _Counting(fail_first=2), MetricsRegistry()
+        supervisor = ProviderSupervisor(inner, max_retries=2,
+                                        unhealthy_after=1, clock=_Clock(),
+                                        registry=registry)
+        assert supervisor.complete("p") == "ok: p"
+        assert supervisor.monitor.healthy
+        assert registry.counter("llm.provider.breaker.opened").value == 0.0
+        # A prompt that exhausts the budget is one breaker failure.
+        inner.fail_first = 99
+        assert supervisor.complete("p") == pattern_fallback("p")
+        assert inner.calls == 6
+        assert registry.counter("llm.provider.breaker.opened").value == 1.0
 
     def test_switches_remove_tiers(self):
-        inner = _Counting()
-        stack = build_provider_stack(inner, breaker=False,
-                                     registry=MetricsRegistry())
-        assert isinstance(stack, RetryMiddleware)
-        assert stack.inner is inner
-        assert build_provider_stack(inner, breaker=False, max_retries=0,
-                                    registry=MetricsRegistry()) is inner
+        inner = _Counting(fail_first=1)
+        bare = ProviderSupervisor(inner, breaker=False, max_retries=0,
+                                  registry=MetricsRegistry())
+        assert bare.monitor is None
+        with pytest.raises(ProviderError):
+            bare.complete("p")
+        assert bare.complete("p") == "ok: p"
+        assert inner.calls == 2
+
+    def test_probe_retries_within_its_budget(self):
+        inner, clock = _Counting(fail_first=3), _Clock()
+        registry = MetricsRegistry()
+        supervisor = ProviderSupervisor(inner, max_retries=1,
+                                        unhealthy_after=1, cooldown=10.0,
+                                        clock=clock, registry=registry)
+        assert supervisor.complete("p") == pattern_fallback("p")  # 2 calls
+        assert not supervisor.monitor.healthy
+        clock.now = 10.0
+        # The probe fails once, then its retry succeeds.
+        assert supervisor.complete("p") == "ok: p"
+        assert inner.calls == 4
+        assert supervisor.monitor.healthy
+        assert registry.counter("llm.provider.breaker.probes").value == 1.0
+        assert registry.counter("llm.provider.breaker.closed").value == 1.0
+        assert registry.counter("llm.provider.retries").value == 2.0
 
     def test_full_stack_is_deterministic_and_transparent(self):
         prompt = build_interpretation_prompt(
             "bgl", "rts panic! - stopping execution, reason 1")
         bare = SimulatedLLM(seed=4).complete(prompt)
-        stack = build_provider_stack(SimulatedLLM(seed=4), clock=_Clock(),
-                                     seed=4, registry=MetricsRegistry())
-        assert stack.complete(prompt) == bare
-        assert stack.complete(prompt) == bare
+        supervisor = ProviderSupervisor(SimulatedLLM(seed=4), clock=_Clock(),
+                                        registry=MetricsRegistry())
+        assert supervisor.complete(prompt) == bare
+        assert supervisor.complete(prompt) == bare
 
     def test_absorbs_a_flaky_upstream_byte_identically(self):
         prompt = build_interpretation_prompt(
             "bgl", "ciod: error reading message prefix after lostconnection")
         golden = SimulatedLLM(seed=2).complete(prompt)
         flaky = FlakyLLM(error_rate=0.6, seed=2)
-        stack = build_provider_stack(flaky, max_retries=10, clock=_Clock(),
-                                     seed=2, registry=MetricsRegistry())
-        assert stack.complete(prompt) == golden
+        supervisor = ProviderSupervisor(flaky, max_retries=10, clock=_Clock(),
+                                        registry=MetricsRegistry())
+        assert supervisor.complete(prompt) == golden
 
     def test_a_pickled_stack_completes_like_the_original(self, tmp_path):
-        """A shard process gets a pickled copy of the provider stack, warm
-        cache included: the copy answers exactly like the original."""
+        """A shard process gets a pickled copy of the supervised
+        provider, warm cache included: the copy answers exactly like the
+        original."""
         import pickle
 
         from repro.llm.factory import resolve_provider
@@ -218,10 +228,10 @@ class TestBuildProviderStack:
             "bgl", "rts panic! - stopping execution, reason 1")
         outage = FlakyLLM(error_rate=1.0, seed=0)
         registry = MetricsRegistry()
-        stack = build_provider_stack(outage, unhealthy_after=1, cooldown=1e9,
-                                     max_retries=1, clock=_Clock(),
-                                     registry=registry)
-        got = [stack.complete(prompt) for _ in range(5)]
+        supervisor = ProviderSupervisor(outage, max_retries=1,
+                                        unhealthy_after=1, cooldown=1e9,
+                                        clock=_Clock(), registry=registry)
+        got = [supervisor.complete(prompt) for _ in range(5)]
         assert got == [fallback_rewrite(extract_log_from_prompt(prompt))] * 5
         assert registry.counter("llm.provider.breaker.opened").value == 1.0
         assert registry.counter("llm.provider.degraded").value == 5.0

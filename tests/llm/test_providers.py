@@ -30,9 +30,9 @@ class TestProviderContract:
 
     def test_concrete_providers_are_providers(self):
         from repro.llm import CachedLLM
-        from repro.llm.middleware import ProviderMiddleware
+        from repro.llm.middleware import ProviderSupervisor
 
-        for cls in (SimulatedLLM, FlakyLLM, CachedLLM, ProviderMiddleware):
+        for cls in (SimulatedLLM, FlakyLLM, CachedLLM, ProviderSupervisor):
             assert issubclass(cls, LLMProvider)
 
     def test_abstract_without_complete(self):

@@ -9,25 +9,23 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    InferenceRuntime, SyntheticWorker, render_reports, report_sort_key,
+    EnsembleWorker, FlakyWorker, InferenceRuntime, ModelWorker,
+    SyntheticWorker, render_reports, report_sort_key,
 )
 from repro.testing import FaultInjector, FaultPlan, FaultSpec
 
-from .conftest import multi_system_stream
+from .conftest import multi_system_stream, six_system_model_stream
 
 RECORDS = multi_system_stream(systems=3, lines=120)
 
 
-def _no_sleep(seconds: float) -> None:
-    return None
-
-
 def _run(records, *, supervisor_options=None, shards=2, max_batch=4,
-         executor="sync"):
+         executor="sync", worker=None):
     registry = MetricsRegistry()
     runtime = InferenceRuntime(
-        SyntheticWorker(), shards=shards, max_batch=max_batch, registry=registry,
-        supervisor_options=supervisor_options, executor=executor,
+        worker or SyntheticWorker(), shards=shards, max_batch=max_batch,
+        registry=registry, supervisor_options=supervisor_options,
+        executor=executor,
     )
     try:
         for record in records:
@@ -51,8 +49,7 @@ class TestTransientRaisesWithinBudget:
         plan = FaultPlan((
             FaultSpec("runtime.worker.score", "raise", start=0, count=raises),
         ))
-        options = {"max_retries": 3, "sleep": _no_sleep,
-                   "unhealthy_after": 1_000_000}
+        options = {"max_retries": 3, "unhealthy_after": 1_000_000}
         with FaultInjector(plan) as injector:
             reports, runtime = _run(RECORDS, supervisor_options=options)
         assert injector.total_fired == raises
@@ -72,8 +69,7 @@ class TestRaisesBeyondBudget:
         plan = FaultPlan((
             FaultSpec("runtime.worker.score", "raise", start=0, count=4),
         ))
-        options = {"max_retries": 3, "sleep": _no_sleep,
-                   "unhealthy_after": 1_000_000}
+        options = {"max_retries": 3, "unhealthy_after": 1_000_000}
         with FaultInjector(plan) as injector:
             reports, runtime = _run(RECORDS, supervisor_options=options)
         assert injector.total_fired == 4
@@ -92,8 +88,7 @@ class TestRaisesBeyondBudget:
             FaultSpec("runtime.worker.score", "raise", start=0,
                       count=1_000_000),
         ))
-        options = {"max_retries": 1, "sleep": _no_sleep,
-                   "unhealthy_after": 1, "cooldown": 1e9}
+        options = {"max_retries": 1, "unhealthy_after": 1, "cooldown": 1e9}
         with FaultInjector(plan):
             reports, runtime = _run(RECORDS, shards=1,
                                     supervisor_options=options)
@@ -107,8 +102,7 @@ class TestDropFaults:
         plan = FaultPlan((
             FaultSpec("runtime.worker.result", "drop", start=0, count=1),
         ))
-        options = {"max_retries": 3, "sleep": _no_sleep,
-                   "unhealthy_after": 1_000_000}
+        options = {"max_retries": 3, "unhealthy_after": 1_000_000}
         with FaultInjector(plan) as injector:
             reports, runtime = _run(RECORDS, supervisor_options=options)
         assert injector.total_fired == 1
@@ -133,3 +127,79 @@ class TestDropFaults:
             assert runtime.stats.records_dropped == 0
             assert (runtime.stats.windows_seen
                     < golden_runtime.stats.windows_seen), executor
+
+
+def _retries(runtime):
+    """Retries over the flat counter and every shard process's own."""
+    return sum(metric.value
+               for name, metric in runtime.registry.metrics().items()
+               if name.startswith("runtime.worker_retries"))
+
+
+def _fresh_worker(kind, model_dir):
+    """A new worker of ``kind``; model-backed ones load their own copy of
+    the pipeline, since admission changes its parser state."""
+    from repro.core import LogSynergy
+    from repro.detectors import ensemble_from_spec
+
+    if kind == "synthetic":
+        return SyntheticWorker()
+    if kind == "flaky":
+        return FlakyWorker(SyntheticWorker())
+    pipeline = LogSynergy.load_pipeline(model_dir)
+    if kind == "model":
+        return ModelWorker(pipeline)
+    return EnsembleWorker(ensemble_from_spec(
+        "ewma,lof,rules,model:max", pipeline=pipeline,
+        registry=MetricsRegistry()))
+
+
+@pytest.mark.parametrize("executor", ["sync", "process"])
+@pytest.mark.parametrize("kind", ["synthetic", "model", "ensemble", "flaky"])
+class TestEveryWorkerTakesFaults:
+    """The supervisor fires the worker fault points, so every worker
+    takes injected faults under either executor.  One shard, so a shard
+    process starts from the same fault schedule as the parent."""
+
+    RECORDS = six_system_model_stream(lines=40)
+
+    @pytest.fixture
+    def run(self, kind, executor, fitted_logsynergy, tmp_path):
+        fitted_logsynergy.save_pipeline(tmp_path / "pipe")
+
+        def run(options=None):
+            return _run(self.RECORDS, shards=1, executor=executor,
+                        supervisor_options=options,
+                        worker=_fresh_worker(kind, tmp_path / "pipe"))
+        return run
+
+    def test_a_raise_fires_once_per_attempt_and_is_retried(self, run,
+                                                           executor):
+        golden, golden_runtime = run()
+        plan = FaultPlan((
+            FaultSpec("runtime.worker.score", "raise", start=1, count=2),
+        ))
+        options = {"max_retries": 3, "unhealthy_after": 1_000_000}
+        with FaultInjector(plan) as injector:
+            reports, runtime = run(options)
+        assert render_reports(reports) == render_reports(golden)
+        assert runtime.stats.worker_failures == 2
+        assert _retries(runtime) == 2
+        assert runtime.stats.degraded_windows == 0
+        if executor == "sync":
+            # Shard processes fire on their own copy of the injector.
+            batches = golden_runtime.stats.batches
+            assert batches > 1
+            assert injector.calls_at("runtime.worker.score") == batches + 2
+
+    def test_a_dropped_result_degrades_that_batch(self, run):
+        plan = FaultPlan((
+            FaultSpec("runtime.worker.result", "drop", start=0, count=1),
+        ))
+        options = {"max_retries": 3, "unhealthy_after": 1_000_000}
+        with FaultInjector(plan):
+            _, runtime = run(options)
+        assert runtime.stats.worker_failures == 0
+        assert runtime.stats.degraded_windows > 0
+        assert runtime.stats.unhealthy_transitions == 0
+        assert _retries(runtime) == 0

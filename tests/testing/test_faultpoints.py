@@ -33,7 +33,12 @@ class TestUnarmedHook:
 
 class TestRegistry:
     def test_known_points_cover_the_planted_modules(self):
-        assert FAULT_POINTS["runtime.worker.score"] == "repro/runtime/worker.py"
+        # The supervisor fires both worker points, for every worker.
+        assert FAULT_POINTS["runtime.worker.score"] == \
+            "repro/runtime/supervisor.py"
+        assert FAULT_POINTS["runtime.worker.result"] == \
+            "repro/runtime/supervisor.py"
+        assert "runtime.supervisor.attempt" not in FAULT_POINTS
         assert FAULT_POINTS["core.trainer.loss"] == "repro/core/trainer.py"
         # Admission is one point for both executors, ahead of the split.
         assert FAULT_POINTS["runtime.admit"] == "repro/runtime/engine.py"
@@ -69,7 +74,7 @@ class TestFaultSpecValidation:
 
     def test_timeout_requires_seconds(self):
         with pytest.raises(ValueError, match="seconds"):
-            FaultSpec("runtime.supervisor.attempt", "timeout")
+            FaultSpec("runtime.worker.score", "timeout")
 
     def test_bad_schedule_and_probability(self):
         with pytest.raises(ValueError):
@@ -117,13 +122,13 @@ class TestInjectorFiring:
 
     def test_timeout_skews_only_the_injector_clock(self):
         plan = FaultPlan((
-            FaultSpec("runtime.supervisor.attempt", "timeout", seconds=30.0),
+            FaultSpec("runtime.worker.score", "timeout", seconds=30.0),
         ))
         base = lambda: 100.0
         injector = FaultInjector(plan, base_clock=base)
         assert injector.clock() == 100.0
         with injector:
-            fault_point("runtime.supervisor.attempt")
+            fault_point("runtime.worker.score")
         assert injector.clock() == 130.0
         assert base() == 100.0
 
